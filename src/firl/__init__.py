@@ -5,36 +5,9 @@ The learned object is a stationary state reward whose soft-optimal
 policy reproduces a target state density; the training signal is an
 analytic covariance gradient that is exact on these MDPs and verified
 against finite differences and brute-force trajectory enumeration.
+
+The package exports nothing but its version; import from the
+submodules, for example ``from firl.trainer import run_firl``.
 """
 
 __version__ = "0.1.0"
-
-from .divergence import (KINDS, ExpertDensity, divergence_exact, f_prime,
-                         f_value, h_f, ratio_table)
-from .density_ratio import (Discriminator, RatioEstimator, discriminator_fit,
-                            discriminator_ratio, exact_ratio, importance_weights,
-                            kde_eval, kde_fit, kde_pair_ratio,
-                            ratio_from_discriminator)
-from .grad_engine import (GradReport, analytic_grad_exact, analytic_grad_mc,
-                          analytic_grad_mixture, enumeration_grad,
-                          fd_grad_oracle, gradcheck_suite, ipm_grad,
-                          linear_ball_critic, maxentirl_grad)
-from .kl_eval import KlEstimate, exact_kl, knn_kl, policy_return, states_to_points
-from .mdp import (GRID_ACTIONS, FiniteMdp, build_gridworld, modify_dynamics,
-                  validate)
-from .reward_model import (RewardModel, apply_update, default_features,
-                           linear_reward, mlp_reward, reward_from_dict,
-                           reward_grad, reward_jacobian, reward_of,
-                           reward_to_dict, reward_vector, tabular_reward)
-from .scenarios import (Scenario, density_matching, dynamics_transfer,
-                        gaussian_density, hard_exploration_task,
-                        irl_from_trajectories, mixture2_density,
-                        percentile_weights, prior_reward_downstream,
-                        reward_recovery_check, run_scenario, uniform_density)
-from .soft_solver import (SoftSolution, TimedReward, TrajectoryBatch,
-                          enumerate_trajectories, forward_marginals,
-                          pairwise_marginals, sample_trajectories,
-                          soft_backward, step_kernel)
-from .trainer import (METRIC_COLUMNS, OptimizerState, TrainConfig, TrainResult,
-                      optimizer_step, potential_shape, run_firl,
-                      shaped_prior_reward)

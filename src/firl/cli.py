@@ -20,8 +20,8 @@ from .mdp import GRID_ACTIONS, build_gridworld, modify_dynamics
 from .reward_model import reward_vector
 from .run_io import (SCHEMA_VERSION, ConfigError, emit_heatmap, fmt_float,
                      load_config, make_run_dir, read_reward_json, utc_now,
-                     validate_config, write_json, write_manifest,
-                     write_metrics_csv, write_reward_json)
+                     validate_config, write_json, write_lines,
+                     write_manifest, write_metrics_csv, write_reward_json)
 from .scenarios import (density_matching, dynamics_transfer,
                         irl_from_trajectories, percentile_weights,
                         prior_reward_downstream, reward_recovery_check,
@@ -165,6 +165,8 @@ def _cmd_train(args):
 
 
 def _cmd_gradcheck(args):
+    if args.instances < 1:
+        raise ConfigError("--instances must be at least 1, got %d" % args.instances)
     started = utc_now()
     records = gradcheck_suite(n_instances=args.instances, seed=args.seed)
     run_dir = make_run_dir("gradcheck", args.out)
@@ -176,9 +178,7 @@ def _cmd_gradcheck(args):
                      % (r["instance"], r["n_states"], r["n_actions"],
                         r["horizon"], r["kind"], r["reward_kind"],
                         fmt_float(r["rel_error"])))
-    path = os.path.join(run_dir, "gradcheck.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(run_dir, "gradcheck.csv"), lines)
     write_manifest(run_dir, {"seed": args.seed, "instances": args.instances},
                    args.seed, ["gradcheck.csv"], started, utc_now())
     worst = max(r["rel_error"] for r in records)
@@ -256,9 +256,7 @@ def _run_prior(cfg, args, started):
     for r in rows:
         lines.append("%s,%s,%s" % (fmt_float(r["lambda"]), fmt_float(r["alpha"]),
                                    fmt_float(r["return"])))
-    path = os.path.join(run_dir, "prior_heatmap.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(run_dir, "prior_heatmap.csv"), lines)
     controls = {r["alpha"]: r["return"] for r in rows if r["lambda"] == 0.0}
     best = max(rows, key=lambda r: r["return"] - controls[r["alpha"]])
     summary = {"best": best, "control_return": controls[best["alpha"]],

@@ -1,13 +1,14 @@
 """Estimators for the expert/agent state density ratio u(s).
 
-Three routes: the exact table (known densities), a kernel density pair
-on jittered 2-d samples, and a logistic discriminator on state
-features whose optimum recovers c_E / (c_E + c_A).
+Three routes, each returning a RatioEstimator table over states: the
+exact table (known densities), a kernel density pair on jittered 2-d
+samples, and a logistic discriminator on state features whose optimum
+recovers c_E / (c_E + c_A).
 """
 
 import numpy as np
 
-from .divergence import DENSITY_FLOOR, RATIO_CLIP_LO, RATIO_CLIP_HI, density_values
+from .divergence import DENSITY_FLOOR, RATIO_CLIP_LO, RATIO_CLIP_HI, ratio_table
 
 LOGIT_CLIP = 10.0
 
@@ -27,43 +28,31 @@ class RatioEstimator:
 
 def exact_ratio(rho_e, marginal_avg):
     """u(s) = rho_E(s) / rho_theta(s) from known densities, clipped."""
-    p = density_values(rho_e)
-    q = np.asarray(marginal_avg, dtype=float)
-    u = p / np.maximum(q, DENSITY_FLOOR)
+    u = ratio_table(rho_e, marginal_avg)
     return RatioEstimator("exact_table", np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI))
 
 
-class EpanechnikovKde:
-    """Product Epanechnikov kernel density estimate in 2-d.
+def kde_density(samples, bandwidth, points):
+    """Product Epanechnikov kernel density of 2-d samples at each point.
 
     density(x) = (1 / (n * bw^2)) * sum_i prod_d K((x_d - s_id) / bw)
-    with K(v) = 0.75 * (1 - v^2) on |v| <= 1.
+    with K(v) = 0.75 * (1 - v^2) on |v| <= 1. Chunked over the points
+    so memory stays bounded.
     """
-
-    def __init__(self, samples, bandwidth):
-        self.samples = np.asarray(samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
-            raise ValueError("kde expects (n, 2) samples")
-        if not bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth = float(bandwidth)
-
-
-def kde_fit(samples, bandwidth=0.2):
-    return EpanechnikovKde(samples, bandwidth)
-
-
-def kde_eval(kde, points):
-    """Density at each query point; chunked so memory stays bounded."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 2:
+        raise ValueError("kde expects (n, 2) samples")
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
+    bw = float(bandwidth)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = kde.samples.shape[0]
-    bw = kde.bandwidth
+    n = samples.shape[0]
     out = np.zeros(len(points))
     # keep the (chunk x n) distance block under ~8M entries
     chunk = max(1, int(8_000_000 // max(n, 1)))
     for i in range(0, len(points), chunk):
         block = points[i:i + chunk]
-        v = (block[:, None, :] - kde.samples[None, :, :]) / bw
+        v = (block[:, None, :] - samples[None, :, :]) / bw
         k = np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v * v), 0.0)
         out[i:i + chunk] = k.prod(axis=2).sum(axis=1)
     return out / (n * bw * bw)
@@ -80,8 +69,8 @@ def kde_pair_ratio(mdp, expert_samples, agent_samples, bandwidth=0.2, seed=0):
     pts_e = _jittered(mdp, expert_samples, rng)
     pts_a = _jittered(mdp, agent_samples, rng)
     centers = mdp.coords
-    p_e = kde_eval(kde_fit(pts_e, bandwidth), centers)
-    p_a = kde_eval(kde_fit(pts_a, bandwidth), centers)
+    p_e = kde_density(pts_e, bandwidth, centers)
+    p_a = kde_density(pts_a, bandwidth, centers)
     u = np.maximum(p_e, DENSITY_FLOOR) / np.maximum(p_a, DENSITY_FLOOR)
     return RatioEstimator("kde_pair", np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI))
 
@@ -161,24 +150,9 @@ def discriminator_fit(expert_states, agent_states, n_states, features=None,
     return Discriminator(w, features)
 
 
-def ratio_from_discriminator(disc, states):
-    """u(s) = D / (1 - D) = exp(logit), with the logit clipped."""
-    states = np.asarray(states, dtype=np.int64)
-    return np.exp(disc.state_logits()[states])
-
-
 def discriminator_ratio(disc):
     """Whole-table RatioEstimator view of a fitted discriminator."""
     return RatioEstimator("discriminator", np.exp(disc.state_logits()))
-
-
-def importance_weights(rho_e, agent_density, states):
-    """Plug-in weights rho_E(s) / rho_hat(s) at the given states."""
-    p = density_values(rho_e)
-    q = np.asarray(agent_density, dtype=float)
-    u = p / np.maximum(q, DENSITY_FLOOR)
-    u = np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI)
-    return u[np.asarray(states, dtype=np.int64)]
 
 
 def sample_states(weights, n, rng):

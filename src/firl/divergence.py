@@ -126,7 +126,7 @@ def divergence_exact(kind, rho_e, rho):
         if np.any((p > 0) & (q <= 0)):
             return float("inf")
         m = p > 0
-        return float(np.sum(p[m] * np.log(p[m] / np.maximum(q[m], DENSITY_FLOOR))))
+        return float(np.sum(p[m] * np.log(ratio_table(p, q)[m])))
     if kind == "rkl":
         if np.any((q > 0) & (p <= 0)):
             return float("inf")

@@ -11,13 +11,12 @@ evaluation routes live here:
   mixture    sample covariance over pooled agent + resampled expert rollouts
   enumerate  brute-force expectation over every trajectory
 
-plus the two baselines (maximum-entropy IRL matching, linear IPM
-critic) and a central-difference oracle used only for verification.
+plus a central-difference oracle used only for verification.
 """
 
 import numpy as np
 
-from .divergence import DENSITY_FLOOR, KINDS, density_values, h_f
+from .divergence import KINDS, density_values, divergence_exact, h_f
 from .mdp import FiniteMdp
 from .reward_model import (apply_update, default_features, mlp_reward,
                            reward_jacobian, reward_vector, tabular_reward)
@@ -166,66 +165,6 @@ def analytic_grad_mixture(agent, expert, model, alpha, kind, ratio, seed=0):
                       diagnostics=_mc_diag(a, t_hor))
 
 
-def maxentirl_grad(expert, sol, model, alpha, agent_density=None,
-                   use_importance_sampling=False):
-    """Feature-matching baseline: (T / alpha) (E_expert[g] - E_policy[g]).
-
-    The expert side accepts either trajectory samples (integer state
-    arrays; start states are skipped) or a state density. With
-    importance sampling on, the expert expectation is instead taken
-    under the policy marginal reweighted by rho_E / agent_density.
-    """
-    g = reward_jacobian(model)
-    t_hor = sol.policy.shape[0]
-    if sol.marginal_avg is None:
-        raise ValueError("solution is missing marginals")
-    e_policy = sol.marginal_avg @ g
-    if use_importance_sampling:
-        if agent_density is None:
-            raise ValueError("importance sampling needs an agent density estimate")
-        p = density_values(expert)
-        w = p / np.maximum(np.asarray(agent_density, dtype=float), DENSITY_FLOOR)
-        e_expert = (sol.marginal_avg * w) @ g
-        estimator = "maxentirl_is"
-    else:
-        e_expert, estimator = _expert_side(expert, g), "maxentirl"
-    grad = (t_hor / alpha) * (e_expert - e_policy)
-    return GradReport(grad, estimator)
-
-
-def _expert_side(expert, g):
-    if hasattr(expert, "states"):
-        states = np.asarray(expert.states, dtype=np.int64)[:, 1:]
-        return g[states.ravel()].mean(axis=0)
-    arr = np.asarray(expert)
-    if arr.dtype.kind in "iu" and not hasattr(expert, "values"):
-        return g[arr.ravel()].mean(axis=0)
-    return density_values(expert) @ g
-
-
-def ipm_grad(batch, critic, model, alpha):
-    """Integral-probability-metric direction: minus the covariance of
-    the summed critic with the summed reward gradient."""
-    critic = np.asarray(critic, dtype=float)
-    g = reward_jacobian(model)
-    a, b, t_hor = _batch_sums(batch.states, critic, g)
-    grad = -_sample_cov(a, b) / (alpha * t_hor)
-    return GradReport(grad, "ipm", n_samples=batch.n)
-
-
-def linear_ball_critic(features, expert_states, agent_states, radius=1.0):
-    """Optimal critic over the radius-ball of linear functions: per-state
-    values of the feature-mean difference direction."""
-    features = np.asarray(features, dtype=float)
-    mu_e = features[np.asarray(expert_states, dtype=np.int64).ravel()].mean(axis=0)
-    mu_a = features[np.asarray(agent_states, dtype=np.int64).ravel()].mean(axis=0)
-    direction = mu_e - mu_a
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        return np.zeros(features.shape[0])
-    return features @ (radius * direction / norm)
-
-
 def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):
     """Central differences through solve -> marginal -> exact divergence.
 
@@ -235,8 +174,6 @@ def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):
     if model.n_params > FD_PARAM_CAP:
         raise ValueError("finite differencing %d params exceeds the cap of %d"
                          % (model.n_params, FD_PARAM_CAP))
-    from .divergence import divergence_exact
-
     p = _expert_values(rho_e, kind)
 
     def loss(m):

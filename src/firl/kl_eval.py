@@ -1,10 +1,9 @@
-"""KL evaluation: exact tabular KL, the Kozachenko-Leonenko k-NN
-estimator on 2-d point clouds, and expected return under a policy."""
+"""Policy evaluation: the Kozachenko-Leonenko k-NN KL estimator on 2-d
+point clouds, and expected return under a policy. Exact tabular
+divergences live in divergence.divergence_exact."""
 
 import numpy as np
 from scipy.spatial import cKDTree
-
-from .divergence import DENSITY_FLOOR
 
 
 class KlEstimate:
@@ -14,17 +13,6 @@ class KlEstimate:
         self.k = k
         self.n_p = n_p
         self.n_q = n_q
-
-
-def exact_kl(p, q):
-    """KL(p || q) between two distributions on the same finite set."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must share a support size")
-    mask = p > 0
-    val = float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], DENSITY_FLOOR))))
-    return KlEstimate(val, "exact", n_p=len(p), n_q=len(q))
 
 
 def knn_kl(samples_p, samples_q, k=3, seed=0):

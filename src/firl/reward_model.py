@@ -128,11 +128,6 @@ def reward_vector(model):
     return raw
 
 
-def reward_of(model, s):
-    """r_theta(s) for a single state index."""
-    return float(reward_vector(model)[s])
-
-
 def reward_jacobian(model):
     """d r_theta(s) / d theta for every state, shape (S, n_params).
 
@@ -163,11 +158,6 @@ def reward_jacobian(model):
         jac = jac.copy()
         jac[saturated] = 0.0
     return jac
-
-
-def reward_grad(model, s):
-    """Gradient of r_theta(s) with respect to theta."""
-    return reward_jacobian(model)[s].copy()
 
 
 def apply_update(model, delta):

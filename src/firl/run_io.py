@@ -31,7 +31,8 @@ def fmt_float(x):
     return "%.17g" % x
 
 
-def _write_lines(path, lines):
+def write_lines(path, lines):
+    """Newline-terminated text file from a list of lines."""
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -43,7 +44,7 @@ def write_metrics_csv(path, metrics):
         cells = ["%d" % row["iteration"]]
         cells += [fmt_float(row[c]) for c in METRIC_COLUMNS[1:]]
         lines.append(",".join(cells))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def read_metrics_csv(path):
@@ -70,7 +71,7 @@ def emit_heatmap(model, mdp, path):
         lines.append("%d,%s,%s,%s" % (s, fmt_float(mdp.coords[s, 0]),
                                       fmt_float(mdp.coords[s, 1]),
                                       fmt_float(vals[s])))
-    _write_lines(path, lines)
+    write_lines(path, lines)
     return path
 
 
@@ -169,8 +170,10 @@ CONFIG_SCHEMA = {
                 "properties": {
                     "prior_file": {"type": "string"},
                     "prior": {"type": "array", "items": {"type": "number"}},
-                    "lambda_grid": {"type": "array", "items": {"type": "number"}},
-                    "alpha_grid": {"type": "array",
+                    # lambda = 0 is the unshaped control each cell is scored against
+                    "lambda_grid": {"type": "array", "items": {"type": "number"},
+                                    "minItems": 1, "contains": {"const": 0}},
+                    "alpha_grid": {"type": "array", "minItems": 1,
                                    "items": {"type": "number",
                                              "exclusiveMinimum": 0}},
                     "horizon": {"type": "integer", "minimum": 1},
@@ -238,11 +241,13 @@ def make_run_dir(name, out_root=None):
     base = os.path.join(root, name, stamp)
     path = base
     n = 1
-    while os.path.exists(path):
-        path = "%s-%d" % (base, n)
-        n += 1
-    os.makedirs(path)
-    return path
+    while True:
+        try:
+            os.makedirs(path)
+            return path
+        except FileExistsError:
+            path = "%s-%d" % (base, n)
+            n += 1
 
 
 def write_manifest(run_dir, config, seed, outputs, started, ended):

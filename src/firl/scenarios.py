@@ -6,7 +6,6 @@ Every scenario is a plain data object (mdp + expert + TrainConfig) so
 a run is reproducible from its JSON description and seed alone.
 """
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -109,9 +108,6 @@ def irl_from_trajectories(mdp, n_expert_traj, gt_reward, seed=0,
     recovered reward scale tracks the ratio of training temperature to
     the demos' effective temperature.
     """
-    if n_expert_traj not in (1, 4, 16):
-        warnings.warn("n_expert_traj=%d is outside the studied set {1, 4, 16}"
-                      % n_expert_traj)
     gt_reward = np.asarray(gt_reward, dtype=float)
     if not np.all(np.isfinite(gt_reward)):
         raise ValueError("ground-truth reward must be finite")

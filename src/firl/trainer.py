@@ -111,19 +111,10 @@ def potential_shape(reward, phi, gamma=1.0, horizon=None, terminal_convention=Tr
 
     With gamma = 1 and the terminal convention (no phi credit on the
     final arrival) the soft-optimal policy is exactly unchanged: every
-    Q_t shifts by -phi(s), which the per-state softmax cannot see.
+    Q_t shifts by -phi(s), which the per-state softmax cannot see. This
+    is the prior bonus below at weight 1.
     """
-    reward = np.asarray(reward, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if horizon is None:
-        raise ValueError("potential shaping needs the horizon")
-    if reward.shape != phi.shape:
-        raise ValueError("reward and potential must share a shape")
-    arrival = np.tile(reward + gamma * phi, (horizon, 1))
-    if terminal_convention:
-        arrival[horizon - 1] = reward
-    departure = np.tile(-phi, (horizon, 1))
-    return TimedReward(arrival, departure)
+    return shaped_prior_reward(reward, phi, 1.0, gamma, horizon, terminal_convention)
 
 
 def shaped_prior_reward(r_task, r_prior, lam, gamma=1.0, horizon=None,

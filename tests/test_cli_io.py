@@ -134,6 +134,18 @@ def test_run_dirs_never_collide(tmp_path, monkeypatch):
     assert all(os.path.isdir(p) for p in (a, b, c))
 
 
+def test_run_dir_creation_survives_a_race(tmp_path, monkeypatch):
+    # another process creates the directory between the check and mkdir
+    monkeypatch.setattr(run_io.time, "strftime",
+                        lambda fmt, t=None: "20260101T000000Z")
+    base = tmp_path / "job" / "20260101T000000Z"
+    base.mkdir(parents=True)
+    monkeypatch.setattr(run_io.os.path, "exists", lambda path: False)
+    path = make_run_dir("job", str(tmp_path))
+    assert path == str(base) + "-1"
+    assert os.path.isdir(path)
+
+
 def _write_cfg(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -202,6 +214,14 @@ def test_cli_gradcheck_fails_loud_on_a_bad_gradient(tmp_path, capsys,
     assert "worst rel_error 0.5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_gradcheck_rejects_an_empty_sweep(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    assert cli_main(["gradcheck", "--instances", count, "--out", str(out)]) == 1
+    assert "--instances must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_eval_scores_a_stored_reward(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
     cli_main(["train", "--config", cfg, "--out", str(tmp_path)])
@@ -245,6 +265,23 @@ def test_cli_scenario_runs_the_prior_sweep(tmp_path, capsys):
     assert lines[0] == "lambda,alpha,return" and len(lines) == 3
     summary = json.load(open(os.path.join(run_dir, "summary.json")))
     assert summary["improvement"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("grids", [
+    {"lambda_grid": [0.5, 1.0]},
+    {"lambda_grid": []},
+    {"alpha_grid": []},
+])
+def test_cli_prior_sweep_needs_a_control_and_a_temperature(tmp_path, capsys,
+                                                           grids):
+    payload = {"schema_version": 1, "seed": 0, "type": "prior_downstream",
+               "prior": [0.0] * 36, "horizon": 6}
+    payload.update(grids)
+    cfg = _write_cfg(tmp_path, "p.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["scenario", "--config", cfg, "--out", str(out)]) == 1
+    assert "firl: error: config rejected" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_transfer_scores_on_modified_dynamics(tmp_path, capsys):

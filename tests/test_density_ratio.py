@@ -5,9 +5,8 @@ import pytest
 
 from firl.density_ratio import (LOGIT_CLIP, Discriminator, RatioEstimator,
                                 discriminator_fit, discriminator_ratio,
-                                exact_ratio, importance_weights, kde_eval,
-                                kde_fit, kde_pair_ratio,
-                                ratio_from_discriminator, sample_states)
+                                exact_ratio, kde_density, kde_pair_ratio,
+                                sample_states)
 from firl.divergence import RATIO_CLIP_HI
 from firl.mdp import build_gridworld
 
@@ -35,7 +34,7 @@ def test_kde_density_of_a_point_cluster():
     # four stacked points: density at the stack is 0.75^2 / bw^2
     pts = np.zeros((4, 2))
     for bw in (0.5, 1.0, 2.0):
-        val = kde_eval(kde_fit(pts, bandwidth=bw), np.zeros((1, 2)))[0]
+        val = kde_density(pts, bw, np.zeros((1, 2)))[0]
         assert val == pytest.approx(0.5625 / bw ** 2, abs=1e-12)
 
 
@@ -43,7 +42,6 @@ def test_kde_integrates_to_one():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(60, 2)) * 0.8
     bw = 0.4
-    kde = kde_fit(pts, bandwidth=bw)
     step = 0.05
     lo = pts.min(axis=0) - bw - step
     hi = pts.max(axis=0) + bw + step
@@ -51,32 +49,30 @@ def test_kde_integrates_to_one():
     ys = np.arange(lo[1], hi[1], step)
     gx, gy = np.meshgrid(xs, ys)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    mass = kde_eval(kde, grid).sum() * step * step
+    mass = kde_density(pts, bw, grid).sum() * step * step
     assert mass == pytest.approx(1.0, abs=0.02)
 
 
 def test_kde_support_is_compact():
     pts = np.zeros((3, 2))
-    kde = kde_fit(pts, bandwidth=0.5)
     far = np.array([[0.51, 0.0], [0.0, -0.51], [3.0, 3.0]])
-    assert np.array_equal(kde_eval(kde, far), np.zeros(3))
+    assert np.array_equal(kde_density(pts, 0.5, far), np.zeros(3))
 
 
-def test_kde_eval_is_consistent_across_batching():
+def test_kde_density_is_consistent_across_batching():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(40, 2))
-    kde = kde_fit(pts, bandwidth=0.7)
     queries = rng.normal(size=(25, 2))
-    whole = kde_eval(kde, queries)
-    singles = np.array([kde_eval(kde, q[None, :])[0] for q in queries])
+    whole = kde_density(pts, 0.7, queries)
+    singles = np.array([kde_density(pts, 0.7, q[None, :])[0] for q in queries])
     assert np.allclose(whole, singles, atol=1e-14)
 
 
 def test_kde_argument_validation():
     with pytest.raises(ValueError, match=r"\(n, 2\)"):
-        kde_fit(np.zeros((4, 3)))
+        kde_density(np.zeros((4, 3)), 0.2, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="bandwidth"):
-        kde_fit(np.zeros((4, 2)), bandwidth=0.0)
+        kde_density(np.zeros((4, 2)), 0.0, np.zeros((1, 2)))
 
 
 def test_kde_pair_ratio_shape_and_mode():
@@ -121,7 +117,7 @@ def test_discriminator_saturates_on_disjoint_support():
                              n_states=2)
     assert disc.weights[0] == pytest.approx(LOGIT_CLIP)
     assert disc.weights[1] == pytest.approx(-LOGIT_CLIP)
-    ratios = ratio_from_discriminator(disc, [0, 1])
+    ratios = discriminator_ratio(disc)([0, 1])
     assert ratios[0] == pytest.approx(np.exp(LOGIT_CLIP))
     assert ratios[1] == pytest.approx(np.exp(-LOGIT_CLIP))
 
@@ -131,23 +127,12 @@ def test_discriminator_needs_both_sides():
         discriminator_fit(np.array([], dtype=int), np.array([0]), n_states=2)
 
 
-def test_ratio_from_discriminator_inverts_the_logit():
+def test_discriminator_ratio_inverts_the_logit():
     disc = Discriminator(np.array([np.log(3.0), 0.0]), np.eye(2))
-    assert ratio_from_discriminator(disc, [0])[0] == pytest.approx(3.0)
+    assert discriminator_ratio(disc)([0])[0] == pytest.approx(3.0)
     # D = 0.75 corresponds to logit log 3 and ratio D / (1 - D) = 3
     big = Discriminator(np.array([12.0]), np.eye(1))
-    assert ratio_from_discriminator(big, [0])[0] == pytest.approx(np.exp(10.0))
-
-
-def test_importance_weights_unit_when_densities_agree():
-    rho = np.array([0.2, 0.3, 0.5])
-    w = importance_weights(rho, rho, [0, 1, 2, 2])
-    assert np.allclose(w, 1.0, atol=1e-12)
-
-
-def test_importance_weights_clip_at_the_ceiling():
-    w = importance_weights([1.0, 0.0], [0.0, 1.0], [0])
-    assert w[0] == RATIO_CLIP_HI
+    assert discriminator_ratio(big)([0])[0] == pytest.approx(np.exp(10.0))
 
 
 def test_sample_states_follows_the_weights():

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from firl.density_ratio import exact_ratio
-from firl.divergence import KINDS, ExpertDensity, h_f
+from firl.divergence import KINDS, ExpertDensity
 from firl.grad_engine import (GradReport, analytic_grad_exact,
                               analytic_grad_mc, analytic_grad_mixture,
                               enumeration_grad, fd_grad_oracle,
-                              gradcheck_suite, ipm_grad, linear_ball_critic,
-                              maxentirl_grad)
+                              gradcheck_suite)
 from firl.mdp import build_gridworld
 from firl.reward_model import apply_update, tabular_reward
 from firl.soft_solver import (TrajectoryBatch, forward_marginals,
@@ -197,81 +196,6 @@ def test_mixture_rejects_mismatched_horizons():
     short = TrajectoryBatch(agent.states[:, :-1])
     with pytest.raises(ValueError, match="horizons differ"):
         analytic_grad_mixture(agent, short, model, 1.0, "fkl", ratio)
-
-
-def test_maxentirl_tabular_coordinates():
-    mdp, model, rho_e, sol = _instance(seed=25, alpha=0.5)
-    report = maxentirl_grad(rho_e, sol, model, 0.5)
-    want = (mdp.horizon / 0.5) * (rho_e - sol.marginal_avg)
-    assert np.allclose(report.grad, want, atol=1e-12)
-    assert report.estimator == "maxentirl"
-
-
-def test_maxentirl_vanishes_at_the_match():
-    mdp, model, _, sol = _instance(seed=26)
-    report = maxentirl_grad(sol.marginal_avg, sol, model, 1.0)
-    assert np.abs(report.grad).max() < 1e-12
-
-
-def test_maxentirl_accepts_expert_trajectories():
-    mdp, model, rho_e, sol = _instance(seed=27)
-    batch = sample_trajectories(mdp, sol, 40, seed=28)
-    report = maxentirl_grad(batch, sol, model, 1.0)
-    emp = np.bincount(batch.states[:, 1:].ravel(), minlength=9) \
-        / batch.states[:, 1:].size
-    want = mdp.horizon * (emp - sol.marginal_avg)
-    assert np.allclose(report.grad, want, atol=1e-12)
-    # a flat array of visited states works the same way
-    flat = maxentirl_grad(batch.states[:, 1:].ravel(), sol, model, 1.0)
-    assert np.allclose(flat.grad, report.grad, atol=1e-15)
-
-
-def test_maxentirl_importance_branch_matches_the_plain_one():
-    mdp, model, rho_e, sol = _instance(seed=29)
-    plain = maxentirl_grad(rho_e, sol, model, 1.0)
-    weighted = maxentirl_grad(rho_e, sol, model, 1.0,
-                              agent_density=sol.marginal_avg,
-                              use_importance_sampling=True)
-    assert np.allclose(weighted.grad, plain.grad, atol=1e-10)
-    assert weighted.estimator == "maxentirl_is"
-    with pytest.raises(ValueError, match="needs an agent density"):
-        maxentirl_grad(rho_e, sol, model, 1.0, use_importance_sampling=True)
-
-
-def test_maxentirl_needs_solved_marginals():
-    mdp, model, rho_e, _ = _instance(seed=30)
-    bare = soft_backward(mdp, model.params, 1.0)
-    with pytest.raises(ValueError, match="missing marginals"):
-        maxentirl_grad(rho_e, bare, model, 1.0)
-
-
-def test_ipm_with_the_h_critic_mirrors_the_mc_gradient():
-    mdp, model, rho_e, sol = _instance(seed=31)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
-    batch = sample_trajectories(mdp, sol, 256, seed=32)
-    mc = analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
-    critic = h_f("fkl", ratio.ratios, clip=True)
-    ipm = ipm_grad(batch, critic, model, 1.0)
-    assert np.array_equal(ipm.grad, -mc.grad)
-    assert ipm.estimator == "ipm"
-
-
-def test_ipm_is_zero_under_a_constant_critic():
-    mdp, model, _, sol = _instance(seed=33)
-    batch = sample_trajectories(mdp, sol, 64, seed=34)
-    report = ipm_grad(batch, np.full(9, 3.0), model, 1.0)
-    assert np.array_equal(report.grad, np.zeros(9))
-
-
-def test_linear_ball_critic_points_along_the_mean_gap():
-    feats = np.eye(3)
-    critic = linear_ball_critic(feats, [2, 2], [0, 0], radius=1.0)
-    r2 = 1.0 / np.sqrt(2.0)
-    assert np.allclose(critic, [-r2, 0.0, r2], atol=1e-12)
-    doubled = linear_ball_critic(feats, [2, 2], [0, 0], radius=2.0)
-    assert np.allclose(doubled, 2.0 * critic, atol=1e-12)
-    flat = linear_ball_critic(feats, [1, 1], [1, 1])
-    assert np.array_equal(flat, np.zeros(3))
 
 
 def test_grad_report_rejects_non_finite_values():

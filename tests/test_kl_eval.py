@@ -1,9 +1,9 @@
-"""Exact KL, the k-NN sample estimator, and expected return."""
+"""The k-NN KL sample estimator and expected return."""
 
 import numpy as np
 import pytest
 
-from firl.kl_eval import exact_kl, knn_kl, policy_return, states_to_points
+from firl.kl_eval import knn_kl, policy_return, states_to_points
 from firl.mdp import FiniteMdp, build_gridworld
 from firl.soft_solver import forward_marginals, soft_backward
 
@@ -14,24 +14,6 @@ def _chain(horizon=2):
     P[1, 0, 2] = 1.0
     P[2, 0, 2] = 1.0
     return FiniteMdp(P, [1.0, 0.0, 0.0], horizon=horizon)
-
-
-def test_exact_kl_point_mass_versus_uniform():
-    est = exact_kl([1.0, 0.0], [0.5, 0.5])
-    assert est.value == pytest.approx(np.log(2.0), abs=1e-12)
-    assert est.method == "exact"
-    assert est.n_p == est.n_q == 2
-
-
-def test_exact_kl_is_asymmetric():
-    p = [0.8, 0.2]
-    q = [0.5, 0.5]
-    assert exact_kl(p, q).value != pytest.approx(exact_kl(q, p).value)
-
-
-def test_exact_kl_zero_on_identical():
-    p = np.array([0.3, 0.3, 0.4])
-    assert exact_kl(p, p).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_knn_near_zero_on_identical_distributions():

@@ -6,8 +6,8 @@ import pytest
 from firl.mdp import build_gridworld
 from firl.reward_model import (RewardModel, apply_update, default_features,
                                linear_reward, mlp_reward, reward_from_dict,
-                               reward_grad, reward_jacobian, reward_of,
-                               reward_to_dict, reward_vector, tabular_reward)
+                               reward_jacobian, reward_to_dict, reward_vector,
+                               tabular_reward)
 
 
 def _fd_jacobian(model, eps=1e-6):
@@ -96,14 +96,6 @@ def test_default_features_are_normalized_with_bias():
     assert feats[:, 0].min() == 0.0 and feats[:, 0].max() == 1.0
     assert feats[:, 1].min() == 0.0 and feats[:, 1].max() == 1.0
     assert np.array_equal(feats[:, 2], np.ones(12))
-
-
-def test_reward_of_and_grad_agree_with_tables():
-    feats = _grid_features()
-    model = linear_reward(feats)
-    model = apply_update(model, np.array([1.0, -2.0, 0.5]))
-    assert reward_of(model, 3) == pytest.approx(reward_vector(model)[3])
-    assert np.array_equal(reward_grad(model, 3), feats[3])
 
 
 def test_apply_update_is_pure_and_shape_checked():
