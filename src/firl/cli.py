@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .divergence import divergence_exact
+from .divergence import KINDS, divergence_exact
 from .grad_engine import gradcheck_suite
 from .kl_eval import policy_return
 from .mdp import GRID_ACTIONS, build_gridworld, modify_dynamics
@@ -27,6 +27,7 @@ from .scenarios import (density_matching, dynamics_transfer,
                         prior_reward_downstream, reward_recovery_check,
                         run_scenario)
 from .soft_solver import forward_marginals, soft_backward
+from .trainer import ESTIMATORS
 
 GRADCHECK_TOL = 1e-4
 
@@ -39,12 +40,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_common(p, config_required=True):
-    if config_required:
-        p.add_argument("--config", required=True, help="JSON run config")
+def _add_common(p, training=True):
+    p.add_argument("--config", required=True, help="JSON run config")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--out", default=None, help="output root directory")
+    if training:
+        p.add_argument("--estimator", choices=ESTIMATORS)
+        p.add_argument("--divergence", choices=KINDS)
 
 
 def _build_parser():
@@ -54,8 +57,6 @@ def _build_parser():
 
     p = sub.add_parser("train", help="run a training scenario")
     _add_common(p)
-    p.add_argument("--estimator", choices=["exact", "mc", "mixture"])
-    p.add_argument("--divergence", choices=["fkl", "rkl", "js"])
 
     p = sub.add_parser("gradcheck", help="analytic vs finite-difference sweep")
     p.add_argument("--seed", type=int, default=0)
@@ -63,17 +64,13 @@ def _build_parser():
     p.add_argument("--instances", type=int, default=20)
 
     p = sub.add_parser("eval", help="evaluate a stored reward on a scenario")
-    _add_common(p)
+    _add_common(p, training=False)
 
     p = sub.add_parser("scenario", help="run a scenario with its evaluation suite")
     _add_common(p)
-    p.add_argument("--estimator", choices=["exact", "mc", "mixture"])
-    p.add_argument("--divergence", choices=["fkl", "rkl", "js"])
 
     p = sub.add_parser("transfer", help="train on source dynamics, score on target")
     _add_common(p)
-    p.add_argument("--estimator", choices=["exact", "mc", "mixture"])
-    p.add_argument("--divergence", choices=["fkl", "rkl", "js"])
     return parser
 
 
@@ -140,8 +137,7 @@ def _nested_scenario(cfg, key="scenario"):
     return sub
 
 
-def _train_and_emit(cfg, run_dir):
-    sc = _build_scenario(cfg)
+def _train_and_emit(sc, run_dir):
     result = run_scenario(sc)
     outputs = []
     path = os.path.join(run_dir, "metrics.csv")
@@ -151,14 +147,15 @@ def _train_and_emit(cfg, run_dir):
     outputs.append("reward.json")
     emit_heatmap(result.model, sc.mdp, os.path.join(run_dir, "heatmap.csv"))
     outputs.append("heatmap.csv")
-    return sc, result, outputs
+    return result, outputs
 
 
 def _cmd_train(args):
     cfg = _apply_overrides(load_config(args.config), args)
     started = utc_now()
+    sc = _build_scenario(cfg)
     run_dir = make_run_dir(cfg.get("name", cfg["type"]), args.out)
-    sc, result, outputs = _train_and_emit(cfg, run_dir)
+    result, outputs = _train_and_emit(sc, run_dir)
     write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now())
     print(run_dir)
     return 0
@@ -216,8 +213,9 @@ def _cmd_scenario(args):
     started = utc_now()
     if cfg["type"] == "prior_downstream":
         return _run_prior(cfg, args, started)
+    sc = _build_scenario(cfg)
     run_dir = make_run_dir(cfg.get("name", cfg["type"]), args.out)
-    sc, result, outputs = _train_and_emit(cfg, run_dir)
+    result, outputs = _train_and_emit(sc, run_dir)
     summary = {"name": sc.name, "wall_clock": result.wall_clock}
     last = result.metrics[-1]
     summary["final"] = {k: last[k] for k in ("exact_fkl", "exact_rkl",
@@ -288,11 +286,12 @@ def _cmd_transfer(args):
         raise ConfigError("transfer needs an irl_from_trajectories scenario "
                           "(a ground-truth reward scores the target)")
     started = utc_now()
-    run_dir = make_run_dir(cfg.get("name", "transfer"), args.out)
-    sc, result, outputs = _train_and_emit(nested, run_dir)
+    sc = _build_scenario(nested)
     target = modify_dynamics(sc.mdp,
                              action_remap=_remap_from_names(cfg.get("action_remap", {})),
                              slip_override=cfg.get("slip_override"))
+    run_dir = make_run_dir(cfg.get("name", "transfer"), args.out)
+    result, outputs = _train_and_emit(sc, run_dir)
     rec = dynamics_transfer(result.model, sc.mdp, target, sc.gt_reward,
                             alpha=cfg.get("alpha", sc.cfg.alpha))
     write_json(os.path.join(run_dir, "transfer.json"), rec)
@@ -314,6 +313,8 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be non-negative, got %d" % args.seed)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print("firl: error: %s" % exc, file=sys.stderr)

@@ -6,7 +6,7 @@ the summed ratio statistic h_f(u(s_t)) and the summed reward gradient,
 both over t = 1..T (the start state carries no reward). Four
 evaluation routes live here:
 
-  exact      contraction against pairwise state marginals, no sampling
+  exact      pair occupancies contracted in two O(T S^2) sweeps, no sampling
   mc         sample covariance over policy rollouts
   mixture    sample covariance over pooled agent + resampled expert rollouts
   enumerate  brute-force expectation over every trajectory
@@ -70,7 +70,8 @@ def _ensure_solution(mdp, model, alpha, sol):
 
 
 def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=None):
-    """Sampling-free covariance via pairwise state marginals.
+    """Sampling-free covariance from the diagonal t = t' plus the two
+    pair contractions (t < t' and t > t') of pairwise_marginals.
 
     Supply either the expert density rho_e (the ratio is formed exactly
     against the solved marginal) or a precomputed per-state ratio
@@ -86,15 +87,9 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=Non
     else:
         h = _h_table(kind, rho_e, sol.marginal_avg)
     g = reward_jacobian(model)
-    pair = pairwise_marginals(mdp, sol)
+    fwd, bwd = pairwise_marginals(mdp, sol, h)
     t_hor = mdp.horizon
-    w = np.zeros(mdp.n_states)
-    for (t, tp), joint in pair.items():
-        if t == tp:
-            w += h * np.diag(joint)
-        else:
-            w += h @ joint      # h at t, grad at tp
-            w += joint @ h      # grad at t, h at tp
+    w = t_hor * h * sol.marginal_avg + fwd + bwd
     sum_h = float(t_hor * (sol.marginal_avg @ h))
     sum_g = t_hor * (sol.marginal_avg @ g)
     grad = (w @ g - sum_h * sum_g) / (alpha * t_hor)

@@ -1,13 +1,14 @@
 """Exact finite-horizon soft (maximum-entropy) planning.
 
 Backward recursion gives the soft Q/V tables and the Boltzmann policy;
-forward propagation gives the per-step and time-averaged state
-marginals. Reward is credited on the arrival state, so the initial
-state never earns reward and the time average runs over t = 1..T.
+forward propagation gives the step kernels and the state marginals.
+Reward is credited on the arrival state, so the initial state never
+earns reward and the time average runs over t = 1..T.
 
-pairwise_marginals and enumerate_trajectories serve the exact gradient
-and its brute-force cross-check; both are exponential-free except for
-enumeration, which refuses beyond a hard cap.
+pairwise_marginals contracts the exact gradient's pair occupancies in
+two O(T S^2) sweeps over the kernels, never building the dense
+tables; enumerate_trajectories, its brute-force cross-check, refuses
+beyond a hard cap.
 """
 
 import numpy as np
@@ -42,8 +43,8 @@ def _as_timed(reward, horizon, n_states):
 
 
 class SoftSolution:
-    """policy (T, S, A), soft_q (T, S, A), soft_v (T+1, S); marginals are
-    attached by forward_marginals."""
+    """policy (T, S, A), soft_q (T, S, A), soft_v (T+1, S); marginals and
+    the step kernels (T, S, S) are attached by forward_marginals."""
 
     def __init__(self, policy, soft_q, soft_v, alpha):
         self.policy = policy
@@ -52,6 +53,7 @@ class SoftSolution:
         self.alpha = alpha
         self.marginals_t = None
         self.marginal_avg = None
+        self.kernels = None
 
 
 def soft_backward(mdp, reward, alpha=1.0):
@@ -81,34 +83,36 @@ def step_kernel(mdp, sol, t):
 
 
 def forward_marginals(mdp, sol):
-    """Fill sol.marginals_t (T+1, S) with rho_0..rho_T and sol.marginal_avg
-    with the mean of rho_1..rho_T; returns sol."""
+    """Fill sol.kernels (T, S, S), sol.marginals_t (T+1, S) with
+    rho_0..rho_T and sol.marginal_avg with mean rho_1..rho_T; returns sol."""
     rho = np.zeros((mdp.horizon + 1, mdp.n_states))
     rho[0] = mdp.init_dist
+    kernels = np.empty((mdp.horizon, mdp.n_states, mdp.n_states))
     for t in range(mdp.horizon):
-        rho[t + 1] = rho[t] @ step_kernel(mdp, sol, t)
+        kernels[t] = step_kernel(mdp, sol, t)
+        rho[t + 1] = rho[t] @ kernels[t]
     sol.marginals_t = rho
+    sol.kernels = kernels
     sol.marginal_avg = rho[1:].mean(axis=0)
     return sol
 
 
-def pairwise_marginals(mdp, sol):
-    """Joint occupancy tables P(s_t = i, s_t' = j) for 1 <= t <= t' <= T.
-
-    Returns a dict keyed by (t, t') holding (S, S) arrays. Needs
-    forward_marginals to have run.
+def pairwise_marginals(mdp, sol, h):
+    """h-contractions of the pair occupancies P_{t,t'}(i, j) = P(s_t = i,
+    s_t' = j) over 1 <= t < t' <= T: returns fwd = sum h^T P_{t,t'} and
+    bwd = sum P_{t,t'} h, each (S,), from a forward and a backward sweep.
     """
-    if sol.marginals_t is None:
+    if sol.kernels is None:
         forward_marginals(mdp, sol)
-    kernels = [step_kernel(mdp, sol, t) for t in range(mdp.horizon)]
-    pair = {}
-    for t in range(1, mdp.horizon + 1):
-        c = np.diag(sol.marginals_t[t])
-        pair[(t, t)] = c
-        for tp in range(t + 1, mdp.horizon + 1):
-            c = c @ kernels[tp - 1]
-            pair[(t, tp)] = c
-    return pair
+    rho, kernels = sol.marginals_t, sol.kernels
+    c, b, fwd, bwd = np.zeros((4, mdp.n_states))
+    for t in range(1, mdp.horizon):
+        c = (c + h * rho[t]) @ kernels[t]
+        fwd += c
+    for t in range(mdp.horizon - 1, 0, -1):
+        b = kernels[t] @ (h + b)
+        bwd += rho[t] * b
+    return fwd, bwd
 
 
 class TrajectoryBatch:
@@ -157,14 +161,13 @@ def enumerate_trajectories(mdp, sol):
     if total > ENUMERATION_CAP:
         raise ValueError("enumeration of %d sequences exceeds the cap of %d"
                          % (total, ENUMERATION_CAP))
-    kernels = [step_kernel(mdp, sol, t) for t in range(mdp.horizon)]
+    if sol.kernels is None:
+        forward_marginals(mdp, sol)
     keep = mdp.init_dist > 0
     paths = np.nonzero(keep)[0][:, None].astype(np.int64)
     probs = mdp.init_dist[keep]
     for t in range(mdp.horizon):
-        k = kernels[t]
-        last = paths[:, -1]
-        step = k[last]                              # (m, S)
+        step = sol.kernels[t][paths[:, -1]]         # (m, S)
         m, n_s = step.shape
         flat = (probs[:, None] * step).ravel()
         keep = flat > 0

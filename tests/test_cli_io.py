@@ -190,6 +190,26 @@ def test_cli_seed_flag_overrides_the_config(tmp_path, capsys):
     assert manifest["seed"] == 7 and manifest["config"]["seed"] == 7
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_cli_rejects_a_negative_seed_before_any_run(tmp_path, capsys,
+                                                    command):
+    argv = [command, "--seed", "-1", "--out", str(tmp_path / "out")]
+    if command == "train":
+        argv += ["--config", _write_cfg(tmp_path, "d.json", _TINY_DENSITY)]
+    assert cli_main(argv) == 1
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_builds_the_scenario_before_the_run_directory(tmp_path, capsys):
+    payload = dict(_TINY_IRL, n_expert_traj=8, pool_size=4)
+    cfg = _write_cfg(tmp_path, "i.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "pool_size must cover n_expert_traj" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_gradcheck_emits_the_sweep_table(tmp_path, capsys):
     assert cli_main(["gradcheck", "--instances", "3",
                      "--out", str(tmp_path)]) == 0

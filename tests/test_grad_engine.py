@@ -5,6 +5,8 @@ enumeration, and the central-difference oracle all measure the same
 quantity through unrelated code paths; these tests hold them together.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,20 @@ def test_exact_gradient_matches_the_fd_oracle():
     ga = analytic_grad_exact(mdp, model, 1.0, "fkl", rho_e=rho_e, sol=sol).grad
     gf = fd_grad_oracle(mdp, model, 1.0, "fkl", rho_e).grad
     assert np.linalg.norm(ga - gf) / np.linalg.norm(gf) < 1e-6
+
+
+def test_exact_gradient_never_builds_the_pair_tables():
+    # S = 225, T = 40: the T(T+1)/2 dense (S, S) pair tables alone would
+    # take ~330 MB; the two sweeps need a few (S,) vectors
+    mdp, model, rho_e, sol = _instance(seed=2, slip=0.1, grid=(15, 15),
+                                       horizon=40)
+    tracemalloc.start()
+    try:
+        analytic_grad_exact(mdp, model, 1.0, "fkl", rho_e=rho_e, sol=sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_fd_error_shrinks_quadratically_in_eps():

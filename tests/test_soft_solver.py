@@ -93,24 +93,33 @@ def test_step_kernel_rows_are_distributions():
 
 
 def test_pairwise_diagonal_blocks_match_marginals():
+    # every pair table P_{t,t'} has row sums rho_t and column sums rho_t',
+    # so contracting with h = 1 leaves sums of the marginals
     mdp, rng = _random_mdp(4, 2, 4, seed=2)
     sol = forward_marginals(mdp, soft_backward(mdp, rng.normal(size=4), 1.0))
-    pair = pairwise_marginals(mdp, sol)
-    for t in range(1, mdp.horizon + 1):
-        assert np.allclose(np.diag(pair[(t, t)]), sol.marginals_t[t], atol=1e-12)
-        for tp in range(t, mdp.horizon + 1):
-            assert pair[(t, tp)].sum() == pytest.approx(1.0, abs=1e-12)
+    fwd, bwd = pairwise_marginals(mdp, sol, np.ones(4))
+    rho, horizon = sol.marginals_t, mdp.horizon
+    later = sum(rho[tp] for t in range(1, horizon + 1)
+                for tp in range(t + 1, horizon + 1))
+    earlier = sum(rho[t] for t in range(1, horizon + 1)
+                  for tp in range(t + 1, horizon + 1))
+    assert np.abs(fwd - later).max() < 1e-12
+    assert np.abs(bwd - earlier).max() < 1e-12
 
 
 def test_pairwise_matches_brute_force_enumeration():
     mdp, rng = _random_mdp(3, 2, 3, seed=3)
     sol = forward_marginals(mdp, soft_backward(mdp, rng.normal(size=3), 0.8))
-    pair = pairwise_marginals(mdp, sol)
     paths, probs = enumerate_trajectories(mdp, sol)
-    for (t, tp), table in pair.items():
-        brute = np.zeros_like(table)
-        np.add.at(brute, (paths[:, t], paths[:, tp]), probs)
-        assert np.abs(table - brute).max() < 1e-10
+    brute = np.zeros((3, 3))
+    for t in range(1, mdp.horizon + 1):
+        for tp in range(t + 1, mdp.horizon + 1):
+            np.add.at(brute, (paths[:, t], paths[:, tp]), probs)
+    for _ in range(4):
+        h = rng.normal(size=3)
+        fwd, bwd = pairwise_marginals(mdp, sol, h)
+        assert np.abs(fwd - h @ brute).max() < 1e-10
+        assert np.abs(bwd - brute @ h).max() < 1e-10
 
 
 def test_enumeration_probabilities_sum_to_one():
