@@ -4,12 +4,14 @@ Subcommands: train, gradcheck, eval, scenario, transfer. Exit codes:
 0 success, 1 config or usage error, 2 numerical-acceptance failure
 (gradcheck only). Every run writes into its own timestamped directory
 under the --out root (or FIRL_OUT_ROOT, or ./runs) and finishes with
-an atomic manifest.
+an atomic manifest. Each command loads its config, builds the scenario
+(every library check runs here) and only then creates that directory.
 """
 
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .run_io import (SCHEMA_VERSION, ConfigError, emit_heatmap, fmt_float,
 from .scenarios import (density_matching, dynamics_transfer,
                         irl_from_trajectories, percentile_weights,
                         prior_reward_downstream, reward_recovery_check,
-                        run_scenario)
+                        run_scenario, task_prior)
 from .soft_solver import forward_marginals, soft_backward
 from .trainer import ESTIMATORS
 
@@ -74,14 +76,29 @@ def _build_parser():
     return parser
 
 
-def _apply_overrides(cfg, args):
+def _load(args, config_type=None):
+    """Read and check the config, apply the overrides, check its type."""
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "estimator", None):
         cfg.setdefault("train", {})["estimator"] = args.estimator
     if getattr(args, "divergence", None):
         cfg.setdefault("train", {})["kind"] = args.divergence
+    if config_type is not None and cfg["type"] != config_type:
+        raise ConfigError("%s needs a config of type %r"
+                          % (args.command, config_type))
     return cfg
+
+
+@contextmanager
+def _emit(args, cfg, name=None):
+    """make_run_dir, the body's run and outputs, then the manifest."""
+    started = utc_now()
+    run_dir = make_run_dir(name or cfg.get("name", cfg["type"]), args.out)
+    outputs = []
+    yield run_dir, outputs
+    write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now())
 
 
 def _resolve(path, config_path):
@@ -92,11 +109,7 @@ def _resolve(path, config_path):
 
 def _gt_from_config(g, n_states):
     if isinstance(g, list):
-        vec = np.asarray(g, dtype=float)
-        if vec.shape != (n_states,):
-            raise ConfigError("gt_reward has %d entries, the grid has %d states"
-                              % (vec.size, n_states))
-        return vec
+        return g
     vec = np.zeros(n_states)
     for key, val in g.items():
         s = int(key)
@@ -107,56 +120,47 @@ def _gt_from_config(g, n_states):
     return vec
 
 
+def _given(cfg, keys):
+    """The keys the config sets; the builders own the other defaults."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def _build_scenario(cfg):
     """Instantiate the Scenario a validated config describes."""
-    train = dict(cfg.get("train", {}))
-    seed = cfg["seed"]
+    train, seed = cfg.get("train", {}), cfg["seed"]
     if cfg["type"] == "density_matching":
-        kind = train.pop("kind", "fkl")
-        return density_matching(cfg["shape"], grid=tuple(cfg.get("grid", [5, 5])),
-                                kind=kind, seed=seed,
-                                horizon=cfg.get("horizon", 40),
-                                sigma=cfg.get("sigma"), **train)
+        return density_matching(cfg["shape"], seed=seed,
+                                **_given(cfg, ("grid", "horizon", "sigma")), **train)
     if cfg["type"] == "irl_from_trajectories":
         w, h = cfg.get("grid", [5, 5])
-        horizon = cfg.get("horizon", 20)
-        mdp = build_gridworld(w, h, slip_prob=0.0, init_state=0, horizon=horizon)
+        mdp = build_gridworld(w, h, horizon=cfg.get("horizon", 20))
         gt = _gt_from_config(cfg["gt_reward"], mdp.n_states)
         return irl_from_trajectories(mdp, cfg["n_expert_traj"], gt, seed=seed,
-                                     expert_alpha=cfg.get("expert_alpha", 0.3),
-                                     pool_size=cfg.get("pool_size", 200), **train)
+                                     **_given(cfg, ("expert_alpha", "pool_size")),
+                                     **train)
     raise ConfigError("config type %r does not describe a training scenario"
                       % cfg["type"])
 
 
-def _nested_scenario(cfg, key="scenario"):
-    sub = dict(cfg[key])
-    sub.setdefault("schema_version", SCHEMA_VERSION)
-    sub.setdefault("seed", cfg["seed"])
-    validate_config(sub)
-    return sub
+def _nested_scenario(cfg):
+    return validate_config({"schema_version": SCHEMA_VERSION, "seed": cfg["seed"],
+                            **cfg["scenario"]})
 
 
-def _train_and_emit(sc, run_dir):
+def _train(sc, run_dir, outputs):
     result = run_scenario(sc)
-    outputs = []
-    path = os.path.join(run_dir, "metrics.csv")
-    write_metrics_csv(path, result.metrics)
-    outputs.append("metrics.csv")
+    write_metrics_csv(os.path.join(run_dir, "metrics.csv"), result.metrics)
     write_reward_json(os.path.join(run_dir, "reward.json"), result.model)
-    outputs.append("reward.json")
     emit_heatmap(result.model, sc.mdp, os.path.join(run_dir, "heatmap.csv"))
-    outputs.append("heatmap.csv")
-    return result, outputs
+    outputs += ["metrics.csv", "reward.json", "heatmap.csv"]
+    return result
 
 
 def _cmd_train(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    started = utc_now()
+    cfg = _load(args)
     sc = _build_scenario(cfg)
-    run_dir = make_run_dir(cfg.get("name", cfg["type"]), args.out)
-    result, outputs = _train_and_emit(sc, run_dir)
-    write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now())
+    with _emit(args, cfg) as (run_dir, outputs):
+        _train(sc, run_dir, outputs)
     print(run_dir)
     return 0
 
@@ -164,20 +168,19 @@ def _cmd_train(args):
 def _cmd_gradcheck(args):
     if args.instances < 1:
         raise ConfigError("--instances must be at least 1, got %d" % args.instances)
-    started = utc_now()
-    records = gradcheck_suite(n_instances=args.instances, seed=args.seed)
-    run_dir = make_run_dir("gradcheck", args.out)
-    cols = ("instance", "n_states", "n_actions", "horizon", "kind",
-            "reward_kind", "rel_error")
-    lines = [",".join(cols)]
-    for r in records:
-        lines.append("%d,%d,%d,%d,%s,%s,%s"
-                     % (r["instance"], r["n_states"], r["n_actions"],
-                        r["horizon"], r["kind"], r["reward_kind"],
-                        fmt_float(r["rel_error"])))
-    write_lines(os.path.join(run_dir, "gradcheck.csv"), lines)
-    write_manifest(run_dir, {"seed": args.seed, "instances": args.instances},
-                   args.seed, ["gradcheck.csv"], started, utc_now())
+    cfg = {"seed": args.seed, "instances": args.instances}
+    with _emit(args, cfg, "gradcheck") as (run_dir, outputs):
+        records = gradcheck_suite(n_instances=args.instances, seed=args.seed)
+        cols = ("instance", "n_states", "n_actions", "horizon", "kind",
+                "reward_kind", "rel_error")
+        lines = [",".join(cols)]
+        for r in records:
+            lines.append("%d,%d,%d,%d,%s,%s,%s"
+                         % (r["instance"], r["n_states"], r["n_actions"],
+                            r["horizon"], r["kind"], r["reward_kind"],
+                            fmt_float(r["rel_error"])))
+        write_lines(os.path.join(run_dir, "gradcheck.csv"), lines)
+        outputs.append("gradcheck.csv")
     worst = max(r["rel_error"] for r in records)
     print("%s worst rel_error %s (tolerance %s)"
           % (run_dir, fmt_float(worst), fmt_float(GRADCHECK_TOL)))
@@ -185,83 +188,71 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_eval(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    if cfg["type"] != "eval":
-        raise ConfigError("eval needs a config of type 'eval'")
+    cfg = _load(args, "eval")
     model = read_reward_json(_resolve(cfg["reward_file"], args.config))
     sc = _build_scenario(_nested_scenario(cfg))
-    started = utc_now()
+    # the solve is the check that the stored reward fits the scenario's grid
     sol = forward_marginals(sc.mdp, soft_backward(sc.mdp, reward_vector(model),
                                                   sc.cfg.alpha))
-    rho_e = sc.expert if isinstance(sc.expert, np.ndarray) \
-        else sc.notes.get("expert_marginal")
-    report = {"alpha": sc.cfg.alpha}
-    if rho_e is not None:
-        report["exact_fkl"] = divergence_exact("fkl", rho_e, sol.marginal_avg)
-        report["exact_rkl"] = divergence_exact("rkl", rho_e, sol.marginal_avg)
-    if sc.gt_reward is not None:
-        report["return"] = policy_return(sc.mdp, sol, sc.gt_reward)
-    run_dir = make_run_dir(cfg.get("name", "eval"), args.out)
-    write_json(os.path.join(run_dir, "eval.json"), report)
-    write_manifest(run_dir, cfg, cfg["seed"], ["eval.json"], started, utc_now())
+    with _emit(args, cfg) as (run_dir, outputs):
+        rho_e = sc.expert if isinstance(sc.expert, np.ndarray) \
+            else sc.notes.get("expert_marginal")
+        report = {"alpha": sc.cfg.alpha}
+        if rho_e is not None:
+            report["exact_fkl"] = divergence_exact("fkl", rho_e, sol.marginal_avg)
+            report["exact_rkl"] = divergence_exact("rkl", rho_e, sol.marginal_avg)
+        if sc.gt_reward is not None:
+            report["return"] = policy_return(sc.mdp, sol, sc.gt_reward)
+        write_json(os.path.join(run_dir, "eval.json"), report)
+        outputs.append("eval.json")
     print(run_dir)
     return 0
 
 
 def _cmd_scenario(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    started = utc_now()
+    cfg = _load(args)
     if cfg["type"] == "prior_downstream":
-        return _run_prior(cfg, args, started)
+        return _run_prior(cfg, args)
     sc = _build_scenario(cfg)
-    run_dir = make_run_dir(cfg.get("name", cfg["type"]), args.out)
-    result, outputs = _train_and_emit(sc, run_dir)
-    summary = {"name": sc.name, "wall_clock": result.wall_clock}
-    last = result.metrics[-1]
-    summary["final"] = {k: last[k] for k in ("exact_fkl", "exact_rkl",
-                                             "lf_exact", "return")}
-    if sc.gt_reward is not None:
-        rec = dynamics_transfer(result.model, sc.mdp, sc.mdp, sc.gt_reward,
-                                alpha=sc.cfg.alpha)
-        weights = percentile_weights(sc.notes["expert_marginal"])
-        fit = reward_recovery_check(result.model, sc.gt_reward, weights)
-        summary["retrain"] = rec
-        summary["recovery_fit"] = fit
-        summary["expert_demo_return"] = sc.notes.get("expert_demo_return")
-    write_json(os.path.join(run_dir, "summary.json"), summary)
-    outputs.append("summary.json")
-    write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now())
+    with _emit(args, cfg) as (run_dir, outputs):
+        result = _train(sc, run_dir, outputs)
+        summary = {"name": sc.name, "wall_clock": result.wall_clock}
+        last = result.metrics[-1]
+        summary["final"] = {k: last[k] for k in ("exact_fkl", "exact_rkl",
+                                                 "lf_exact", "return")}
+        if sc.gt_reward is not None:
+            rec = dynamics_transfer(result.model, sc.mdp, sc.mdp, sc.gt_reward,
+                                    alpha=sc.cfg.alpha)
+            weights = percentile_weights(sc.notes["expert_marginal"])
+            fit = reward_recovery_check(result.model, sc.gt_reward, weights)
+            summary["retrain"] = rec
+            summary["recovery_fit"] = fit
+            summary["expert_demo_return"] = sc.notes.get("expert_demo_return")
+        write_json(os.path.join(run_dir, "summary.json"), summary)
+        outputs.append("summary.json")
     print(run_dir)
     return 0
 
 
-def _run_prior(cfg, args, started):
-    if "prior" in cfg:
-        prior = np.asarray(cfg["prior"], dtype=float)
-    elif "prior_file" in cfg:
-        prior = reward_vector(read_reward_json(_resolve(cfg["prior_file"],
-                                                        args.config)))
-    else:
+def _run_prior(cfg, args):
+    if "prior" not in cfg and "prior_file" not in cfg:
         raise ConfigError("prior_downstream needs 'prior' or 'prior_file'")
-    rows = prior_reward_downstream(
-        prior,
-        lambda_grid=tuple(cfg.get("lambda_grid", (0.0, 0.1, 0.3, 1.0, 3.0))),
-        alpha_grid=tuple(cfg.get("alpha_grid", (0.1, 0.3, 1.0))),
-        horizon=cfg.get("horizon", 30),
-        gamma=cfg.get("gamma", 0.99))
-    run_dir = make_run_dir(cfg.get("name", "prior_downstream"), args.out)
-    lines = ["lambda,alpha,return"]
-    for r in rows:
-        lines.append("%s,%s,%s" % (fmt_float(r["lambda"]), fmt_float(r["alpha"]),
-                                   fmt_float(r["return"])))
-    write_lines(os.path.join(run_dir, "prior_heatmap.csv"), lines)
-    controls = {r["alpha"]: r["return"] for r in rows if r["lambda"] == 0.0}
-    best = max(rows, key=lambda r: r["return"] - controls[r["alpha"]])
-    summary = {"best": best, "control_return": controls[best["alpha"]],
-               "improvement": best["return"] - controls[best["alpha"]]}
-    write_json(os.path.join(run_dir, "summary.json"), summary)
-    write_manifest(run_dir, cfg, cfg["seed"],
-                   ["prior_heatmap.csv", "summary.json"], started, utc_now())
+    prior = task_prior(cfg["prior"] if "prior" in cfg else
+                       read_reward_json(_resolve(cfg["prior_file"], args.config)))
+    sweep = _given(cfg, ("lambda_grid", "alpha_grid", "horizon", "gamma"))
+    with _emit(args, cfg) as (run_dir, outputs):
+        rows = prior_reward_downstream(prior, **sweep)
+        lines = ["lambda,alpha,return"]
+        for r in rows:
+            lines.append("%s,%s,%s" % (fmt_float(r["lambda"]), fmt_float(r["alpha"]),
+                                       fmt_float(r["return"])))
+        write_lines(os.path.join(run_dir, "prior_heatmap.csv"), lines)
+        controls = {r["alpha"]: r["return"] for r in rows if r["lambda"] == 0.0}
+        best = max(rows, key=lambda r: r["return"] - controls[r["alpha"]])
+        summary = {"best": best, "control_return": controls[best["alpha"]],
+                   "improvement": best["return"] - controls[best["alpha"]]}
+        write_json(os.path.join(run_dir, "summary.json"), summary)
+        outputs += ["prior_heatmap.csv", "summary.json"]
     print(run_dir)
     return 0
 
@@ -278,25 +269,21 @@ def _remap_from_names(remap):
 
 
 def _cmd_transfer(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    if cfg["type"] != "transfer":
-        raise ConfigError("transfer needs a config of type 'transfer'")
+    cfg = _load(args, "transfer")
     nested = _nested_scenario(cfg)
     if nested["type"] != "irl_from_trajectories":
         raise ConfigError("transfer needs an irl_from_trajectories scenario "
                           "(a ground-truth reward scores the target)")
-    started = utc_now()
     sc = _build_scenario(nested)
     target = modify_dynamics(sc.mdp,
                              action_remap=_remap_from_names(cfg.get("action_remap", {})),
                              slip_override=cfg.get("slip_override"))
-    run_dir = make_run_dir(cfg.get("name", "transfer"), args.out)
-    result, outputs = _train_and_emit(sc, run_dir)
-    rec = dynamics_transfer(result.model, sc.mdp, target, sc.gt_reward,
-                            alpha=cfg.get("alpha", sc.cfg.alpha))
-    write_json(os.path.join(run_dir, "transfer.json"), rec)
-    outputs.append("transfer.json")
-    write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now())
+    with _emit(args, cfg) as (run_dir, outputs):
+        result = _train(sc, run_dir, outputs)
+        rec = dynamics_transfer(result.model, sc.mdp, target, sc.gt_reward,
+                                alpha=cfg.get("alpha", sc.cfg.alpha))
+        write_json(os.path.join(run_dir, "transfer.json"), rec)
+        outputs.append("transfer.json")
     print(run_dir)
     return 0
 
@@ -316,10 +303,7 @@ def cli_main(argv=None):
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be non-negative, got %d" % args.seed)
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        print("firl: error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print("firl: error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -5,6 +5,8 @@ divergences live in divergence.divergence_exact."""
 import numpy as np
 from scipy.spatial import cKDTree
 
+KNN_K = 3
+
 
 class KlEstimate:
     def __init__(self, value, method, k=None, n_p=None, n_q=None):
@@ -15,7 +17,7 @@ class KlEstimate:
         self.n_q = n_q
 
 
-def knn_kl(samples_p, samples_q, k=3, seed=0):
+def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
     """KL(p || q) from samples via k-th nearest neighbour distances.
 
     d * mean(log nu_k / rho_k) + log(m / (n - 1)), Euclidean metric.

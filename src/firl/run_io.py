@@ -10,12 +10,14 @@ at the end and is enough to reproduce the run.
 import json
 import os
 import time
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match, relevance
 
 from .reward_model import reward_from_dict, reward_to_dict, reward_vector
-from .trainer import METRIC_COLUMNS
+from .trainer import METRIC_COLUMNS, TrainConfig
 
 SCHEMA_VERSION = 1
 
@@ -76,15 +78,17 @@ def emit_heatmap(model, mdp, path):
 
 
 def write_reward_json(path, model):
-    with open(path, "w") as fh:
-        json.dump(reward_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(path, reward_to_dict(model))
 
 
 def read_reward_json(path):
-    with open(path) as fh:
-        return reward_from_dict(json.load(fh))
+    """Stored reward model; ConfigError naming the file if it is malformed."""
+    try:
+        with open(path) as fh:
+            return reward_from_dict(json.load(fh))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError("reward file %s is malformed: %s: %s"
+                          % (path, type(exc).__name__, exc))
 
 
 def write_json(path, payload):
@@ -102,26 +106,11 @@ def _jsonable(obj):
     raise TypeError("cannot serialize %r" % type(obj))
 
 
-_TRAIN_BLOCK = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["fkl", "rkl", "js"]},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "iterations": {"type": "integer", "minimum": 1},
-        "reward_lr": {"type": "number", "exclusiveMinimum": 0},
-        "grad_steps_per_iter": {"type": "integer", "minimum": 1},
-        "estimator": {"enum": ["exact", "mc", "mixture"]},
-        "batch_size": {"type": "integer", "minimum": 2},
-        "ratio_mode": {"enum": ["exact_table", "kde_pair", "discriminator"]},
-        "optimizer": {"enum": ["adam", "plain"]},
-        "weight_decay": {"type": "number", "minimum": 0},
-        "kde_bandwidth": {"type": "number", "exclusiveMinimum": 0},
-        "eval_every": {"type": "integer", "minimum": 1},
-        "eval_expert_samples": {"type": "integer", "minimum": 4},
-        "eval_agent_trajectories": {"type": "integer", "minimum": 1},
-    },
-    "additionalProperties": False,
-}
+# Types only: TrainConfig.validate owns every bound and choice list.
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+_TRAIN_BLOCK = {"type": "object", "additionalProperties": False,
+                "properties": {f.name: {"type": _JSON_TYPES[f.type]}
+                               for f in fields(TrainConfig) if f.name != "seed"}}
 
 _GRID = {"type": "array", "items": {"type": "integer", "minimum": 1},
          "minItems": 2, "maxItems": 2}
@@ -137,6 +126,8 @@ CONFIG_SCHEMA = {
                           "prior_downstream", "transfer", "eval"]},
         "train": _TRAIN_BLOCK,
     },
+    # refuses keys no branch below declares, such as a misspelt "horizn"
+    "unevaluatedProperties": False,
     "allOf": [
         {
             "if": {"properties": {"type": {"const": "density_matching"}}},
@@ -222,11 +213,24 @@ def load_config(path):
     return cfg
 
 
+# jsonschema counts 2.0 as an integer; range() and numpy seeding do not.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: type(x) is int))(CONFIG_SCHEMA)
+
+
 def validate_config(cfg):
+    """Schema first, then TrainConfig.validate on the train block."""
+    # a failed branch leaves its keys unevaluated too: report the failure
+    error = best_match(_VALIDATOR.iter_errors(cfg), key=lambda e: (
+        e.validator != "unevaluatedProperties", relevance(e)))
+    if error is not None:
+        raise ConfigError("config rejected: %s" % error.message)
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError("config rejected: %s" % exc.message)
+        TrainConfig(seed=cfg["seed"], **cfg.get("train", {})).validate()
+    except ValueError as exc:
+        raise ConfigError("config rejected: %s" % exc)
     return cfg
 
 
@@ -263,11 +267,7 @@ def write_manifest(run_dir, config, seed, outputs, started, ended):
         "outputs": sorted(outputs),
     }
     path = os.path.join(run_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    os.replace(write_json(path + ".tmp", payload), path)
     return path
 
 

@@ -15,7 +15,8 @@ from .mdp import build_gridworld
 from .reward_model import RewardModel, reward_vector
 from .soft_solver import (TrajectoryBatch, forward_marginals,
                           sample_trajectories, soft_backward)
-from .trainer import TrainConfig, run_firl, shaped_prior_reward
+from .trainer import (TrainConfig, check_expert_fit, run_firl,
+                      shaped_prior_reward)
 
 
 class Scenario:
@@ -25,6 +26,7 @@ class Scenario:
     that the runners and tests want back without recomputing."""
 
     def __init__(self, name, mdp, expert, cfg, gt_reward=None, notes=None):
+        check_expert_fit(mdp, expert, cfg)
         self.name = name
         self.mdp = mdp
         self.expert = expert
@@ -91,7 +93,7 @@ def density_matching(shape, grid=(5, 5), kind="fkl", seed=0, horizon=40,
     cfg = TrainConfig(seed=seed, kind=kind, alpha=1.0, iterations=300,
                       reward_lr=0.1, estimator="exact",
                       ratio_mode="exact_table", eval_every=25)
-    cfg = replace(cfg, **overrides).validate()
+    cfg = replace(cfg, **overrides)
     return Scenario("density_%s_%s" % (shape, kind), mdp, rho_e, cfg,
                     notes={"shape": shape, "grid": tuple(grid)})
 
@@ -109,6 +111,9 @@ def irl_from_trajectories(mdp, n_expert_traj, gt_reward, seed=0,
     the demos' effective temperature.
     """
     gt_reward = np.asarray(gt_reward, dtype=float)
+    if gt_reward.shape != (mdp.n_states,):
+        raise ValueError("gt_reward has %d entries, the grid has %d states"
+                         % (gt_reward.size, mdp.n_states))
     if not np.all(np.isfinite(gt_reward)):
         raise ValueError("ground-truth reward must be finite")
     if pool_size < n_expert_traj:
@@ -122,7 +127,7 @@ def irl_from_trajectories(mdp, n_expert_traj, gt_reward, seed=0,
                       iterations=600, reward_lr=0.05, estimator="mixture",
                       batch_size=256, ratio_mode="discriminator",
                       eval_every=100)
-    cfg = replace(cfg, **overrides).validate()
+    cfg = replace(cfg, **overrides)
     notes = {"expert_alpha": expert_alpha,
              "expert_marginal": sol_e.marginal_avg,
              "expert_demo_return": float(returns[top].mean())}
@@ -141,6 +146,17 @@ def hard_exploration_task(horizon=30):
     return mdp, gt
 
 
+def task_prior(prior):
+    """The prior as one reward value per state of the hard-exploration grid."""
+    prior = reward_vector(prior) if isinstance(prior, RewardModel) \
+        else np.asarray(prior, dtype=float)
+    n_states = hard_exploration_task()[0].n_states
+    if prior.shape != (n_states,):
+        raise ValueError("prior covers %d states, the task grid has %d"
+                         % (prior.size, n_states))
+    return prior
+
+
 def prior_reward_downstream(prior, lambda_grid=(0.0, 0.1, 0.3, 1.0, 3.0),
                             alpha_grid=(0.1, 0.3, 1.0), horizon=30, gamma=0.99):
     """Task return on the hard-exploration grid with a shaped prior bonus.
@@ -150,12 +166,8 @@ def prior_reward_downstream(prior, lambda_grid=(0.0, 0.1, 0.3, 1.0, 3.0),
     expected return in task reward is recorded. lambda = 0 rows are
     the unaugmented control.
     """
+    prior = task_prior(prior)
     mdp, gt = hard_exploration_task(horizon)
-    prior = reward_vector(prior) if isinstance(prior, RewardModel) \
-        else np.asarray(prior, dtype=float)
-    if prior.shape != (mdp.n_states,):
-        raise ValueError("prior covers %d states, the task grid has %d"
-                         % (prior.size, mdp.n_states))
     rows = []
     for alpha in alpha_grid:
         for lam in lambda_grid:

@@ -15,7 +15,7 @@ from .density_ratio import (discriminator_fit, discriminator_ratio, exact_ratio,
 from .divergence import KINDS, ExpertDensity, density_values, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
-from .kl_eval import knn_kl, policy_return, states_to_points
+from .kl_eval import KNN_K, knn_kl, policy_return, states_to_points
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
                           sample_trajectories, soft_backward)
@@ -47,14 +47,10 @@ class TrainConfig:
     eval_agent_trajectories: int = 1000
 
     def validate(self):
-        if self.kind not in KINDS:
-            raise ValueError("kind must be one of %r" % (KINDS,))
-        if self.estimator not in ESTIMATORS:
-            raise ValueError("estimator must be one of %r" % (ESTIMATORS,))
-        if self.ratio_mode not in RATIO_MODES:
-            raise ValueError("ratio_mode must be one of %r" % (RATIO_MODES,))
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError("optimizer must be one of %r" % (OPTIMIZERS,))
+        for name, choices in (("kind", KINDS), ("estimator", ESTIMATORS),
+                              ("ratio_mode", RATIO_MODES), ("optimizer", OPTIMIZERS)):
+            if getattr(self, name) not in choices:
+                raise ValueError("%s must be one of %r" % (name, choices))
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.iterations < 1:
@@ -71,8 +67,8 @@ class TrainConfig:
             raise ValueError("kde_bandwidth must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
-        if self.eval_expert_samples <= 3:
-            raise ValueError("eval_expert_samples must exceed the knn k of 3")
+        if self.eval_expert_samples <= KNN_K:
+            raise ValueError("eval_expert_samples must exceed the knn k of %d" % KNN_K)
         if self.eval_agent_trajectories < 1:
             raise ValueError("eval_agent_trajectories must be at least 1")
         return self
@@ -164,19 +160,14 @@ def _seed_int(rng):
     return int(rng.integers(0, 2 ** 63 - 1))
 
 
-def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
-    """Minimize the chosen f-divergence to the expert state density.
-
-    expert is a state density (exact_table ratio mode) or expert state
-    samples: a flat int array of visits, or trajectories shaped
-    (n, horizon + 1) for the mixture estimator. Returns a TrainResult
-    whose metrics rows follow METRIC_COLUMNS; sample-based KL columns
-    are filled every eval_every iterations and NaN between.
-    """
+def check_expert_fit(mdp, expert, cfg):
+    """Validate cfg and its fit to the expert input and the mdp: ratio
+    mode against expert form, mixture against (n, horizon + 1)
+    trajectories, density length, and more than KNN_K points in each
+    kNN evaluation cloud. Returns (rho_e, expert_flat, expert_data): the
+    density or None, the visits after s_0 or None, the classified input."""
     cfg.validate()
-    t0 = time.perf_counter()
     form, expert_data = _expert_form(expert)
-
     if cfg.ratio_mode == "exact_table" and form != "density":
         raise ValueError("exact_table ratio mode needs an expert density")
     if cfg.ratio_mode in ("kde_pair", "discriminator") and form == "density":
@@ -188,20 +179,36 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
         if expert_data.states.shape[1] != mdp.horizon + 1:
             raise ValueError("expert trajectories have horizon %d, mdp has %d"
                              % (expert_data.states.shape[1] - 1, mdp.horizon))
-
+    rho_e = expert_flat = None
     if form == "density":
-        rho_e = density_values(expert_data)
+        rho_e = expert_data = density_values(expert_data)
         if len(rho_e) != mdp.n_states:
             raise ValueError("expert density covers %d states, mdp has %d"
                              % (len(rho_e), mdp.n_states))
-    else:
-        rho_e = None
-    if form == "trajectories":
+    elif form == "trajectories":
         expert_flat = expert_data.states[:, 1:].ravel()
-    elif form == "states":
-        expert_flat = expert_data
     else:
-        expert_flat = None
+        expert_flat = expert_data
+    n_expert = cfg.eval_expert_samples if rho_e is not None else expert_flat.size
+    n_agent = cfg.eval_agent_trajectories * mdp.horizon
+    if min(n_expert, n_agent) <= KNN_K:
+        raise ValueError("knn_kl needs more than %d points per cloud: the expert "
+                         "cloud holds %d, eval_agent_trajectories x horizon is %d"
+                         % (KNN_K, n_expert, n_agent))
+    return rho_e, expert_flat, expert_data
+
+
+def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
+    """Minimize the chosen f-divergence to the expert state density.
+
+    expert is a state density (exact_table ratio mode) or expert state
+    samples: a flat int array of visits, or trajectories shaped
+    (n, horizon + 1) for the mixture estimator. Returns a TrainResult
+    whose metrics rows follow METRIC_COLUMNS; sample-based KL columns
+    are filled every eval_every iterations and NaN between.
+    """
+    t0 = time.perf_counter()
+    rho_e, expert_flat, expert_data = check_expert_fit(mdp, expert, cfg)
 
     if model is None:
         model = tabular_reward(mdp.n_states)
@@ -213,7 +220,7 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
         np.random.default_rng(c) for c in ss.spawn(4)]
 
     # fixed expert point cloud for the sample-based KL columns
-    if form == "density":
+    if rho_e is not None:
         eval_expert_states = sample_states(rho_e, cfg.eval_expert_samples, rng_expert)
     else:
         eval_expert_states = expert_flat

@@ -4,23 +4,29 @@ CLI commands run in-process through cli_main so exit codes and stdout
 are asserted directly; every run writes under tmp_path via --out.
 """
 
+import glob
 import json
 import math
 import os
+import tempfile
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import firl.cli
 import firl.run_io as run_io
 from firl.cli import cli_main
-from firl.mdp import build_gridworld
+from firl.divergence import KINDS
+from firl.mdp import GRID_ACTIONS, build_gridworld
 from firl.reward_model import tabular_reward
 from firl.run_io import (ConfigError, default_out_root, emit_heatmap,
                          fmt_float, load_config, make_run_dir,
                          read_metrics_csv, validate_config, write_manifest,
                          write_metrics_csv)
-from firl.trainer import METRIC_COLUMNS
+from firl.trainer import ESTIMATORS, METRIC_COLUMNS, OPTIMIZERS, RATIO_MODES
 
 
 def _minimal_cfg(**extra):
@@ -31,6 +37,7 @@ def _minimal_cfg(**extra):
 
 
 def test_schema_accepts_a_minimal_density_config():
+    jsonschema.Draft202012Validator.check_schema(run_io.CONFIG_SCHEMA)
     assert validate_config(_minimal_cfg()) is not None
 
 
@@ -42,6 +49,12 @@ def test_schema_accepts_a_minimal_density_config():
     lambda c: c.update(train={"learning_rate": 0.1}),
     lambda c: c.update(train={"eval_expert_samples": 2}),
     lambda c: c.pop("shape"),
+    lambda c: c.update(horizn=10),
+    lambda c: c.update(train={"iterations": 1.5}),
+    lambda c: c.update(train={"iterations": True}),
+    lambda c: c.update(train={"kind": "tv"}),
+    lambda c: c.update(train={"optimizer": "sgd"}),
+    lambda c: c.update(train={"iterations": 2.0}),
 ])
 def test_schema_rejects_malformed_configs(breakage):
     cfg = _minimal_cfg()
@@ -210,6 +223,25 @@ def test_cli_builds_the_scenario_before_the_run_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload, flags, message", [
+    (_TINY_DENSITY, ["--estimator", "mixture"],
+     "mixture estimator needs expert trajectories"),
+    (dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"], ratio_mode="kde_pair")),
+     [], "kde_pair ratio mode needs expert state samples"),
+    (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], ratio_mode="exact_table")),
+     [], "exact_table ratio mode needs an expert density"),
+    (dict(_TINY_IRL, n_expert_traj=1, horizon=2), [], "expert cloud holds 2"),
+], ids=["mixture-on-a-density", "kde-pair-on-a-density", "exact-table-on-demos",
+        "expert-cloud-below-k"])
+def test_cli_refuses_a_misfit_before_the_run_directory(tmp_path, capsys, payload,
+                                                       flags, message):
+    cfg = _write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_gradcheck_emits_the_sweep_table(tmp_path, capsys):
     assert cli_main(["gradcheck", "--instances", "3",
                      "--out", str(tmp_path)]) == 0
@@ -259,6 +291,26 @@ def test_cli_eval_scores_a_stored_reward(tmp_path, capsys):
     assert report["alpha"] == 1.0
     assert np.isfinite(report["exact_fkl"]) and np.isfinite(report["exact_rkl"])
     assert "return" not in report
+
+
+@pytest.mark.parametrize("content", [
+    '{"params": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
+    '{"kind": "tabular", "params": [0.0], "clamp": 5}',
+    '{"kind": "tabular", "params": [0.0',
+], ids=["missing-key", "wrong-type", "bad-json"])
+def test_cli_eval_rejects_a_malformed_reward_file(tmp_path, capsys, content):
+    reward = tmp_path / "reward.json"
+    reward.write_text(content)
+    path = _write_cfg(tmp_path, "e.json", {
+        "schema_version": 1, "seed": 0, "type": "eval",
+        "reward_file": str(reward),
+        "scenario": {k: v for k, v in _TINY_DENSITY.items() if k != "name"},
+    })
+    out = tmp_path / "out"
+    assert cli_main(["eval", "--config", path, "--out", str(out)]) == 1
+    assert ("firl: error: reward file %s is malformed" % reward
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cli_scenario_summarizes_an_irl_run(tmp_path, capsys):
@@ -330,3 +382,104 @@ def test_cli_eval_rejects_a_train_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
     assert cli_main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "type 'eval'" in capsys.readouterr().err
+
+
+# ------------------------------------------------- property: no stray run dirs
+
+_SMALL_GRID = st.lists(st.integers(1, 3), min_size=2, max_size=2)
+
+_TRAIN = st.fixed_dictionaries({
+    "iterations": st.integers(1, 2),
+    "eval_expert_samples": st.integers(4, 40),
+    "eval_agent_trajectories": st.integers(1, 6),
+}, optional={
+    "kind": st.sampled_from(KINDS),
+    "estimator": st.sampled_from(ESTIMATORS),
+    "ratio_mode": st.sampled_from(RATIO_MODES),
+    "optimizer": st.sampled_from(OPTIMIZERS),
+    "alpha": st.floats(0.1, 3.0),
+    "reward_lr": st.floats(1e-3, 1.0),
+    "grad_steps_per_iter": st.integers(1, 2),
+    "batch_size": st.integers(2, 16),
+    "weight_decay": st.floats(0.0, 1.0),
+    "kde_bandwidth": st.floats(0.1, 2.0),
+    "eval_every": st.integers(1, 2),
+})
+
+_DENSITY = st.fixed_dictionaries({
+    "type": st.just("density_matching"),
+    "shape": st.sampled_from(["gaussian", "mixture2", "uniform"]),
+    "grid": _SMALL_GRID, "horizon": st.integers(1, 4), "train": _TRAIN,
+}, optional={"sigma": st.floats(0.1, 3.0)})
+
+_IRL = st.fixed_dictionaries({
+    "type": st.just("irl_from_trajectories"),
+    "grid": _SMALL_GRID, "horizon": st.integers(1, 4),
+    "n_expert_traj": st.integers(1, 6),
+    "gt_reward": st.dictionaries(st.integers(0, 8).map(str),
+                                 st.floats(-1.0, 1.0), max_size=3),
+    "train": _TRAIN,
+}, optional={"expert_alpha": st.floats(0.1, 2.0),
+             "pool_size": st.integers(1, 30)})
+
+_PRIOR = st.fixed_dictionaries({
+    "type": st.just("prior_downstream"),
+    # the task grid has 36 states, so 35 is refused
+    "prior": st.integers(35, 36).flatmap(
+        lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+    "lambda_grid": st.lists(st.floats(0.0, 2.0), max_size=2).map(
+        lambda grid: [0.0] + grid),
+    "alpha_grid": st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2),
+    "horizon": st.integers(1, 4),
+}, optional={"gamma": st.floats(0.5, 1.0)})
+
+_ACTION = st.sampled_from(GRID_ACTIONS + ("jump",))
+
+_TRANSFER = st.fixed_dictionaries({
+    "type": st.just("transfer"), "scenario": _IRL,
+}, optional={"slip_override": st.floats(0.0, 0.9),
+             "action_remap": st.dictionaries(_ACTION, _ACTION, max_size=2),
+             "alpha": st.floats(0.1, 2.0)})
+
+_RUNS = st.one_of(
+    st.tuples(st.just("train"), st.one_of(_DENSITY, _IRL)),
+    st.tuples(st.just("scenario"), st.one_of(_DENSITY, _IRL, _PRIOR)),
+    st.tuples(st.just("transfer"), _TRANSFER),
+)
+_FLAGS = st.one_of(st.just([]),
+                   st.sampled_from(ESTIMATORS).map(lambda e: ["--estimator", e]),
+                   st.sampled_from(KINDS).map(lambda k: ["--divergence", k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_RUNS, flags=_FLAGS, seed=st.integers(0, 3))
+def test_cli_either_completes_a_run_or_leaves_no_directory(run, flags, seed):
+    """A config the schema accepts either trains and writes a manifest
+    (exit 0) or is refused with exit 1 before any run directory exists.
+    Float fields are drawn from moderate ranges: overflow at extreme
+    values is a separate concern."""
+    command, payload = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(dict(payload, schema_version=1, seed=seed), fh)
+        out = os.path.join(tmp, "out")
+        code = cli_main([command, "--config", path, "--out", out] + flags)
+        if code == 0:
+            [manifest] = glob.glob(os.path.join(out, "*", "*", "manifest.json"))
+            assert json.load(open(manifest))["outputs"]
+        else:
+            assert code == 1 and not os.path.exists(out)
+
+
+@pytest.mark.xfail(strict=True, reason="a Gaussian target narrow enough to "
+                   "underflow leaves cells with zero density; rkl's exact "
+                   "gradient then fails in the first iteration, after "
+                   "make_run_dir")
+def test_cli_refuses_an_rkl_target_with_empty_cells(tmp_path):
+    payload = dict(_TINY_DENSITY, shape="gaussian", sigma=0.01,
+                   train=dict(_TINY_DENSITY["train"], kind="rkl"))
+    cfg = _write_cfg(tmp_path, "d.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 0 \
+        or not out.exists()

@@ -108,6 +108,16 @@ def test_irl_demonstrations_are_the_best_of_the_pool():
     assert sc.notes["expert_demo_return"] == pytest.approx(demo_returns.mean())
 
 
+def test_builders_refuse_an_estimator_the_expert_cannot_feed():
+    with pytest.raises(ValueError, match="kde_pair ratio mode needs expert state"):
+        density_matching("uniform", grid=(2, 2), horizon=2, ratio_mode="kde_pair")
+    mdp, gt, seed = _irl_setup(horizon=2)
+    with pytest.raises(ValueError, match="exact_table ratio mode needs an expert"):
+        irl_from_trajectories(mdp, 4, gt, seed=seed, ratio_mode="exact_table")
+    with pytest.raises(ValueError, match="expert cloud holds 2"):
+        irl_from_trajectories(mdp, 1, gt, seed=seed)
+
+
 def test_irl_needs_a_pool_that_covers_the_demos():
     mdp, gt, seed = _irl_setup()
     with pytest.raises(ValueError, match="pool_size"):

@@ -280,6 +280,12 @@ def test_expert_input_and_mode_mismatches_are_rejected():
                  _small_cfg(estimator="mixture", ratio_mode="discriminator"))
     with pytest.raises(ValueError, match="covers 5 states, mdp has 4"):
         run_firl(mdp, np.full(5, 0.2), _small_cfg())
+    # both kNN evaluation clouds need more than KNN_K = 3 points
+    with pytest.raises(ValueError, match="expert cloud holds 3"):
+        run_firl(mdp, demos[:1], _small_cfg(estimator="mc",
+                                            ratio_mode="discriminator"))
+    with pytest.raises(ValueError, match="horizon is 3"):
+        run_firl(mdp, rho_e, _small_cfg(eval_agent_trajectories=1))
 
 
 def test_flat_expert_states_drive_the_sampled_ratio_modes():
