@@ -81,10 +81,15 @@ def _load(args, config_type=None):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "estimator", None):
-        cfg.setdefault("train", {})["estimator"] = args.estimator
-    if getattr(args, "divergence", None):
-        cfg.setdefault("train", {})["kind"] = args.divergence
+    overrides = {k: v for k, v in (("estimator", getattr(args, "estimator", None)),
+                                   ("kind", getattr(args, "divergence", None))) if v}
+    if overrides:
+        if cfg["type"] == "prior_downstream":
+            raise ConfigError("--estimator and --divergence do not apply to "
+                              "a prior_downstream config")
+        # a transfer config trains its nested scenario
+        trained = cfg["scenario"] if cfg["type"] == "transfer" else cfg
+        trained.setdefault("train", {}).update(overrides)
     if config_type is not None and cfg["type"] != config_type:
         raise ConfigError("%s needs a config of type %r"
                           % (args.command, config_type))

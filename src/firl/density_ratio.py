@@ -1,9 +1,9 @@
 """Estimators for the expert/agent state density ratio u(s).
 
-Three routes, each returning a RatioEstimator table over states: the
-exact table (known densities), a kernel density pair on jittered 2-d
-samples, and a logistic discriminator on state features whose optimum
-recovers c_E / (c_E + c_A).
+Three routes, each returning one (S,) ratio table clipped into
+[RATIO_CLIP_LO, RATIO_CLIP_HI]: the exact table (known densities), a
+kernel density pair on jittered 2-d samples, and the closed-form
+optimum of the one-hot logistic discriminator, whose odds are c_E / c_A.
 """
 
 import numpy as np
@@ -13,23 +13,9 @@ from .divergence import DENSITY_FLOOR, RATIO_CLIP_LO, RATIO_CLIP_HI, ratio_table
 LOGIT_CLIP = 10.0
 
 
-class RatioEstimator:
-    """Per-state ratio table plus the mode that produced it."""
-
-    def __init__(self, mode, ratios):
-        self.mode = mode
-        self.ratios = np.asarray(ratios, dtype=float)
-        if not np.all(np.isfinite(self.ratios)) or np.any(self.ratios <= 0):
-            raise ValueError("ratio table must be positive and finite")
-
-    def __call__(self, states):
-        return self.ratios[np.asarray(states, dtype=np.int64)]
-
-
 def exact_ratio(rho_e, marginal_avg):
     """u(s) = rho_E(s) / rho_theta(s) from known densities, clipped."""
-    u = ratio_table(rho_e, marginal_avg)
-    return RatioEstimator("exact_table", np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI))
+    return np.clip(ratio_table(rho_e, marginal_avg), RATIO_CLIP_LO, RATIO_CLIP_HI)
 
 
 def kde_density(samples, bandwidth, points):
@@ -72,7 +58,7 @@ def kde_pair_ratio(mdp, expert_samples, agent_samples, bandwidth=0.2, seed=0):
     p_e = kde_density(pts_e, bandwidth, centers)
     p_a = kde_density(pts_a, bandwidth, centers)
     u = np.maximum(p_e, DENSITY_FLOOR) / np.maximum(p_a, DENSITY_FLOOR)
-    return RatioEstimator("kde_pair", np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI))
+    return np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI)
 
 
 def _jittered(mdp, states, rng):
@@ -83,76 +69,44 @@ def _jittered(mdp, states, rng):
 
 
 class Discriminator:
-    """Logistic classifier expert-vs-agent on per-state features."""
+    """One-hot logistic classifier expert-vs-agent: one logit per state."""
 
-    def __init__(self, weights, features, clip=LOGIT_CLIP):
+    def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
-        self.features = np.asarray(features, dtype=float)
-        self.clip = float(clip)
 
     def state_logits(self):
-        return np.clip(self.features @ self.weights, -self.clip, self.clip)
+        return np.clip(self.weights, -LOGIT_CLIP, LOGIT_CLIP)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def discriminator_fit(expert_states, agent_states, n_states, features=None,
-                      max_steps=500, tol=1e-6):
-    """Fit a logistic discriminator by damped Newton ascent.
-
-    Maximizes the mean-based objective
-        sum_s cE(s) log sigma(z_s) + cA(s) log(1 - sigma(z_s))
-    where cE, cA are the empirical state frequencies of each side, so
-    the optimum is sigma(z_s) = cE(s) / (cE(s) + cA(s)) wherever both
-    sides have support. Default features are one-hot per state, which
-    makes the optimum exactly representable; weights are boxed at the
-    logit clip so states seen by only one side saturate cleanly.
-    """
-    expert_states = np.asarray(expert_states, dtype=np.int64).ravel()
-    agent_states = np.asarray(agent_states, dtype=np.int64).ravel()
-    if expert_states.size == 0 or agent_states.size == 0:
+def _frequencies(states, n_states):
+    states = np.asarray(states, dtype=np.int64).ravel()
+    if states.size == 0:
         raise ValueError("both sides need at least one state visit")
-    c_e = np.bincount(expert_states, minlength=n_states) / expert_states.size
-    c_a = np.bincount(agent_states, minlength=n_states) / agent_states.size
-    if features is None:
-        features = np.eye(n_states)
-    features = np.asarray(features, dtype=float)
-    w = np.zeros(features.shape[1])
-    box = LOGIT_CLIP if features.shape[1] == n_states else None
-    for _ in range(max_steps):
-        z = features @ w
-        sig = _sigmoid(z)
-        grad = features.T @ (c_e - (c_e + c_a) * sig)
-        proj = grad.copy()
-        if box is not None:
-            proj[(w >= box) & (proj > 0)] = 0.0
-            proj[(w <= -box) & (proj < 0)] = 0.0
-        if np.linalg.norm(proj) < tol:
-            break
-        curv = (c_e + c_a) * sig * (1.0 - sig)
-        hess = features.T @ (features * curv[:, None])
-        hess[np.diag_indices_from(hess)] += 1e-10
-        step = np.linalg.solve(hess, grad)
-        # damp long Newton jumps; near the optimum the full step wins
-        norm = np.linalg.norm(step)
-        if norm > 4.0:
-            step = step * (4.0 / norm)
-        w = w + step
-        if box is not None:
-            w = np.clip(w, -box, box)
-    return Discriminator(w, features)
+    return np.bincount(states, minlength=n_states) / states.size
+
+
+def discriminator_fit(expert_states, agent_states, n_states):
+    """The optimal one-hot logistic discriminator, in closed form.
+
+    The mean objective
+        sum_s cE(s) log sigma(z_s) + cA(s) log(1 - sigma(z_s))
+    over the empirical state frequencies cE, cA separates by state, so
+    its maximizer is z_s = log cE(s) - log cA(s), i.e. sigma(z_s) =
+    cE(s) / (cE(s) + cA(s)). Logits are boxed at +-LOGIT_CLIP, so a
+    state seen by one side only saturates; one seen by neither gets 0.
+    """
+    c_e = _frequencies(expert_states, n_states)
+    c_a = _frequencies(agent_states, n_states)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.log(c_e) - np.log(c_a)
+    z = np.where((c_e > 0) | (c_a > 0), z, 0.0)
+    return Discriminator(np.clip(z, -LOGIT_CLIP, LOGIT_CLIP))
 
 
 def discriminator_ratio(disc):
-    """Whole-table RatioEstimator view of a fitted discriminator."""
-    return RatioEstimator("discriminator", np.exp(disc.state_logits()))
+    """Per-state ratio cE / cA read off the discriminator's odds; the
+    logit box keeps it inside the ratio clip range."""
+    return np.exp(disc.state_logits())
 
 
 def sample_states(weights, n, rng):

@@ -1,4 +1,5 @@
-"""f-divergence generators, their h transform, and exact divergence values.
+"""The h transform of the f-divergence generators, the floored ratio
+table, and exact divergence values.
 
 Natural logarithms throughout; divergences are in nats.
 """
@@ -7,8 +8,8 @@ import numpy as np
 
 KINDS = ("fkl", "rkl", "js")
 
-# rho_theta is floored before a ratio is formed; estimated (sampled)
-# ratios are additionally clipped to a safe positive range.
+# rho_theta is floored before a ratio is formed; every density_ratio
+# producer also clips its table into a safe positive range.
 DENSITY_FLOOR = 1e-12
 RATIO_CLIP_LO = 1e-8
 RATIO_CLIP_HI = 1e8
@@ -50,45 +51,16 @@ def _check_kind(kind):
         raise ValueError("unknown divergence kind %r, expected one of %r" % (kind, KINDS))
 
 
-def f_value(kind, u):
-    """Generator f of the divergence; convex with f(1) = 0."""
-    _check_kind(kind)
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("generator arguments must be positive")
-    if kind == "fkl":
-        return u * np.log(u)
-    if kind == "rkl":
-        return -np.log(u)
-    return u * np.log(u) - (1.0 + u) * np.log((1.0 + u) / 2.0)
-
-
-def f_prime(kind, u):
-    """Derivative of the generator."""
-    _check_kind(kind)
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("generator arguments must be positive")
-    if kind == "fkl":
-        return np.log(u) + 1.0
-    if kind == "rkl":
-        return -1.0 / u
-    return np.log(2.0 * u / (1.0 + u))
-
-
-def h_f(kind, u, clip=False):
+def h_f(kind, u):
     """h(u) = f(u) - f'(u) u, the weight attached to visited states.
 
     Monotonically decreasing in u for every kind. The js variant drops
-    an additive ln 2 (a constant cannot move a covariance). clip=True
-    bounds u to [1e-8, 1e8] first; estimated ratios take that path.
-    u = 0 is tolerated without clipping: fkl and js have finite limits
-    there, rkl diverges and returns +inf.
+    an additive ln 2 (a constant cannot move a covariance). u = 0 is
+    tolerated: fkl and js have finite limits there, rkl diverges and
+    returns +inf.
     """
     _check_kind(kind)
     u = np.asarray(u, dtype=float)
-    if clip:
-        u = np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI)
     if np.any(u < 0):
         raise ValueError("ratios must be nonnegative")
     if kind == "fkl":

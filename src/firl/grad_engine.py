@@ -74,14 +74,14 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=Non
     pair contractions (t < t' and t > t') of pairwise_marginals.
 
     Supply either the expert density rho_e (the ratio is formed exactly
-    against the solved marginal) or a precomputed per-state ratio
-    estimate; exactly one of the two.
+    against the solved marginal) or a precomputed (S,) ratio table from
+    density_ratio; exactly one of the two.
     """
     if (rho_e is None) == (ratio is None):
         raise ValueError("pass exactly one of rho_e and ratio")
     sol = _ensure_solution(mdp, model, alpha, sol)
     if ratio is not None:
-        h = h_f(kind, ratio.ratios)
+        h = h_f(kind, ratio)
     else:
         h = _h_table(kind, rho_e, sol.marginal_avg)
     g = reward_jacobian(model)
@@ -96,43 +96,33 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=Non
     return GradReport(grad, "exact", diagnostics=diag)
 
 
-def _batch_sums(states, h_table, g):
-    """Per-trajectory sums of h and of the reward jacobian, skipping s_0."""
+def _cov_grad(estimator, states, model, alpha, kind, ratio):
+    """Sample covariance of the per-trajectory sums of h and of the
+    reward jacobian over (n, T+1) state rows, skipping s_0. The
+    diagnostics give the spread of the h sums; a wide spread means the
+    batch mixes states with very different expert/agent density ratios."""
     body = states[:, 1:]
     n, t_hor = body.shape
-    n_states = g.shape[0]
-    a = h_table[body].sum(axis=1)
-    flat = (body + np.arange(n)[:, None] * n_states).ravel()
-    counts = np.bincount(flat, minlength=n * n_states).reshape(n, n_states)
-    b = counts @ g
-    return a, b, t_hor
-
-
-def _sample_cov(a, b):
-    n = len(a)
     if n < 2:
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
-    return (a - a.mean()) @ (b - b.mean(axis=0)) / (n - 1)
-
-
-def _mc_diag(a, t_hor):
-    """Spread of the per-trajectory h sums; wide spread means the batch
-    mixes states with very different expert/agent density ratios."""
-    return {"mean_h": float(a.mean() / t_hor),
+    g = reward_jacobian(model)
+    n_states = g.shape[0]
+    a = h_f(kind, ratio)[body].sum(axis=1)
+    flat = (body + np.arange(n)[:, None] * n_states).ravel()
+    b = np.bincount(flat, minlength=n * n_states).reshape(n, n_states) @ g
+    grad = (a - a.mean()) @ (b - b.mean(axis=0)) / (n - 1) / (alpha * t_hor)
+    diag = {"mean_h": float(a.mean() / t_hor),
             "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
+    return GradReport(grad, estimator, n_samples=n, diagnostics=diag)
 
 
 def analytic_grad_mc(batch, model, alpha, kind, ratio):
     """Unbiased sample covariance over a batch of policy rollouts.
 
-    The ratio estimate is evaluated with clipping so a stray state
-    with vanishing estimated density cannot blow up a single term.
+    ratio is a per-state table from density_ratio, clipped there so a
+    stray state with vanishing estimated density cannot blow up a term.
     """
-    h_table = h_f(kind, ratio.ratios, clip=True)
-    g = reward_jacobian(model)
-    a, b, t_hor = _batch_sums(batch.states, h_table, g)
-    grad = _sample_cov(a, b) / (alpha * t_hor)
-    return GradReport(grad, "mc", n_samples=batch.n, diagnostics=_mc_diag(a, t_hor))
+    return _cov_grad("mc", batch.states, model, alpha, kind, ratio)
 
 
 def analytic_grad_mixture(agent, expert, model, alpha, kind, ratio, seed=0):
@@ -146,12 +136,7 @@ def analytic_grad_mixture(agent, expert, model, alpha, kind, ratio, seed=0):
     rng = np.random.default_rng(seed)
     pick = rng.integers(0, expert.n, size=agent.n)
     pooled = np.vstack([agent.states, expert.states[pick]])
-    h_table = h_f(kind, ratio.ratios, clip=True)
-    g = reward_jacobian(model)
-    a, b, t_hor = _batch_sums(pooled, h_table, g)
-    grad = _sample_cov(a, b) / (alpha * t_hor)
-    return GradReport(grad, "mixture", n_samples=len(pooled),
-                      diagnostics=_mc_diag(a, t_hor))
+    return _cov_grad("mixture", pooled, model, alpha, kind, ratio)
 
 
 def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):

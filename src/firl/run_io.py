@@ -124,7 +124,6 @@ CONFIG_SCHEMA = {
         "name": {"type": "string"},
         "type": {"enum": ["density_matching", "irl_from_trajectories",
                           "prior_downstream", "transfer", "eval"]},
-        "train": _TRAIN_BLOCK,
     },
     # refuses keys no branch below declares, such as a misspelt "horizn"
     "unevaluatedProperties": False,
@@ -138,6 +137,7 @@ CONFIG_SCHEMA = {
                     "grid": _GRID,
                     "horizon": {"type": "integer", "minimum": 1},
                     "sigma": {"type": "number", "exclusiveMinimum": 0},
+                    "train": _TRAIN_BLOCK,
                 },
             },
         },
@@ -152,6 +152,7 @@ CONFIG_SCHEMA = {
                     "expert_alpha": {"type": "number", "exclusiveMinimum": 0},
                     "pool_size": {"type": "integer", "minimum": 1},
                     "gt_reward": {"type": ["array", "object"]},
+                    "train": _TRAIN_BLOCK,
                 },
             },
         },

@@ -160,12 +160,25 @@ def _seed_int(rng):
     return int(rng.integers(0, 2 ** 63 - 1))
 
 
+def _reachable(mdp):
+    """States with positive probability at some t in 1..T under a policy
+    that takes every action."""
+    step = mdp.transitions.max(axis=1) > 0
+    front = mdp.init_dist > 0
+    seen = np.zeros(mdp.n_states, dtype=bool)
+    for _ in range(mdp.horizon):
+        front = step[front].any(axis=0)
+        seen |= front
+    return seen
+
+
 def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode against expert form, mixture against (n, horizon + 1)
-    trajectories, density length, and more than KNN_K points in each
-    kNN evaluation cloud. Returns (rho_e, expert_flat, expert_data): the
-    density or None, the visits after s_0 or None, the classified input."""
+    trajectories, density length, an rkl target's support, expert state
+    indices, and more than KNN_K points in each kNN evaluation cloud.
+    Returns (rho_e, expert_flat, expert_data): the density or None, the
+    visits after s_0 or None, the classified input."""
     cfg.validate()
     form, expert_data = _expert_form(expert)
     if cfg.ratio_mode == "exact_table" and form != "density":
@@ -185,10 +198,20 @@ def check_expert_fit(mdp, expert, cfg):
         if len(rho_e) != mdp.n_states:
             raise ValueError("expert density covers %d states, mdp has %d"
                              % (len(rho_e), mdp.n_states))
-    elif form == "trajectories":
-        expert_flat = expert_data.states[:, 1:].ravel()
+        if cfg.kind == "rkl":
+            # a soft policy visits every reachable state, so D_rkl is infinite
+            empty = np.nonzero(_reachable(mdp) & (rho_e == 0))[0]
+            if empty.size:
+                raise ValueError("rkl needs expert density on every reachable "
+                                 "state: state %d is reachable in 1..%d steps "
+                                 "but has zero density" % (empty[0], mdp.horizon))
     else:
-        expert_flat = expert_data
+        states = expert_data.states if form == "trajectories" else expert_data
+        outside = states[(states < 0) | (states >= mdp.n_states)]
+        if outside.size:
+            raise ValueError("expert state index %d is outside 0..%d"
+                             % (outside[0], mdp.n_states - 1))
+        expert_flat = states[:, 1:].ravel() if form == "trajectories" else states
     n_expert = cfg.eval_expert_samples if rho_e is not None else expert_flat.size
     n_agent = cfg.eval_agent_trajectories * mdp.horizon
     if min(n_expert, n_agent) <= KNN_K:
@@ -244,9 +267,8 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
                                    bandwidth=cfg.kde_bandwidth,
                                    seed=_seed_int(rng_batch))
         else:
-            disc = discriminator_fit(expert_flat, batch.states[:, 1:].ravel(),
-                                     mdp.n_states)
-            ratio = discriminator_ratio(disc)
+            ratio = discriminator_ratio(discriminator_fit(
+                expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
 
         def gradient(m):
             if cfg.estimator == "exact":

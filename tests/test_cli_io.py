@@ -369,6 +369,44 @@ def test_cli_transfer_scores_on_modified_dynamics(tmp_path, capsys):
     assert np.isfinite(rec["ratio"])
 
 
+def test_cli_training_flags_reach_the_transfer_scenario(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "t.json", {
+        "schema_version": 1, "seed": 0, "type": "transfer",
+        "scenario": _TINY_IRL, "slip_override": 0.1,
+    })
+    curves = []
+    for flags in ([], ["--divergence", "js"]):
+        assert cli_main(["transfer", "--config", cfg,
+                         "--out", str(tmp_path / "out")] + flags) == 0
+        run_dir = capsys.readouterr().out.strip()
+        curves.append(open(os.path.join(run_dir, "metrics.csv")).read())
+    assert curves[0] != curves[1]
+    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    assert manifest["config"]["scenario"]["train"]["kind"] == "js"
+
+
+@pytest.mark.parametrize("payload, flags, message", [
+    ({"type": "prior_downstream", "prior": [0.0] * 36}, ["--estimator", "mc"],
+     "do not apply to a prior_downstream config"),
+    ({"type": "prior_downstream", "prior": [0.0] * 36}, ["--divergence", "js"],
+     "do not apply to a prior_downstream config"),
+    ({"type": "prior_downstream", "prior": [0.0] * 36, "train": {}}, [],
+     "'train' was unexpected"),
+    ({"type": "transfer", "scenario": _TINY_IRL, "train": {"kind": "js"}}, [],
+     "'train' was unexpected"),
+], ids=["estimator-on-prior", "divergence-on-prior", "train-on-prior",
+        "train-on-transfer"])
+def test_cli_refuses_training_settings_where_nothing_trains(tmp_path, capsys,
+                                                            payload, flags,
+                                                            message):
+    cfg = _write_cfg(tmp_path, "c.json", dict(payload, schema_version=1, seed=0))
+    command = "transfer" if payload["type"] == "transfer" else "scenario"
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", cfg, "--out", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert cli_main(["explode"]) == 1
     assert cli_main(["train"]) == 1
@@ -472,10 +510,6 @@ def test_cli_either_completes_a_run_or_leaves_no_directory(run, flags, seed):
             assert code == 1 and not os.path.exists(out)
 
 
-@pytest.mark.xfail(strict=True, reason="a Gaussian target narrow enough to "
-                   "underflow leaves cells with zero density; rkl's exact "
-                   "gradient then fails in the first iteration, after "
-                   "make_run_dir")
 def test_cli_refuses_an_rkl_target_with_empty_cells(tmp_path):
     payload = dict(_TINY_DENSITY, shape="gaussian", sigma=0.01,
                    train=dict(_TINY_DENSITY["train"], kind="rkl"))

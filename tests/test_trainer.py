@@ -286,6 +286,15 @@ def test_expert_input_and_mode_mismatches_are_rejected():
                                             ratio_mode="discriminator"))
     with pytest.raises(ValueError, match="horizon is 3"):
         run_firl(mdp, rho_e, _small_cfg(eval_agent_trajectories=1))
+    # expert state indices must name states of the mdp
+    wrapped = demos.copy()
+    wrapped[0, 2] = -1
+    with pytest.raises(ValueError, match=r"expert state index -1 is outside 0\.\.3"):
+        run_firl(mdp, wrapped, _small_cfg(estimator="mixture",
+                                          ratio_mode="discriminator"))
+    with pytest.raises(ValueError, match=r"expert state index 4 is outside 0\.\.3"):
+        run_firl(mdp, np.append(demos[:, 1:].ravel(), 4),
+                 _small_cfg(estimator="mc", ratio_mode="kde_pair"))
 
 
 def test_flat_expert_states_drive_the_sampled_ratio_modes():
