@@ -8,14 +8,19 @@ optimum of the one-hot logistic discriminator, whose odds are c_E / c_A.
 
 import numpy as np
 
-from .divergence import DENSITY_FLOOR, RATIO_CLIP_LO, RATIO_CLIP_HI, ratio_table
+from .divergence import DENSITY_FLOOR, RATIO_CLIP_LO, RATIO_CLIP_HI, density_values
+from .kl_eval import states_to_points
 
 LOGIT_CLIP = 10.0
 
 
 def exact_ratio(rho_e, marginal_avg):
-    """u(s) = rho_E(s) / rho_theta(s) from known densities, clipped."""
-    return np.clip(ratio_table(rho_e, marginal_avg), RATIO_CLIP_LO, RATIO_CLIP_HI)
+    """u(s) = rho_E(s) / max(rho_theta(s), DENSITY_FLOOR), clipped."""
+    p = density_values(rho_e)
+    q = np.maximum(np.asarray(marginal_avg, dtype=float), DENSITY_FLOOR)
+    if p.shape != q.shape:
+        raise ValueError("density shapes differ: %r vs %r" % (p.shape, q.shape))
+    return np.clip(p / q, RATIO_CLIP_LO, RATIO_CLIP_HI)
 
 
 def kde_density(samples, bandwidth, points):
@@ -28,6 +33,8 @@ def kde_density(samples, bandwidth, points):
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise ValueError("kde expects (n, 2) samples")
+    if samples.shape[0] == 0:
+        raise ValueError("need at least one sample per side")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     bw = float(bandwidth)
@@ -52,20 +59,13 @@ def kde_pair_ratio(mdp, expert_samples, agent_samples, bandwidth=0.2, seed=0):
     unit cell makes density stand in for cell mass.
     """
     rng = np.random.default_rng(seed)
-    pts_e = _jittered(mdp, expert_samples, rng)
-    pts_a = _jittered(mdp, agent_samples, rng)
+    pts_e = states_to_points(mdp, expert_samples, seed=rng)
+    pts_a = states_to_points(mdp, agent_samples, seed=rng)
     centers = mdp.coords
     p_e = kde_density(pts_e, bandwidth, centers)
     p_a = kde_density(pts_a, bandwidth, centers)
     u = np.maximum(p_e, DENSITY_FLOOR) / np.maximum(p_a, DENSITY_FLOOR)
     return np.clip(u, RATIO_CLIP_LO, RATIO_CLIP_HI)
-
-
-def _jittered(mdp, states, rng):
-    states = np.asarray(states, dtype=np.int64).ravel()
-    if states.size == 0:
-        raise ValueError("need at least one sample per side")
-    return mdp.coords[states] + rng.uniform(-0.5, 0.5, size=(states.size, 2))
 
 
 class Discriminator:

@@ -1,5 +1,5 @@
-"""The h transform of the f-divergence generators, the floored ratio
-table, and exact divergence values.
+"""The h transform of the f-divergence generators, the expert density,
+and exact divergence values.
 
 Natural logarithms throughout; divergences are in nats.
 """
@@ -8,8 +8,8 @@ import numpy as np
 
 KINDS = ("fkl", "rkl", "js")
 
-# rho_theta is floored before a ratio is formed; every density_ratio
-# producer also clips its table into a safe positive range.
+# density_ratio.exact_ratio floors rho_theta before it forms a ratio;
+# every density_ratio producer clips its table into a safe positive range.
 DENSITY_FLOOR = 1e-12
 RATIO_CLIP_LO = 1e-8
 RATIO_CLIP_HI = 1e8
@@ -71,17 +71,9 @@ def h_f(kind, u):
         return -np.log1p(u)
 
 
-def ratio_table(rho_e, rho):
-    """Per-state ratio rho_e / rho with the density floor applied."""
-    p = density_values(rho_e)
-    q = np.maximum(np.asarray(rho, dtype=float), DENSITY_FLOOR)
-    if p.shape != q.shape:
-        raise ValueError("density shapes differ: %r vs %r" % (p.shape, q.shape))
-    return p / q
-
-
 def divergence_exact(kind, rho_e, rho):
-    """D_f(rho_e || rho) = sum_s f(rho_e/rho) rho with exact zero limits.
+    """D_f(rho_e || rho) = sum_s f(rho_e/rho) rho with exact zero limits
+    and no density floor.
 
     Both inputs must be normalized. Forward KL is +inf when rho misses
     mass where rho_e carries it; reverse KL in the mirrored case. The
@@ -98,7 +90,7 @@ def divergence_exact(kind, rho_e, rho):
         if np.any((p > 0) & (q <= 0)):
             return float("inf")
         m = p > 0
-        return float(np.sum(p[m] * np.log(ratio_table(p, q)[m])))
+        return float(np.sum(p[m] * np.log(p[m] / q[m])))
     if kind == "rkl":
         if np.any((q > 0) & (p <= 0)):
             return float("inf")

@@ -17,7 +17,7 @@ plus a central-difference oracle used only for verification.
 import numpy as np
 
 from .divergence import KINDS, density_values, divergence_exact, h_f
-from .mdp import FiniteMdp
+from .mdp import FiniteMdp, reachable_states
 from .reward_model import (apply_update, default_features, mlp_reward,
                            reward_jacobian, reward_vector, tabular_reward)
 from .soft_solver import (enumerate_trajectories, forward_marginals,
@@ -38,16 +38,9 @@ class GradReport:
         self.diagnostics = diagnostics or {}
 
 
-def _expert_values(rho_e, kind):
-    p = density_values(rho_e)
-    if kind in ("fkl", "js") and abs(p.sum() - 1.0) > 1e-8:
-        raise ValueError("%s needs a normalized expert density" % kind)
-    return p
-
-
 def _h_table(kind, rho_e, marginal_avg):
     """h_f(u) per state, with zero weight where the policy never goes."""
-    p = _expert_values(rho_e, kind)
+    p = density_values(rho_e, require_normalized=kind != "rkl")
     q = np.asarray(marginal_avg, dtype=float)
     visited = q > 0
     u = p / np.where(visited, q, 1.0)
@@ -63,9 +56,7 @@ def _h_table(kind, rho_e, marginal_avg):
 
 def _ensure_solution(mdp, model, alpha, sol):
     if sol is None:
-        sol = soft_backward(mdp, reward_vector(model), alpha)
-    if sol.marginal_avg is None:
-        forward_marginals(mdp, sol)
+        sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), alpha))
     return sol
 
 
@@ -148,11 +139,10 @@ def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):
     if model.n_params > FD_PARAM_CAP:
         raise ValueError("finite differencing %d params exceeds the cap of %d"
                          % (model.n_params, FD_PARAM_CAP))
-    p = _expert_values(rho_e, kind)
 
     def loss(m):
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(m), alpha))
-        return divergence_exact(kind, p, sol.marginal_avg)
+        return divergence_exact(kind, rho_e, sol.marginal_avg)
 
     grad = np.zeros(model.n_params)
     for i in range(model.n_params):
@@ -202,14 +192,9 @@ def _random_instance(rng, index):
     mdp = FiniteMdp(transitions, init, horizon, coords=coords)
     # expert mass only where the policy can ever go, so the exact
     # divergence stays finite for every theta along the FD stencil
-    reachable = set()
-    frontier = {s0}
-    for _ in range(horizon):
-        frontier = {int(dest[s, a]) for s in frontier for a in range(n_a)}
-        reachable |= frontier
-    reach = sorted(reachable)
+    reach = reachable_states(mdp)
     rho_e = np.zeros(n_s)
-    rho_e[reach] = rng.dirichlet(np.full(len(reach), 2.0))
+    rho_e[reach] = rng.dirichlet(np.full(int(reach.sum()), 2.0))
     if index % 2 == 0:
         model = tabular_reward(n_s)
         model = apply_update(model, rng.normal(0.0, 0.3, size=n_s))

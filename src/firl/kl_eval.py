@@ -47,9 +47,6 @@ def policy_return(mdp, sol, gt_reward):
     gt_reward = np.asarray(gt_reward, dtype=float)
     if gt_reward.shape != (mdp.n_states,):
         raise ValueError("ground-truth reward must have one value per state")
-    if sol.marginals_t is None:
-        from .soft_solver import forward_marginals
-        forward_marginals(mdp, sol)
     return float(sol.marginals_t[1:].sum(axis=0) @ gt_reward)
 
 
@@ -60,7 +57,7 @@ def states_to_points(mdp, states, seed=0, jitter=0.5):
     noise in [-jitter, jitter) per axis, so repeated visits to one cell
     spread into a cloud instead of a stack of identical points.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)   # a Generator passes through as is
     states = np.asarray(states, dtype=np.int64).ravel()
     pts = mdp.coords[states].astype(float)
     if jitter > 0:

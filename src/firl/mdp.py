@@ -69,6 +69,18 @@ def validate(mdp):
         raise ValueError("coords must have shape (S, 2)")
 
 
+def reachable_states(mdp):
+    """Boolean (S,) mask of the states with positive probability at some
+    t in 1..T under a policy that takes every action."""
+    step = mdp.transitions.max(axis=1) > 0
+    front = mdp.init_dist > 0
+    seen = np.zeros(mdp.n_states, dtype=bool)
+    for _ in range(mdp.horizon):
+        front = step[front].any(axis=0)
+        seen |= front
+    return seen
+
+
 def build_gridworld(width, height, slip_prob=0.0, init_state=0, horizon=10):
     """Grid MDP with actions (right, up, left, down, stay).
 

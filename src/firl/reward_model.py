@@ -1,32 +1,32 @@
 """Parameterized state rewards r_theta(s) with exact parameter gradients.
 
-Three kinds: a tabular value per state, a linear map on per-state
-features, and a small two-hidden-layer tanh network with hand-derived
-backpropagation. tanh keeps the finite-difference checks valid
-everywhere, which piecewise-linear activations would not.
+Two kinds: a tabular value per state, and a small two-hidden-layer tanh
+network on per-state features with hand-derived backpropagation. tanh
+keeps the finite-difference checks valid everywhere, which
+piecewise-linear activations would not.
 """
 
 import numpy as np
 
 
 class RewardModel:
-    """kind 'tabular' | 'linear' | 'mlp'; params is the flat theta vector.
+    """kind 'tabular' | 'mlp'; params is the flat theta vector.
 
-    linear and mlp kinds evaluate on a fixed per-state feature matrix.
+    The mlp kind evaluates on a fixed per-state feature matrix.
     clamp, when set to (lo, hi), hard-clips the output and zeroes the
     gradient wherever the raw output saturates.
     """
 
     def __init__(self, kind, params, features=None, clamp=None, hidden=None):
-        if kind not in ("tabular", "linear", "mlp"):
+        if kind not in ("tabular", "mlp"):
             raise ValueError("unknown reward kind %r" % (kind,))
         self.kind = kind
         self.params = np.asarray(params, dtype=float).copy()
         if self.params.ndim != 1 or not np.all(np.isfinite(self.params)):
             raise ValueError("params must be a finite flat vector")
         self.features = None if features is None else np.asarray(features, dtype=float)
-        if kind in ("linear", "mlp") and self.features is None:
-            raise ValueError("%s rewards need a feature matrix" % kind)
+        if kind == "mlp" and self.features is None:
+            raise ValueError("mlp rewards need a feature matrix")
         if clamp is not None:
             lo, hi = float(clamp[0]), float(clamp[1])
             if not lo < hi:
@@ -66,12 +66,6 @@ def default_features(mdp):
 def tabular_reward(n_states, clamp=None):
     """One parameter per state, initialized to zero."""
     return RewardModel("tabular", np.zeros(n_states), clamp=clamp)
-
-
-def linear_reward(features, clamp=None):
-    """theta . phi(s) on the given (S, F) feature matrix, zero-initialized."""
-    features = np.asarray(features, dtype=float)
-    return RewardModel("linear", np.zeros(features.shape[1]), features, clamp=clamp)
 
 
 def mlp_reward(features, hidden=(64, 64), seed=0, clamp=None):
@@ -115,13 +109,14 @@ def _mlp_forward(model):
 def _raw_reward(model):
     if model.kind == "tabular":
         return model.params.copy()
-    if model.kind == "linear":
-        return model.features @ model.params
     return _mlp_forward(model)[2]
 
 
 def reward_vector(model):
-    """r_theta at every state, clamped if configured."""
+    """r_theta at every state, clamped if configured; a plain per-state
+    vector passes through as floats."""
+    if not isinstance(model, RewardModel):
+        return np.asarray(model, dtype=float)
     raw = _raw_reward(model)
     if model.clamp is not None:
         raw = np.clip(raw, model.clamp[0], model.clamp[1])
@@ -135,8 +130,6 @@ def reward_jacobian(model):
     """
     if model.kind == "tabular":
         jac = np.eye(len(model.params))
-    elif model.kind == "linear":
-        jac = model.features.copy()
     else:
         x = model.features
         w1, b1, w2, b2, w3, b3 = _mlp_unpack(model)

@@ -63,8 +63,7 @@ def read_metrics_csv(path):
 def emit_heatmap(model, mdp, path):
     """Per-state reward table as CSV (state, x, y, reward_value),
     ascending state order, byte-deterministic for fixed inputs."""
-    vals = reward_vector(model) if hasattr(model, "params") \
-        else np.asarray(model, dtype=float)
+    vals = reward_vector(model)
     if vals.shape != (mdp.n_states,):
         raise ValueError("reward covers %d states, mdp has %d"
                          % (vals.size, mdp.n_states))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .kl_eval import policy_return
 from .mdp import build_gridworld
-from .reward_model import RewardModel, reward_vector
+from .reward_model import reward_vector
 from .soft_solver import (TrajectoryBatch, forward_marginals,
                           sample_trajectories, soft_backward)
 from .trainer import (TrainConfig, check_expert_fit, run_firl,
@@ -82,10 +82,11 @@ def density_matching(shape, grid=(5, 5), kind="fkl", seed=0, horizon=40,
     w, h = grid
     mdp = build_gridworld(w, h, slip_prob=0.0, init_state=0, horizon=horizon)
     if shape == "gaussian":
-        rho_e = gaussian_density(mdp, (w / 2.0, h / 2.0), sigma or 1.0)
+        rho_e = gaussian_density(mdp, (w / 2.0, h / 2.0),
+                                 1.0 if sigma is None else sigma)
     elif shape == "mixture2":
-        s = sigma or 0.6
-        rho_e = mixture2_density(mdp, (1.5, 1.5), (w - 1.5, h - 1.5), s)
+        rho_e = mixture2_density(mdp, (1.5, 1.5), (w - 1.5, h - 1.5),
+                                 0.6 if sigma is None else sigma)
     elif shape == "uniform":
         rho_e = uniform_density(mdp)
     else:
@@ -148,8 +149,7 @@ def hard_exploration_task(horizon=30):
 
 def task_prior(prior):
     """The prior as one reward value per state of the hard-exploration grid."""
-    prior = reward_vector(prior) if isinstance(prior, RewardModel) \
-        else np.asarray(prior, dtype=float)
+    prior = reward_vector(prior)
     n_states = hard_exploration_task()[0].n_states
     if prior.shape != (n_states,):
         raise ValueError("prior covers %d states, the task grid has %d"
@@ -188,8 +188,7 @@ def dynamics_transfer(learned_reward, mdp_source, mdp_target, gt_reward,
     if mdp_source.n_states != mdp_target.n_states:
         raise ValueError("source has %d states, target has %d"
                          % (mdp_source.n_states, mdp_target.n_states))
-    vec = reward_vector(learned_reward) if isinstance(learned_reward, RewardModel) \
-        else np.asarray(learned_reward, dtype=float)
+    vec = reward_vector(learned_reward)
     gt_reward = np.asarray(gt_reward, dtype=float)
     sol_l = forward_marginals(mdp_target, soft_backward(mdp_target, vec, alpha))
     sol_g = forward_marginals(mdp_target, soft_backward(mdp_target, gt_reward, alpha))
@@ -219,8 +218,7 @@ def reward_recovery_check(learned, gt, support_weights):
     a scaled reward fits affinely with r2 1 yet is not an offset.
     degenerate flags a weighted variance too small to fit against.
     """
-    vec = reward_vector(learned) if isinstance(learned, RewardModel) \
-        else np.asarray(learned, dtype=float)
+    vec = reward_vector(learned)
     gt = np.asarray(gt, dtype=float)
     w = np.asarray(support_weights, dtype=float)
     if vec.shape != gt.shape or w.shape != gt.shape:

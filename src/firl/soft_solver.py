@@ -43,14 +43,12 @@ def _as_timed(reward, horizon, n_states):
 
 
 class SoftSolution:
-    """policy (T, S, A), soft_q (T, S, A), soft_v (T+1, S); marginals and
-    the step kernels (T, S, S) are attached by forward_marginals."""
+    """policy (T, S, A) and soft_v (T+1, S); the step kernels (T, S, S) and
+    the marginals stay None until forward_marginals, their only filler."""
 
-    def __init__(self, policy, soft_q, soft_v, alpha):
+    def __init__(self, policy, soft_v):
         self.policy = policy
-        self.soft_q = soft_q
         self.soft_v = soft_v
-        self.alpha = alpha
         self.marginals_t = None
         self.marginal_avg = None
         self.kernels = None
@@ -63,18 +61,16 @@ def soft_backward(mdp, reward, alpha=1.0):
     n_s, n_a = mdp.n_states, mdp.n_actions
     timed = _as_timed(reward, mdp.horizon, n_s)
     soft_v = np.zeros((mdp.horizon + 1, n_s))
-    soft_q = np.zeros((mdp.horizon, n_s, n_a))
     policy = np.zeros((mdp.horizon, n_s, n_a))
     for t in range(mdp.horizon - 1, -1, -1):
         target = timed.arrival[t] + soft_v[t + 1]
         q = mdp.transitions @ target
         if timed.departure is not None:
             q = q + timed.departure[t][:, None]
-        soft_q[t] = q
         soft_v[t] = alpha * logsumexp(q / alpha, axis=1)
         pi = np.exp((q - soft_v[t][:, None]) / alpha)
         policy[t] = pi / pi.sum(axis=1, keepdims=True)
-    return SoftSolution(policy, soft_q, soft_v, alpha)
+    return SoftSolution(policy, soft_v)
 
 
 def step_kernel(mdp, sol, t):
@@ -102,8 +98,6 @@ def pairwise_marginals(mdp, sol, h):
     s_t' = j) over 1 <= t < t' <= T: returns fwd = sum h^T P_{t,t'} and
     bwd = sum P_{t,t'} h, each (S,), from a forward and a backward sweep.
     """
-    if sol.kernels is None:
-        forward_marginals(mdp, sol)
     rho, kernels = sol.marginals_t, sol.kernels
     c, b, fwd, bwd = np.zeros((4, mdp.n_states))
     for t in range(1, mdp.horizon):
@@ -161,8 +155,6 @@ def enumerate_trajectories(mdp, sol):
     if total > ENUMERATION_CAP:
         raise ValueError("enumeration of %d sequences exceeds the cap of %d"
                          % (total, ENUMERATION_CAP))
-    if sol.kernels is None:
-        forward_marginals(mdp, sol)
     keep = mdp.init_dist > 0
     paths = np.nonzero(keep)[0][:, None].astype(np.int64)
     probs = mdp.init_dist[keep]

@@ -12,10 +12,11 @@ import numpy as np
 
 from .density_ratio import (discriminator_fit, discriminator_ratio, exact_ratio,
                             kde_pair_ratio, sample_states)
-from .divergence import KINDS, ExpertDensity, density_values, divergence_exact
+from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
 from .kl_eval import KNN_K, knn_kl, policy_return, states_to_points
+from .mdp import reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
                           sample_trajectories, soft_backward)
@@ -142,8 +143,8 @@ class TrainResult:
 
 
 def _expert_form(expert):
-    """Classify the expert input: ('density', values) or
-    ('trajectories', batch) or ('states', flat int array)."""
+    """Classify the expert input: ('density', ExpertDensity; a float vector
+    is taken as normalized), ('trajectories', batch) or ('states', ints)."""
     if isinstance(expert, ExpertDensity):
         return "density", expert
     if isinstance(expert, TrajectoryBatch):
@@ -153,31 +154,20 @@ def _expert_form(expert):
         if arr.ndim == 2:
             return "trajectories", TrajectoryBatch(arr)
         return "states", arr.ravel().astype(np.int64)
-    return "density", arr.astype(float)
+    return "density", ExpertDensity(arr)
 
 
 def _seed_int(rng):
     return int(rng.integers(0, 2 ** 63 - 1))
 
 
-def _reachable(mdp):
-    """States with positive probability at some t in 1..T under a policy
-    that takes every action."""
-    step = mdp.transitions.max(axis=1) > 0
-    front = mdp.init_dist > 0
-    seen = np.zeros(mdp.n_states, dtype=bool)
-    for _ in range(mdp.horizon):
-        front = step[front].any(axis=0)
-        seen |= front
-    return seen
-
-
 def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode against expert form, mixture against (n, horizon + 1)
-    trajectories, density length, an rkl target's support, expert state
-    indices, and more than KNN_K points in each kNN evaluation cloud.
-    Returns (rho_e, expert_flat, expert_data): the density or None, the
+    trajectories, density length, normalization (only rkl accepts an
+    unnormalized energy), an rkl target's support, expert state indices,
+    and more than KNN_K points in each kNN evaluation cloud. Returns
+    (rho_e, expert_flat, expert_data): the ExpertDensity or None, the
     visits after s_0 or None, the classified input."""
     cfg.validate()
     form, expert_data = _expert_form(expert)
@@ -194,13 +184,15 @@ def check_expert_fit(mdp, expert, cfg):
                              % (expert_data.states.shape[1] - 1, mdp.horizon))
     rho_e = expert_flat = None
     if form == "density":
-        rho_e = expert_data = density_values(expert_data)
+        rho_e = expert_data
         if len(rho_e) != mdp.n_states:
             raise ValueError("expert density covers %d states, mdp has %d"
                              % (len(rho_e), mdp.n_states))
+        if cfg.kind != "rkl" and not rho_e.normalized:
+            raise ValueError("%s needs a normalized expert density" % cfg.kind)
         if cfg.kind == "rkl":
             # a soft policy visits every reachable state, so D_rkl is infinite
-            empty = np.nonzero(_reachable(mdp) & (rho_e == 0))[0]
+            empty = np.nonzero(reachable_states(mdp) & (rho_e.values == 0))[0]
             if empty.size:
                 raise ValueError("rkl needs expert density on every reachable "
                                  "state: state %d is reachable in 1..%d steps "
@@ -244,7 +236,8 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
 
     # fixed expert point cloud for the sample-based KL columns
     if rho_e is not None:
-        eval_expert_states = sample_states(rho_e, cfg.eval_expert_samples, rng_expert)
+        eval_expert_states = sample_states(rho_e.values, cfg.eval_expert_samples,
+                                           rng_expert)
     else:
         eval_expert_states = expert_flat
     eval_expert_points = states_to_points(mdp, eval_expert_states, seed=rng_expert)
@@ -301,7 +294,7 @@ def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_points, rng_
     row = {c: float("nan") for c in METRIC_COLUMNS}
     row["iteration"] = it
     row["grad_norm"] = float(np.linalg.norm(report.grad))
-    if rho_e is not None and abs(rho_e.sum() - 1.0) <= 1e-8:
+    if rho_e is not None and rho_e.normalized:
         row["exact_fkl"] = divergence_exact("fkl", rho_e, sol.marginal_avg)
         row["exact_rkl"] = divergence_exact("rkl", rho_e, sol.marginal_avg)
         row["lf_exact"] = divergence_exact(cfg.kind, rho_e, sol.marginal_avg)

@@ -297,7 +297,8 @@ def test_cli_eval_scores_a_stored_reward(tmp_path, capsys):
     '{"params": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
     '{"kind": "tabular", "params": [0.0], "clamp": 5}',
     '{"kind": "tabular", "params": [0.0',
-], ids=["missing-key", "wrong-type", "bad-json"])
+    '{"kind": "linear", "params": [0.0], "features": [[1.0]]}',
+], ids=["missing-key", "wrong-type", "bad-json", "linear-kind"])
 def test_cli_eval_rejects_a_malformed_reward_file(tmp_path, capsys, content):
     reward = tmp_path / "reward.json"
     reward.write_text(content)

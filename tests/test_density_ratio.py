@@ -16,6 +16,12 @@ def test_exact_ratio_table():
     assert u[[1, 0, 0]] == pytest.approx([2.0 / 3.0, 2.0, 2.0])
 
 
+def test_exact_ratio_floors_the_denominator():
+    u = exact_ratio([0.5, 0.5 - 1e-6, 1e-6], [0.5, 0.5, 1e-15])
+    assert u[0] == pytest.approx(1.0)
+    assert u[2] == pytest.approx(1e-6 / 1e-12)
+
+
 def test_exact_ratio_clips_unvisited_states():
     assert exact_ratio([0.5, 0.5], [1.0, 0.0])[1] == RATIO_CLIP_HI
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from firl.density_ratio import exact_ratio
 from firl.divergence import (KINDS, RATIO_CLIP_HI, RATIO_CLIP_LO,
                              ExpertDensity, density_values, divergence_exact,
-                             h_f, ratio_table)
+                             h_f)
 
 # generator formulas rewritten for complex arguments, kept local so the
 # consistency check shares no code with the module under test
@@ -97,6 +97,12 @@ def test_js_bounded_by_two_log_two():
     assert val == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
 
+def test_forward_kl_is_exact_where_the_second_density_is_tiny():
+    q = [1.0 - 1e-15, 1e-15]
+    want = 0.5 * np.log(0.5 / q[0]) + 0.5 * np.log(0.5 / q[1])
+    assert divergence_exact("fkl", [0.5, 0.5], q) == pytest.approx(want, rel=1e-12)
+
+
 def test_js_symmetric():
     p = np.array([0.7, 0.2, 0.1])
     q = np.array([0.1, 0.3, 0.6])
@@ -120,12 +126,6 @@ def test_expert_density_validation():
     assert len(energy) == 2
     with pytest.raises(ValueError, match="normalized expert density"):
         density_values(energy, require_normalized=True)
-
-
-def test_ratio_table_floors_the_denominator():
-    u = ratio_table([0.5, 0.5], [0.5, 0.0])
-    assert u[0] == pytest.approx(1.0)
-    assert u[1] == pytest.approx(0.5 / 1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -66,13 +66,6 @@ def test_policy_return_of_constant_reward_is_the_horizon():
     assert policy_return(mdp, sol, np.ones(9)) == pytest.approx(7.0, abs=1e-10)
 
 
-def test_policy_return_fills_missing_marginals():
-    mdp = _chain()
-    sol = soft_backward(mdp, np.zeros(3), 1.0)
-    assert sol.marginals_t is None
-    assert policy_return(mdp, sol, [0.0, 1.0, 2.0]) == pytest.approx(3.0)
-
-
 def test_policy_return_shape_check():
     mdp = _chain()
     sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(3), 1.0))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firl.mdp import (GRID_ACTIONS, FiniteMdp, build_gridworld,
-                      modify_dynamics, validate)
+                      modify_dynamics, reachable_states, validate)
 
 RIGHT, UP, LEFT, DOWN, STAY = (GRID_ACTIONS.index(a) for a in
                                ("right", "up", "left", "down", "stay"))
@@ -84,6 +84,13 @@ def test_validate_rejects_bad_init_dist():
     mdp.init_dist = np.array([0.5, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="init_dist sums to"):
         validate(mdp)
+
+
+def test_reachable_states_follow_the_horizon():
+    # a 4-cell corridor from the left end: t = 1..T reaches cells 0..T
+    for horizon, want in ((1, [1, 1, 0, 0]), (2, [1, 1, 1, 0]), (5, [1, 1, 1, 1])):
+        mdp = build_gridworld(4, 1, horizon=horizon)
+        assert np.array_equal(reachable_states(mdp), np.array(want, dtype=bool))
 
 
 def test_builder_argument_errors():

@@ -5,9 +5,8 @@ import pytest
 
 from firl.mdp import build_gridworld
 from firl.reward_model import (RewardModel, apply_update, default_features,
-                               linear_reward, mlp_reward, reward_from_dict,
-                               reward_jacobian, reward_to_dict, reward_vector,
-                               tabular_reward)
+                               mlp_reward, reward_from_dict, reward_jacobian,
+                               reward_to_dict, reward_vector, tabular_reward)
 
 
 def _fd_jacobian(model, eps=1e-6):
@@ -28,12 +27,6 @@ def _grid_features():
 def test_tabular_jacobian_is_identity():
     model = tabular_reward(5)
     assert np.array_equal(reward_jacobian(model), np.eye(5))
-
-
-def test_linear_jacobian_is_the_feature_matrix():
-    feats = _grid_features()
-    model = linear_reward(feats)
-    assert np.array_equal(reward_jacobian(model), feats)
 
 
 def test_mlp_jacobian_matches_finite_differences():
@@ -109,7 +102,7 @@ def test_apply_update_is_pure_and_shape_checked():
 
 @pytest.mark.parametrize("make", [
     lambda: tabular_reward(4, clamp=(-2.0, 2.0)),
-    lambda: linear_reward(_grid_features()),
+    lambda: mlp_reward(_grid_features(), hidden=(4, 3), seed=1, clamp=(-0.5, 0.5)),
     lambda: mlp_reward(_grid_features(), hidden=(3, 2), seed=5),
 ])
 def test_serialization_round_trip(make):
@@ -124,11 +117,17 @@ def test_serialization_round_trip(make):
     assert np.array_equal(reward_vector(back), reward_vector(model))
 
 
+def test_reward_vector_passes_a_plain_vector_through_as_floats():
+    vec = reward_vector([0, 1, 2])
+    assert vec.dtype == float
+    assert np.array_equal(vec, [0.0, 1.0, 2.0])
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError, match="unknown reward kind"):
         RewardModel("rbf", np.zeros(2))
     with pytest.raises(ValueError, match="feature matrix"):
-        RewardModel("linear", np.zeros(2))
+        RewardModel("mlp", np.zeros(2))
     with pytest.raises(ValueError, match="lo < hi"):
         tabular_reward(2, clamp=(1.0, 1.0))
     with pytest.raises(ValueError, match="needs 13 params"):

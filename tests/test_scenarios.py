@@ -44,6 +44,12 @@ def test_gaussian_argument_errors():
         gaussian_density(mdp, (1.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("shape", ["gaussian", "mixture2"])
+def test_density_matching_refuses_a_zero_sigma(shape):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        density_matching(shape, sigma=0.0)
+
+
 def test_mixture_with_symmetric_means_is_reflection_symmetric():
     mdp = build_gridworld(5, 5, horizon=2)
     rho = mixture2_density(mdp, (1.5, 1.5), (3.5, 3.5), 0.6)

@@ -124,7 +124,7 @@ def test_pairwise_matches_brute_force_enumeration():
 
 def test_enumeration_probabilities_sum_to_one():
     mdp, rng = _random_mdp(3, 2, 4, seed=4)
-    sol = soft_backward(mdp, rng.normal(size=3), 1.0)
+    sol = forward_marginals(mdp, soft_backward(mdp, rng.normal(size=3), 1.0))
     paths, probs = enumerate_trajectories(mdp, sol)
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert paths.shape[1] == mdp.horizon + 1

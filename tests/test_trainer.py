@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from firl.divergence import divergence_exact
+from firl.divergence import ExpertDensity, divergence_exact
 from firl.grad_engine import analytic_grad_exact
 from firl.mdp import build_gridworld
 from firl.reward_model import tabular_reward
 from firl.soft_solver import (forward_marginals, sample_trajectories,
                               soft_backward)
 from firl.trainer import (METRIC_COLUMNS, OptimizerState, TrainConfig,
-                          optimizer_step, potential_shape, run_firl,
-                          shaped_prior_reward)
+                          check_expert_fit, optimizer_step, potential_shape,
+                          run_firl, shaped_prior_reward)
 
 
 def _uniform_marginal(mdp, alpha=1.0):
@@ -295,6 +295,30 @@ def test_expert_input_and_mode_mismatches_are_rejected():
     with pytest.raises(ValueError, match=r"expert state index 4 is outside 0\.\.3"):
         run_firl(mdp, np.append(demos[:, 1:].ravel(), 4),
                  _small_cfg(estimator="mc", ratio_mode="kde_pair"))
+
+
+def test_rkl_trains_on_an_unnormalized_energy():
+    mdp = build_gridworld(3, 3, horizon=4)
+    rho_e = np.random.default_rng(9).dirichlet(np.full(9, 3.0))
+    cfg = _small_cfg(kind="rkl", optimizer="plain")
+    base = run_firl(mdp, rho_e, cfg)
+    energy = run_firl(mdp, ExpertDensity(3.0 * rho_e, normalized=False), cfg)
+    assert np.abs(energy.model.params - base.model.params).max() < 1e-12
+    # exact divergences need a normalized target, so those columns stay blank
+    for row in energy.metrics:
+        assert all(np.isnan(row[c]) for c in ("exact_fkl", "exact_rkl", "lf_exact"))
+
+
+def test_only_rkl_accepts_an_unnormalized_energy():
+    mdp = build_gridworld(3, 3, horizon=4)
+    rho_e = np.random.default_rng(9).dirichlet(np.full(9, 3.0))
+    energy = ExpertDensity(3.0 * rho_e, normalized=False)
+    for kind in ("fkl", "js"):
+        with pytest.raises(ValueError, match="%s needs a normalized expert density"
+                           % kind):
+            check_expert_fit(mdp, energy, _small_cfg(kind=kind))
+    rho, _, _ = check_expert_fit(mdp, rho_e, _small_cfg())
+    assert isinstance(rho, ExpertDensity) and rho.normalized
 
 
 def test_flat_expert_states_drive_the_sampled_ratio_modes():
