@@ -9,12 +9,8 @@ KNN_K = 3
 
 
 class KlEstimate:
-    def __init__(self, value, method, k=None, n_p=None, n_q=None):
+    def __init__(self, value):
         self.value = float(value)
-        self.method = method
-        self.k = k
-        self.n_p = n_p
-        self.n_q = n_q
 
 
 def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
@@ -39,7 +35,7 @@ def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
     rho = cKDTree(x).query(x, k=k + 1)[0][:, k]   # skip self-match
     nu = cKDTree(y).query(x, k=k)[0][:, k - 1]
     val = float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1.0)))
-    return KlEstimate(val, "knn", k=k, n_p=n, n_q=m)
+    return KlEstimate(val)
 
 
 def policy_return(mdp, sol, gt_reward):

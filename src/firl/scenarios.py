@@ -115,15 +115,13 @@ def irl_from_trajectories(mdp, n_expert_traj, gt_reward, seed=0,
     if gt_reward.shape != (mdp.n_states,):
         raise ValueError("gt_reward has %d entries, the grid has %d states"
                          % (gt_reward.size, mdp.n_states))
-    if not np.all(np.isfinite(gt_reward)):
-        raise ValueError("ground-truth reward must be finite")
     if pool_size < n_expert_traj:
         raise ValueError("pool_size must cover n_expert_traj")
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt_reward, expert_alpha))
     pool = sample_trajectories(mdp, sol_e, pool_size, seed)
     returns = gt_reward[pool.states[:, 1:]].sum(axis=1)
     top = np.argsort(-returns, kind="stable")[:n_expert_traj]
-    expert = TrajectoryBatch(pool.states[top], seed=seed)
+    expert = TrajectoryBatch(pool.states[top])
     cfg = TrainConfig(seed=seed, kind="fkl", alpha=0.5,
                       iterations=600, reward_lr=0.05, estimator="mixture",
                       batch_size=256, ratio_mode="discriminator",
@@ -148,12 +146,14 @@ def hard_exploration_task(horizon=30):
 
 
 def task_prior(prior):
-    """The prior as one reward value per state of the hard-exploration grid."""
+    """The prior as one finite reward per state of the hard-exploration grid."""
     prior = reward_vector(prior)
     n_states = hard_exploration_task()[0].n_states
     if prior.shape != (n_states,):
         raise ValueError("prior covers %d states, the task grid has %d"
                          % (prior.size, n_states))
+    if not np.isfinite(prior).all():
+        raise ValueError("prior must be finite")
     return prior
 
 

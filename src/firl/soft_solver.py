@@ -1,9 +1,10 @@
 """Exact finite-horizon soft (maximum-entropy) planning.
 
-Backward recursion gives the soft Q/V tables and the Boltzmann policy;
-forward propagation gives the step kernels and the state marginals.
-Reward is credited on the arrival state, so the initial state never
-earns reward and the time average runs over t = 1..T.
+Backward recursion gives the soft values and the Boltzmann policy, one
+max-shifted numpy log-sum-exp per step; forward propagation gives the
+step kernels and the state marginals; sampling draws from CDF tables
+built once per call. Reward, finite or refused, is credited on the
+arrival state, so t = 0 earns none and time averages run over 1..T.
 
 pairwise_marginals contracts the exact gradient's pair occupancies in
 two O(T S^2) sweeps over the kernels, never building the dense
@@ -12,22 +13,24 @@ beyond a hard cap.
 """
 
 import numpy as np
-from scipy.special import logsumexp
 
 ENUMERATION_CAP = 2_000_000
 
 
 class TimedReward:
     """Time-indexed reward: arrival[t][s'] paid on reaching s' at step t+1,
-    optional departure[t][s] paid on leaving s at step t."""
+    departure[t][s] paid on leaving s at step t, zero if not given."""
 
     def __init__(self, arrival, departure=None):
         self.arrival = np.asarray(arrival, dtype=float)
         if self.arrival.ndim != 2:
             raise ValueError("arrival table must be (horizon, n_states)")
-        self.departure = None if departure is None else np.asarray(departure, dtype=float)
-        if self.departure is not None and self.departure.shape != self.arrival.shape:
+        self.departure = np.zeros_like(self.arrival) if departure is None \
+            else np.asarray(departure, dtype=float)
+        if self.departure.shape != self.arrival.shape:
             raise ValueError("departure table must match arrival shape")
+        if not (np.isfinite(self.arrival).all() and np.isfinite(self.departure).all()):
+            raise ValueError("reward must be finite")
 
 
 def _as_timed(reward, horizon, n_states):
@@ -55,21 +58,20 @@ class SoftSolution:
 
 
 def soft_backward(mdp, reward, alpha=1.0):
-    """Solve V_T = 0, Q_t = E[r(s') + V_{t+1}(s')], V_t = alpha * lse(Q_t / alpha)."""
+    """Solve V_T = 0, Q_t = E[r(s') + V_{t+1}(s')], V_t = alpha * lse(Q_t / alpha).
+    The lse is shifted by each row's max; its exponentials give the policy."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    n_s, n_a = mdp.n_states, mdp.n_actions
-    timed = _as_timed(reward, mdp.horizon, n_s)
-    soft_v = np.zeros((mdp.horizon + 1, n_s))
-    policy = np.zeros((mdp.horizon, n_s, n_a))
+    timed = _as_timed(reward, mdp.horizon, mdp.n_states)
+    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
+    policy = np.zeros((mdp.horizon, mdp.n_states, mdp.n_actions))
     for t in range(mdp.horizon - 1, -1, -1):
-        target = timed.arrival[t] + soft_v[t + 1]
-        q = mdp.transitions @ target
-        if timed.departure is not None:
-            q = q + timed.departure[t][:, None]
-        soft_v[t] = alpha * logsumexp(q / alpha, axis=1)
-        pi = np.exp((q - soft_v[t][:, None]) / alpha)
-        policy[t] = pi / pi.sum(axis=1, keepdims=True)
+        q = mdp.transitions @ (timed.arrival[t] + soft_v[t + 1])
+        z = (q + timed.departure[t][:, None]) / alpha
+        top = z.max(axis=1)
+        e = np.exp(z - top[:, None])
+        soft_v[t] = alpha * (top + np.log(e.sum(axis=1)))
+        policy[t] = e / e.sum(axis=1, keepdims=True)
     return SoftSolution(policy, soft_v)
 
 
@@ -110,38 +112,40 @@ def pairwise_marginals(mdp, sol, h):
 
 
 class TrajectoryBatch:
-    """states (n, T+1) int64 rows s_0..s_T; seed records provenance."""
+    """states (n, T+1) int64 rows s_0..s_T."""
 
-    def __init__(self, states, seed=None):
+    def __init__(self, states):
         self.states = np.asarray(states, dtype=np.int64)
         if self.states.ndim != 2:
             raise ValueError("trajectory batch must be 2-d")
-        self.seed = seed
 
     @property
     def n(self):
         return self.states.shape[0]
 
 
-def _sample_rows(probs, rng):
-    """One categorical draw per row of a (n, k) probability matrix."""
-    c = np.cumsum(probs, axis=1)
-    u = rng.random((probs.shape[0], 1)) * c[:, -1:]
-    return (c <= u).sum(axis=1)
+def _draw(cdf, rng):
+    """One categorical draw per row of a (n, k) table of cumulative sums:
+    the first entry above u, which a row has because u < its last entry."""
+    u = rng.random((cdf.shape[0], 1)) * cdf[:, -1:]
+    return (cdf > u).argmax(axis=1)
 
 
 def sample_trajectories(mdp, sol, n, seed):
-    """n rollouts of the solved policy; deterministic in seed."""
+    """n rollouts of the solved policy, deterministic in seed. np.cumsum adds
+    in row order, so CDFs built once draw as a per-step cumsum would."""
     if n < 1:
         raise ValueError("need at least one trajectory")
     rng = np.random.default_rng(seed)
+    policy_cdf = np.cumsum(sol.policy, axis=2)
+    step_cdf = np.cumsum(mdp.transitions, axis=2)
     states = np.zeros((n, mdp.horizon + 1), dtype=np.int64)
-    states[:, 0] = _sample_rows(np.tile(mdp.init_dist, (n, 1)), rng)
+    states[:, 0] = _draw(np.tile(np.cumsum(mdp.init_dist), (n, 1)), rng)
     for t in range(mdp.horizon):
         s = states[:, t]
-        a = _sample_rows(sol.policy[t][s], rng)
-        states[:, t + 1] = _sample_rows(mdp.transitions[s, a], rng)
-    return TrajectoryBatch(states, seed=seed)
+        a = _draw(policy_cdf[t, s], rng)
+        states[:, t + 1] = _draw(step_cdf[s, a], rng)
+    return TrajectoryBatch(states)
 
 
 def enumerate_trajectories(mdp, sol):

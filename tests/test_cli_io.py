@@ -340,6 +340,21 @@ def test_cli_scenario_runs_the_prior_sweep(tmp_path, capsys):
     assert summary["improvement"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_cli_refuses_a_non_finite_prior(tmp_path, capsys):
+    # json reads NaN; a NaN prior once gave an all-NaN heatmap and exit 0
+    prior = [0.0] * 36
+    prior[3] = float("nan")
+    cfg = _write_cfg(tmp_path, "p.json", {
+        "schema_version": 1, "seed": 0, "type": "prior_downstream",
+        "prior": prior, "lambda_grid": [0.0, 0.5], "alpha_grid": [1.0],
+        "horizon": 6,
+    })
+    out = tmp_path / "out"
+    assert cli_main(["scenario", "--config", cfg, "--out", str(out)]) == 1
+    assert "firl: error: prior must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grids", [
     {"lambda_grid": [0.5, 1.0]},
     {"lambda_grid": []},

@@ -1,7 +1,10 @@
 """Soft backward recursion, forward marginals, and trajectory machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp, softmax
 
 from firl.mdp import FiniteMdp, build_gridworld
 from firl.soft_solver import (TimedReward, TrajectoryBatch,
@@ -157,7 +160,79 @@ def test_sampling_is_seed_deterministic():
     c = sample_trajectories(mdp, sol, 50, seed=10)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
-    assert a.n == 50 and a.seed == 9
+    assert a.n == 50
+
+
+def _reference_sample(mdp, sol, n, seed):
+    # per-step cumsum over the gathered rows, one draw per row
+    def draw(probs, rng):
+        c = np.cumsum(probs, axis=1)
+        u = rng.random((probs.shape[0], 1)) * c[:, -1:]
+        return (c <= u).sum(axis=1)
+
+    rng = np.random.default_rng(seed)
+    states = np.zeros((n, mdp.horizon + 1), dtype=np.int64)
+    states[:, 0] = draw(np.tile(mdp.init_dist, (n, 1)), rng)
+    for t in range(mdp.horizon):
+        s = states[:, t]
+        a = draw(sol.policy[t][s], rng)
+        states[:, t + 1] = draw(mdp.transitions[s, a], rng)
+    return states
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.2])
+@pytest.mark.parametrize("n", [1, 256])
+def test_sampling_equals_the_per_step_cumsum_draws(slip, n):
+    grid = build_gridworld(4, 3, slip_prob=slip, horizon=6)
+    init = np.zeros(grid.n_states)
+    init[[0, 5, 7, 11]] = [0.1, 0.4, 0.2, 0.3]
+    mdp = FiniteMdp(grid.transitions, init, grid.horizon, coords=grid.coords)
+    for seed in range(5):
+        r = np.random.default_rng(seed).normal(size=mdp.n_states)
+        sol = soft_backward(mdp, r, 0.7)
+        batch = sample_trajectories(mdp, sol, n, seed=100 + seed)
+        assert np.array_equal(batch.states,
+                              _reference_sample(mdp, sol, n, 100 + seed))
+
+
+def _reference_solve(mdp, timed, alpha):
+    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
+    policy = np.zeros((mdp.horizon, mdp.n_states, mdp.n_actions))
+    for t in range(mdp.horizon - 1, -1, -1):
+        q = mdp.transitions @ (timed.arrival[t] + soft_v[t + 1])
+        q = q + timed.departure[t][:, None]
+        soft_v[t] = alpha * logsumexp(q / alpha, axis=1)
+        policy[t] = softmax(q / alpha, axis=1)
+    return soft_v, policy
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_soft_backward_matches_a_logsumexp_reference(alpha, scale):
+    # at scale 1e3 and alpha 1e-3, exp(Q / alpha) without the shift overflows
+    mdp = build_gridworld(4, 4, slip_prob=0.2, horizon=8)
+    rng = np.random.default_rng(7)
+    timed = TimedReward(scale * rng.uniform(-1, 1, (8, 16)),
+                        scale * rng.uniform(-1, 1, (8, 16)))
+    v_ref, pi_ref = _reference_solve(mdp, timed, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = soft_backward(mdp, timed, alpha)
+    assert np.abs(sol.soft_v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+    assert np.abs(sol.policy - pi_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_soft_backward_refuses_a_non_finite_reward(bad):
+    mdp = build_gridworld(3, 3, horizon=4)
+    r = np.zeros(9)
+    r[4] = bad
+    with pytest.raises(ValueError, match="reward must be finite"):
+        soft_backward(mdp, r, 1.0)
+    departure = np.zeros((4, 9))
+    departure[2, 1] = bad
+    with pytest.raises(ValueError, match="reward must be finite"):
+        soft_backward(mdp, TimedReward(np.zeros((4, 9)), departure), 1.0)
 
 
 def test_timed_reward_shape_checks():
