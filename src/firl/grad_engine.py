@@ -27,14 +27,13 @@ FD_PARAM_CAP = 256
 
 
 class GradReport:
-    """grad (n_params,), the estimator name, sample count, diagnostics."""
+    """grad (n_params,) and diagnostics; estimator names the route in the
+    error a non-finite gradient raises."""
 
-    def __init__(self, grad, estimator, n_samples=None, diagnostics=None):
+    def __init__(self, grad, estimator, diagnostics=None):
         self.grad = np.asarray(grad, dtype=float)
         if not np.all(np.isfinite(self.grad)):
             raise ValueError("%s produced a non-finite gradient" % estimator)
-        self.estimator = estimator
-        self.n_samples = n_samples
         self.diagnostics = diagnostics or {}
 
 
@@ -104,7 +103,7 @@ def _cov_grad(estimator, states, model, alpha, kind, ratio):
     grad = (a - a.mean()) @ (b - b.mean(axis=0)) / (n - 1) / (alpha * t_hor)
     diag = {"mean_h": float(a.mean() / t_hor),
             "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
-    return GradReport(grad, estimator, n_samples=n, diagnostics=diag)
+    return GradReport(grad, estimator, diagnostics=diag)
 
 
 def analytic_grad_mc(batch, model, alpha, kind, ratio):
@@ -166,7 +165,7 @@ def enumeration_grad(mdp, model, alpha, kind, rho_e, sol=None):
     e_a = probs @ a
     e_b = probs @ b
     grad = (e_ab - e_a * e_b) / (alpha * mdp.horizon)
-    return GradReport(grad, "enumerate", n_samples=len(paths))
+    return GradReport(grad, "enumerate")
 
 
 def _random_instance(rng, index):

@@ -49,17 +49,6 @@ def write_metrics_csv(path, metrics):
     write_lines(path, lines)
 
 
-def read_metrics_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            vals = line.strip().split(",")
-            row = dict(zip(header, (float(v) for v in vals)))
-            rows.append(row)
-    return rows
-
-
 def emit_heatmap(model, mdp, path):
     """Per-state reward table as CSV (state, x, y, reward_value),
     ascending state order, byte-deterministic for fixed inputs."""

@@ -9,13 +9,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .density_ratio import (discriminator_fit, discriminator_ratio, exact_ratio,
                             kde_pair_ratio, sample_states)
 from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
-from .kl_eval import KNN_K, knn_kl, policy_return, states_to_points
+from .kl_eval import KNN_K, CellCloud, knn_kl, policy_return
 from .mdp import reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
@@ -45,7 +46,6 @@ class TrainConfig:
     kde_bandwidth: float = 0.2
     eval_every: int = 1
     eval_expert_samples: int = 10000
-    eval_agent_trajectories: int = 1000
 
     def validate(self):
         for name, choices in (("kind", KINDS), ("estimator", ESTIMATORS),
@@ -70,8 +70,6 @@ class TrainConfig:
             raise ValueError("eval_every must be at least 1")
         if self.eval_expert_samples <= KNN_K:
             raise ValueError("eval_expert_samples must exceed the knn k of %d" % KNN_K)
-        if self.eval_agent_trajectories < 1:
-            raise ValueError("eval_agent_trajectories must be at least 1")
         return self
 
 
@@ -166,7 +164,9 @@ def check_expert_fit(mdp, expert, cfg):
     mode against expert form, mixture against (n, horizon + 1)
     trajectories, density length, normalization (only rkl accepts an
     unnormalized energy), an rkl target's support, expert state indices,
-    and more than KNN_K points in each kNN evaluation cloud. Returns
+    more than KNN_K points in the kNN expert cloud, and disjoint unit
+    cells around mdp.coords, on which the evaluation takes the agent's
+    density as exact. Returns
     (rho_e, expert_flat, expert_data): the ExpertDensity or None, the
     visits after s_0 or None, the classified input."""
     cfg.validate()
@@ -204,12 +204,16 @@ def check_expert_fit(mdp, expert, cfg):
             raise ValueError("expert state index %d is outside 0..%d"
                              % (outside[0], mdp.n_states - 1))
         expert_flat = states[:, 1:].ravel() if form == "trajectories" else states
-    n_expert = cfg.eval_expert_samples if rho_e is not None else expert_flat.size
-    n_agent = cfg.eval_agent_trajectories * mdp.horizon
-    if min(n_expert, n_agent) <= KNN_K:
-        raise ValueError("knn_kl needs more than %d points per cloud: the expert "
-                         "cloud holds %d, eval_agent_trajectories x horizon is %d"
-                         % (KNN_K, n_expert, n_agent))
+        if expert_flat.size <= KNN_K:
+            raise ValueError("knn_kl needs more than %d points: the expert cloud "
+                             "holds %d" % (KNN_K, expert_flat.size))
+    # O(S log S): each centre's nearest other centre in the max norm
+    gap = cKDTree(mdp.coords).query(mdp.coords, k=[2], p=np.inf)[0][:, 0]
+    if gap.min() < 1.0:
+        s = int(np.argmin(gap))
+        raise ValueError("cells overlap: state %d's centre lies %.3g from another "
+                         "in the max norm, and the kNN evaluation needs unit "
+                         "cells that are disjoint" % (s, gap[s]))
     return rho_e, expert_flat, expert_data
 
 
@@ -231,16 +235,17 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
         gt_reward = np.asarray(gt_reward, dtype=float)
 
     ss = np.random.SeedSequence(cfg.seed)
-    rng_batch, rng_expert, rng_eval, rng_mix = [
+    # four children keep rng_mix on the fourth stream; the third is unused
+    rng_batch, rng_expert, _, rng_mix = [
         np.random.default_rng(c) for c in ss.spawn(4)]
 
-    # fixed expert point cloud for the sample-based KL columns
+    # fixed expert cloud for the sample-based KL columns
     if rho_e is not None:
         eval_expert_states = sample_states(rho_e.values, cfg.eval_expert_samples,
                                            rng_expert)
     else:
         eval_expert_states = expert_flat
-    eval_expert_points = states_to_points(mdp, eval_expert_states, seed=rng_expert)
+    expert_cloud = CellCloud(mdp, eval_expert_states, seed=rng_expert)
 
     opt = OptimizerState(cfg.optimizer)
     metrics = []
@@ -277,7 +282,7 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
 
         report = gradient(model)
         metrics.append(_metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report,
-                                   eval_expert_points, rng_eval))
+                                   expert_cloud))
         for k in range(cfg.grad_steps_per_iter):
             if k > 0:
                 report = gradient(model)
@@ -290,7 +295,7 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
     return TrainResult(model, metrics, time.perf_counter() - t0)
 
 
-def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_points, rng_eval):
+def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):
     row = {c: float("nan") for c in METRIC_COLUMNS}
     row["iteration"] = it
     row["grad_norm"] = float(np.linalg.norm(report.grad))
@@ -301,12 +306,6 @@ def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_points, rng_
     if gt_reward is not None:
         row["return"] = policy_return(mdp, sol, gt_reward)
     if it % cfg.eval_every == 0:
-        eval_batch = sample_trajectories(mdp, sol, cfg.eval_agent_trajectories,
-                                         _seed_int(rng_eval))
-        agent_points = states_to_points(mdp, eval_batch.states[:, 1:],
-                                        seed=rng_eval)
-        row["fkl_estimate"] = knn_kl(expert_points, agent_points,
-                                     seed=_seed_int(rng_eval)).value
-        row["rkl_estimate"] = knn_kl(agent_points, expert_points,
-                                     seed=_seed_int(rng_eval)).value
+        row["fkl_estimate"] = knn_kl(expert_cloud, sol.marginal_avg).value
+        row["rkl_estimate"] = knn_kl(sol.marginal_avg, expert_cloud).value
     return row

@@ -4,6 +4,7 @@ CLI commands run in-process through cli_main so exit codes and stdout
 are asserted directly; every run writes under tmp_path via --out.
 """
 
+import csv
 import glob
 import json
 import math
@@ -24,9 +25,13 @@ from firl.mdp import GRID_ACTIONS, build_gridworld
 from firl.reward_model import tabular_reward
 from firl.run_io import (ConfigError, default_out_root, emit_heatmap,
                          fmt_float, load_config, make_run_dir,
-                         read_metrics_csv, validate_config, write_manifest,
-                         write_metrics_csv)
+                         validate_config, write_manifest, write_metrics_csv)
 from firl.trainer import ESTIMATORS, METRIC_COLUMNS, OPTIMIZERS, RATIO_MODES
+
+
+def _read_metrics(path):
+    with open(path) as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def _minimal_cfg(**extra):
@@ -88,7 +93,7 @@ def test_metrics_csv_round_trip_with_nan_holes(tmp_path):
         rows.append(row)
     path = str(tmp_path / "m.csv")
     write_metrics_csv(path, rows)
-    back = read_metrics_csv(path)
+    back = _read_metrics(path)
     assert len(back) == 3
     for orig, rec in zip(rows, back):
         for c in METRIC_COLUMNS:
@@ -168,8 +173,7 @@ def _write_cfg(tmp_path, name, payload):
 _TINY_DENSITY = {
     "schema_version": 1, "seed": 0, "type": "density_matching",
     "name": "tiny", "shape": "uniform", "grid": [3, 3], "horizon": 5,
-    "train": {"iterations": 2, "eval_every": 1, "eval_expert_samples": 100,
-              "eval_agent_trajectories": 20},
+    "train": {"iterations": 2, "eval_every": 1, "eval_expert_samples": 100},
 }
 
 _TINY_IRL = {
@@ -177,7 +181,7 @@ _TINY_IRL = {
     "name": "tiny-irl", "grid": [3, 3], "horizon": 6,
     "n_expert_traj": 4, "pool_size": 20, "gt_reward": {"8": 1.0},
     "train": {"iterations": 3, "batch_size": 16, "eval_every": 3,
-              "eval_expert_samples": 100, "eval_agent_trajectories": 20},
+              "eval_expert_samples": 100},
 }
 
 
@@ -188,10 +192,21 @@ def test_cli_train_writes_a_complete_run(tmp_path, capsys):
     assert os.path.basename(os.path.dirname(run_dir)) == "tiny"
     for name in ("metrics.csv", "reward.json", "heatmap.csv", "manifest.json"):
         assert os.path.exists(os.path.join(run_dir, name))
-    rows = read_metrics_csv(os.path.join(run_dir, "metrics.csv"))
+    rows = _read_metrics(os.path.join(run_dir, "metrics.csv"))
     assert len(rows) == 2 and np.isfinite(rows[-1]["lf_exact"])
     manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert manifest["outputs"] == ["heatmap.csv", "metrics.csv", "reward.json"]
+
+
+def test_cli_refuses_the_evaluation_rollout_count(tmp_path, capsys):
+    # the agent side of the KL columns is exact, so no rollouts are drawn
+    payload = dict(_TINY_DENSITY,
+                   train=dict(_TINY_DENSITY["train"], eval_agent_trajectories=20))
+    cfg = _write_cfg(tmp_path, "d.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "eval_agent_trajectories" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_seed_flag_overrides_the_config(tmp_path, capsys):
@@ -445,7 +460,6 @@ _SMALL_GRID = st.lists(st.integers(1, 3), min_size=2, max_size=2)
 _TRAIN = st.fixed_dictionaries({
     "iterations": st.integers(1, 2),
     "eval_expert_samples": st.integers(4, 40),
-    "eval_agent_trajectories": st.integers(1, 6),
 }, optional={
     "kind": st.sampled_from(KINDS),
     "estimator": st.sampled_from(ESTIMATORS),

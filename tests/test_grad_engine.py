@@ -146,8 +146,6 @@ def test_mc_estimates_the_exact_gradient():
     batch = sample_trajectories(mdp, sol, 50_000, seed=11)
     report = analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
     assert np.linalg.norm(report.grad - ga) / np.linalg.norm(ga) < 0.05
-    assert report.n_samples == 50_000
-    assert report.estimator == "mc"
 
 
 def test_mc_is_exactly_zero_under_a_constant_ratio():
@@ -183,8 +181,6 @@ def test_mixture_is_zero_when_both_sides_repeat_one_path():
     batch = TrajectoryBatch(np.repeat(one, 6, axis=0))
     report = analytic_grad_mixture(batch, batch, model, 1.0, "fkl", ratio)
     assert np.array_equal(report.grad, np.zeros(9))
-    assert report.n_samples == 12
-    assert report.estimator == "mixture"
 
 
 def test_mixture_widens_the_h_sum_range_with_an_off_policy_expert():
@@ -215,7 +211,7 @@ def test_mixture_rejects_mismatched_horizons():
 
 
 def test_grad_report_rejects_non_finite_values():
-    with pytest.raises(ValueError, match="non-finite gradient"):
+    with pytest.raises(ValueError, match="mc produced a non-finite gradient"):
         GradReport(np.array([1.0, np.inf]), "mc")
 
 

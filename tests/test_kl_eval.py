@@ -1,10 +1,14 @@
-"""The k-NN KL sample estimator and expected return."""
+"""The k-NN KL sample estimator, the expert cell cloud, and expected
+return."""
 
 import numpy as np
 import pytest
 
-from firl.kl_eval import knn_kl, policy_return, states_to_points
+from firl.density_ratio import sample_states
+from firl.divergence import divergence_exact
+from firl.kl_eval import CellCloud, knn_kl, policy_return, states_to_points
 from firl.mdp import FiniteMdp, build_gridworld
+from firl.scenarios import gaussian_density
 from firl.soft_solver import forward_marginals, soft_backward
 
 
@@ -49,6 +53,85 @@ def test_knn_sample_count_guards():
         knn_kl(y, np.zeros((2, 2)), k=3)
     with pytest.raises(ValueError, match="matching dimension"):
         knn_kl(np.zeros((10, 2)), np.zeros((10, 3)))
+
+
+def test_two_array_knn_keeps_its_values_bit_for_bit():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(300, 2))
+    y = rng.normal(size=(250, 2)) + np.array([0.5, 0.0])
+    assert knn_kl(x, y, seed=12).value == 0.13790980911169365
+    assert knn_kl(y, x, k=5, seed=13).value == 0.14227363302322718
+    # exact repeats, separated only by the 1e-10 tie-break jitter
+    stacked = np.repeat(np.arange(6.0), 20).reshape(-1, 2)
+    assert knn_kl(stacked, x, seed=14).value == 48.302304152497776
+
+
+# --------------------------------------------------- expert cloud vs exact side
+
+def _gaussian_case(sigma, near, seed):
+    """5x5 grid, T = 40, a centred Gaussian target; the policy is the
+    zero-reward walk or the soft optimum of log rho_e. Returns the
+    target, the policy's marginal and a 10,000-visit expert cloud."""
+    mdp = build_gridworld(5, 5, init_state=0, horizon=40)
+    rho_e = gaussian_density(mdp, (2.5, 2.5), sigma)
+    reward = np.log(rho_e) if near else np.zeros(25)
+    q = forward_marginals(mdp, soft_backward(mdp, reward, 1.0)).marginal_avg
+    rng = np.random.default_rng(seed)
+    cloud = CellCloud(mdp, sample_states(rho_e, 10000, rng), seed=rng)
+    return rho_e, q, cloud
+
+
+@pytest.mark.parametrize("near", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cloud_fkl_tracks_the_exact_divergence_on_a_gaussian(near, seed):
+    # both sides are uniform on the same cells, so the error is the
+    # entropy estimator's bias plus the noise of the expert visits:
+    # within +-0.041 over seeds 0..49 in both cases (exact 0.634, 0.611)
+    rho_e, q, cloud = _gaussian_case(1.0, near, seed)
+    want = divergence_exact("fkl", rho_e, q)
+    assert abs(knn_kl(cloud, q).value - want) < 0.05
+
+
+@pytest.mark.parametrize("near", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cloud_rkl_tracks_the_exact_divergence_without_tiny_mass_cells(near, seed):
+    # sigma 2 leaves every cell at least 2.3% of the expert mass; the
+    # error stayed within +-0.041 over seeds 0..49 (exact 0.235, 0.301).
+    # Cells of tiny expert mass bias it low (see the kl_eval docstring).
+    rho_e, q, cloud = _gaussian_case(2.0, near, seed)
+    want = divergence_exact("rkl", rho_e, q)
+    assert abs(knn_kl(q, cloud).value - want) < 0.05
+
+
+def test_cell_cloud_is_seed_deterministic():
+    mdp = build_gridworld(3, 3, horizon=2)
+    states = np.random.default_rng(15).integers(0, 9, size=200)
+    a, b, c = (CellCloud(mdp, states, seed=s) for s in (16, 16, 17))
+    assert a.entropy == b.entropy
+    assert np.array_equal(a.cell_log_density, b.cell_log_density)
+    assert a.cell_log_density.shape == (9,)
+    assert a.entropy != c.entropy
+
+
+def test_cloud_fkl_is_inf_where_the_policy_never_goes():
+    # from corner 0 in one step the walk reaches 0, 1 and 3 only
+    mdp = build_gridworld(3, 3, init_state=0, horizon=1)
+    q = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0)).marginal_avg
+    assert q[8] == 0.0
+    cloud = CellCloud(mdp, [0, 1, 3, 0, 1, 3, 8], seed=18)
+    assert knn_kl(cloud, q).value == np.inf
+    assert np.isfinite(knn_kl(q, cloud).value)
+    reached = CellCloud(mdp, [0, 1, 3, 0, 1, 3, 1], seed=18)
+    assert np.isfinite(knn_kl(reached, q).value)
+
+
+def test_cell_cloud_guards():
+    mdp = build_gridworld(2, 2, horizon=2)
+    with pytest.raises(ValueError, match="more than k cloud points"):
+        CellCloud(mdp, [0, 1, 2])
+    cloud = CellCloud(mdp, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="cell density has shape"):
+        knn_kl(cloud, np.full(5, 0.2))
 
 
 def test_policy_return_on_a_deterministic_chain():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import firl.trainer
 from firl.divergence import ExpertDensity, divergence_exact
 from firl.grad_engine import analytic_grad_exact
-from firl.mdp import build_gridworld
+from firl.mdp import FiniteMdp, build_gridworld
 from firl.reward_model import tabular_reward
 from firl.soft_solver import (forward_marginals, sample_trajectories,
                               soft_backward)
@@ -147,7 +148,7 @@ def test_config_validation_catches_bad_fields():
         {"optimizer": "sgd"}, {"alpha": 0.0}, {"iterations": 0},
         {"reward_lr": 0.0}, {"grad_steps_per_iter": 0}, {"batch_size": 1},
         {"weight_decay": -0.1}, {"kde_bandwidth": 0.0}, {"eval_every": 0},
-        {"eval_expert_samples": 3}, {"eval_agent_trajectories": 0},
+        {"eval_expert_samples": 3},
     ]
     for bad in cases:
         cfg = TrainConfig(seed=0, **bad)
@@ -159,7 +160,7 @@ def test_config_validation_catches_bad_fields():
 
 def _small_cfg(**kw):
     base = dict(seed=0, iterations=3, reward_lr=0.1, eval_every=1,
-                eval_expert_samples=100, eval_agent_trajectories=30)
+                eval_expert_samples=100)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -254,6 +255,46 @@ def test_eval_every_controls_the_sampled_kl_columns():
     assert all(np.isnan(row["return"]) for row in result.metrics)
 
 
+def test_kl_columns_draw_no_rollouts(monkeypatch):
+    # the agent side of both estimates is the solved marginal itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled trajectories during an exact run")
+
+    monkeypatch.setattr(firl.trainer, "sample_trajectories", refuse)
+    mdp = build_gridworld(3, 3, horizon=4)
+    rho_e = np.random.default_rng(10).dirichlet(np.full(9, 3.0))
+    result = run_firl(mdp, rho_e, _small_cfg(iterations=2))
+    for row in result.metrics:
+        assert np.isfinite(row["fkl_estimate"]) and np.isfinite(row["rkl_estimate"])
+
+
+def test_fkl_estimate_is_inf_like_the_exact_value_off_the_reachable_set():
+    # from corner 0 in two steps the walk never reaches the far corner 8
+    mdp = build_gridworld(3, 3, init_state=0, horizon=2)
+    rho_e = np.full(9, 1.0 / 9.0)
+    result = run_firl(mdp, rho_e, _small_cfg(iterations=1))
+    row = result.metrics[0]
+    assert row["exact_fkl"] == np.inf and row["fkl_estimate"] == np.inf
+    assert np.isfinite(row["rkl_estimate"]) and np.isfinite(row["grad_norm"])
+
+
+def test_overlapping_cells_are_refused():
+    # the evaluation takes the agent's density as exact on disjoint
+    # unit cells; these centres lie 0.6 apart in the max norm
+    P = np.zeros((3, 1, 3))
+    P[:, 0, 1] = 1.0
+    coords = [[0.0, 0.0], [0.6, 0.3], [3.0, 3.0]]
+    mdp = FiniteMdp(P, [1.0, 0.0, 0.0], horizon=2, coords=coords)
+    rho_e = np.array([0.2, 0.6, 0.2])
+    with pytest.raises(ValueError, match="cells overlap: state 0"):
+        check_expert_fit(mdp, rho_e, _small_cfg())
+    # unit spacing, on the default line and on a grid, is accepted
+    line = FiniteMdp(P, [1.0, 0.0, 0.0], horizon=2)
+    assert check_expert_fit(line, rho_e, _small_cfg())[0] is not None
+    grid = build_gridworld(4, 2, horizon=2)
+    assert check_expert_fit(grid, np.full(8, 0.125), _small_cfg())[0] is not None
+
+
 def test_return_column_appears_with_a_ground_truth():
     mdp = build_gridworld(2, 2, horizon=3)
     rho_e = _uniform_marginal(mdp).marginal_avg
@@ -280,12 +321,10 @@ def test_expert_input_and_mode_mismatches_are_rejected():
                  _small_cfg(estimator="mixture", ratio_mode="discriminator"))
     with pytest.raises(ValueError, match="covers 5 states, mdp has 4"):
         run_firl(mdp, np.full(5, 0.2), _small_cfg())
-    # both kNN evaluation clouds need more than KNN_K = 3 points
+    # the kNN expert cloud needs more than KNN_K = 3 points
     with pytest.raises(ValueError, match="expert cloud holds 3"):
         run_firl(mdp, demos[:1], _small_cfg(estimator="mc",
                                             ratio_mode="discriminator"))
-    with pytest.raises(ValueError, match="horizon is 3"):
-        run_firl(mdp, rho_e, _small_cfg(eval_agent_trajectories=1))
     # expert state indices must name states of the mdp
     wrapped = demos.copy()
     wrapped[0, 2] = -1
