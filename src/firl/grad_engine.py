@@ -6,7 +6,8 @@ the summed ratio statistic h_f(u(s_t)) and the summed reward gradient,
 both over t = 1..T (the start state carries no reward). Four
 evaluation routes live here:
 
-  exact      pair occupancies contracted in two O(T S^2) sweeps, no sampling
+  exact      pair occupancies contracted in two O(T S A K) sweeps over P's
+             successor tables (K successors per state-action), no sampling
   mc         sample covariance over policy rollouts
   mixture    sample covariance over pooled agent + resampled expert rollouts
   enumerate  brute-force expectation over every trajectory

@@ -16,12 +16,18 @@ class FiniteMdp:
     the point used for kernels, features and heatmap export; when not
     given, states are laid out on a line with unit spacing.
 
-    Instances are treated as immutable after construction.
+    succ (S, A, K) and probs (S, A, K) are P's successor tables: row
+    (s, a) lists the states with P[s, a, s'] > 0 in increasing index,
+    and their probabilities; K is the most such states in any row, and
+    padded slots hold state 0 with probability 0. A gridworld has
+    K <= 5; a dense P has K = S. transitions, init_dist and coords are
+    read-only copies, so neither the tables nor the checked layout can
+    go stale.
     """
 
     def __init__(self, transitions, init_dist, horizon, coords=None):
-        self.transitions = np.asarray(transitions, dtype=float)
-        self.init_dist = np.asarray(init_dist, dtype=float)
+        self.transitions = _read_only(transitions)
+        self.init_dist = _read_only(init_dist)
         self.horizon = int(horizon)
         if self.transitions.ndim != 3:
             raise ValueError("transitions must have shape (S, A, S), got %r"
@@ -33,8 +39,31 @@ class FiniteMdp:
                 np.arange(self.n_states, dtype=float) + 0.5,
                 np.full(self.n_states, 0.5),
             ])
-        self.coords = np.asarray(coords, dtype=float)
+        self.coords = _read_only(coords)
         validate(self)
+        self.succ, self.probs = _successor_tables(self.transitions)
+
+
+def _read_only(values):
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _successor_tables(P):
+    """(succ, probs) of a validated P in one linear pass: np.nonzero
+    lists each row's non-zeros in increasing index."""
+    n_s, n_a = P.shape[:2]
+    rows = P.reshape(n_s * n_a, n_s)
+    row, col = np.nonzero(rows > 0)
+    counts = np.bincount(row, minlength=n_s * n_a)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    succ = np.zeros((n_s * n_a, counts.max()), dtype=np.int64)
+    probs = np.zeros(succ.shape)
+    succ[row, slot] = col
+    probs[row, slot] = rows[row, col]
+    succ.flags.writeable = probs.flags.writeable = False
+    return succ.reshape(n_s, n_a, -1), probs.reshape(n_s, n_a, -1)
 
 
 def validate(mdp):
@@ -164,4 +193,4 @@ def modify_dynamics(mdp, action_remap=None, slip_override=None):
                 "cannot identify the intended effect of (s=%d, a=%d): "
                 "max transition probability %.3f is not > 0.5" % (s, a, maxp[s, a]))
         P = _rebuild_from_effects(P.argmax(axis=2), slip_override)
-    return FiniteMdp(P, mdp.init_dist.copy(), mdp.horizon, mdp.coords.copy())
+    return FiniteMdp(P, mdp.init_dist, mdp.horizon, mdp.coords)

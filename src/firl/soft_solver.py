@@ -1,15 +1,19 @@
 """Exact finite-horizon soft (maximum-entropy) planning.
 
 Backward recursion gives the soft values and the Boltzmann policy, one
-max-shifted numpy log-sum-exp per step; forward propagation gives the
-step kernels and the state marginals; sampling draws from CDF tables
-built once per call. Reward, finite or refused, is credited on the
-arrival state, so t = 0 earns none and time averages run over 1..T.
+max-shifted numpy log-sum-exp per step. Everything after the solve runs
+over P's successor tables (mdp.succ, mdp.probs; K successors per
+state-action pair): the step kernels are the weights pi_t(a|s) P(s'|s, a)
+in successor form, forward propagation pushes the state marginals
+through them, and sampling draws from CDF tables over each row's
+successors, built once per call. Reward, finite or refused, is credited
+on the arrival state, so t = 0 earns none and time averages run over
+1..T.
 
 pairwise_marginals contracts the exact gradient's pair occupancies in
-two O(T S^2) sweeps over the kernels, never building the dense
+two O(T S A K) sweeps over the kernels, never building the dense
 tables; enumerate_trajectories, its brute-force cross-check, refuses
-beyond a hard cap.
+beyond a hard cap. No (S, S) array is formed per step.
 """
 
 import numpy as np
@@ -46,8 +50,9 @@ def _as_timed(reward, horizon, n_states):
 
 
 class SoftSolution:
-    """policy (T, S, A) and soft_v (T+1, S); the step kernels (T, S, S) and
-    the marginals stay None until forward_marginals, their only filler."""
+    """policy (T, S, A) and soft_v (T+1, S); the step kernels (T, S, A K)
+    in successor form and the marginals stay None until
+    forward_marginals, their only filler."""
 
     def __init__(self, policy, soft_v):
         self.policy = policy
@@ -64,31 +69,45 @@ def soft_backward(mdp, reward, alpha=1.0):
         raise ValueError("alpha must be positive")
     timed = _as_timed(reward, mdp.horizon, mdp.n_states)
     soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
-    policy = np.zeros((mdp.horizon, mdp.n_states, mdp.n_actions))
+    policy = np.empty((mdp.horizon, mdp.n_states, mdp.n_actions))
+    totals = np.empty((mdp.horizon, mdp.n_states))
     for t in range(mdp.horizon - 1, -1, -1):
         q = mdp.transitions @ (timed.arrival[t] + soft_v[t + 1])
         z = (q + timed.departure[t][:, None]) / alpha
         top = z.max(axis=1)
-        e = np.exp(z - top[:, None])
-        soft_v[t] = alpha * (top + np.log(e.sum(axis=1)))
-        policy[t] = e / e.sum(axis=1, keepdims=True)
+        e = np.exp(z - top[:, None], out=policy[t])
+        totals[t] = e.sum(axis=1)
+        soft_v[t] = alpha * (top + np.log(totals[t]))
+    policy /= totals[..., None]
     return SoftSolution(policy, soft_v)
 
 
-def step_kernel(mdp, sol, t):
-    """State-to-state transition under the step-t policy, shape (S, S)."""
-    return np.einsum("ia,iaj->ij", sol.policy[t], mdp.transitions)
+def step_kernel(mdp, sol):
+    """Every step's state-to-state kernel in successor form, (T, S, A K):
+    entry [t, s, a K + k] is pi_t(a|s) P(succ[s, a, k] | s, a), so the
+    dense K_t[s, s'] is the sum of row s's weights at successor s'. A
+    dense P has K = S, and the weights then take T A S^2 floats."""
+    weights = sol.policy[..., None] * mdp.probs
+    return weights.reshape(mdp.horizon, mdp.n_states, -1)
+
+
+def _push(succ, x, weights):
+    """Row vector x (S,) times one step's kernel, given as (S, A K)
+    successors and weights: the sums of x[s] times row s's weights at
+    their successors."""
+    return np.bincount(succ.ravel(), x.repeat(succ.shape[1]) * weights.ravel(),
+                       minlength=len(x))
 
 
 def forward_marginals(mdp, sol):
-    """Fill sol.kernels (T, S, S), sol.marginals_t (T+1, S) with
+    """Fill sol.kernels (T, S, A K), sol.marginals_t (T+1, S) with
     rho_0..rho_T and sol.marginal_avg with mean rho_1..rho_T; returns sol."""
+    succ = mdp.succ.reshape(mdp.n_states, -1)
+    kernels = step_kernel(mdp, sol)
     rho = np.zeros((mdp.horizon + 1, mdp.n_states))
     rho[0] = mdp.init_dist
-    kernels = np.empty((mdp.horizon, mdp.n_states, mdp.n_states))
     for t in range(mdp.horizon):
-        kernels[t] = step_kernel(mdp, sol, t)
-        rho[t + 1] = rho[t] @ kernels[t]
+        rho[t + 1] = _push(succ, rho[t], kernels[t])
     sol.marginals_t = rho
     sol.kernels = kernels
     sol.marginal_avg = rho[1:].mean(axis=0)
@@ -101,12 +120,16 @@ def pairwise_marginals(mdp, sol, h):
     bwd = sum P_{t,t'} h, each (S,), from a forward and a backward sweep.
     """
     rho, kernels = sol.marginals_t, sol.kernels
+    succ = mdp.succ.reshape(mdp.n_states, -1)
     c, b, fwd, bwd = np.zeros((4, mdp.n_states))
     for t in range(1, mdp.horizon):
-        c = (c + h * rho[t]) @ kernels[t]
+        c = _push(succ, c + h * rho[t], kernels[t])
         fwd += c
+    # a matvec with ones sums the rows with less per-call overhead than
+    # .sum(axis=1) at small S
+    ones = np.ones(succ.shape[1])
     for t in range(mdp.horizon - 1, 0, -1):
-        b = kernels[t] @ (h + b)
+        b = (kernels[t] * (h + b)[succ]) @ ones
         bwd += rho[t] * b
     return fwd, bwd
 
@@ -124,27 +147,29 @@ class TrajectoryBatch:
         return self.states.shape[0]
 
 
-def _draw(cdf, rng):
-    """One categorical draw per row of a (n, k) table of cumulative sums:
-    the first entry above u, which a row has because u < its last entry."""
-    u = rng.random((cdf.shape[0], 1)) * cdf[:, -1:]
-    return (cdf > u).argmax(axis=1)
+def _draw(cdf, u):
+    """One categorical draw per row of a (n, k) table of cumulative sums,
+    given (n, 1) uniforms: the first entry above u times the row's last
+    entry, which a row has because u < 1."""
+    return (cdf > u * cdf[:, -1:]).argmax(axis=1)
 
 
 def sample_trajectories(mdp, sol, n, seed):
     """n rollouts of the solved policy, deterministic in seed. np.cumsum adds
-    in row order, so CDFs built once draw as a per-step cumsum would."""
+    in row order and adding 0.0 is exact, so CDFs built once over each
+    row's successors draw as a per-step cumsum over the dense row would,
+    and the 2T+1 uniform blocks come from one call in the same stream."""
     if n < 1:
         raise ValueError("need at least one trajectory")
-    rng = np.random.default_rng(seed)
+    u = np.random.default_rng(seed).random((2 * mdp.horizon + 1, n, 1))
     policy_cdf = np.cumsum(sol.policy, axis=2)
-    step_cdf = np.cumsum(mdp.transitions, axis=2)
+    step_cdf = np.cumsum(mdp.probs, axis=2)
     states = np.zeros((n, mdp.horizon + 1), dtype=np.int64)
-    states[:, 0] = _draw(np.tile(np.cumsum(mdp.init_dist), (n, 1)), rng)
+    states[:, 0] = _draw(np.cumsum(mdp.init_dist)[None], u[0])
     for t in range(mdp.horizon):
         s = states[:, t]
-        a = _draw(policy_cdf[t, s], rng)
-        states[:, t + 1] = _draw(step_cdf[s, a], rng)
+        a = _draw(policy_cdf[t, s], u[2 * t + 1])
+        states[:, t + 1] = mdp.succ[s, a, _draw(step_cdf[s, a], u[2 * t + 2])]
     return TrajectoryBatch(states)
 
 
@@ -159,13 +184,17 @@ def enumerate_trajectories(mdp, sol):
     if total > ENUMERATION_CAP:
         raise ValueError("enumeration of %d sequences exceeds the cap of %d"
                          % (total, ENUMERATION_CAP))
+    n_s = mdp.n_states
+    succ = mdp.succ.reshape(n_s, -1)
     keep = mdp.init_dist > 0
     paths = np.nonzero(keep)[0][:, None].astype(np.int64)
     probs = mdp.init_dist[keep]
     for t in range(mdp.horizon):
-        step = sol.kernels[t][paths[:, -1]]         # (m, S)
-        m, n_s = step.shape
-        flat = (probs[:, None] * step).ravel()
+        ends = paths[:, -1]
+        m = len(ends)
+        cells = (np.arange(m)[:, None] * n_s + succ[ends]).ravel()
+        step = np.bincount(cells, sol.kernels[t][ends].ravel(), minlength=m * n_s)
+        flat = probs.repeat(n_s) * step
         keep = flat > 0
         idx = np.nonzero(keep)[0]
         paths = np.column_stack([paths[idx // n_s],

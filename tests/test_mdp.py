@@ -66,17 +66,49 @@ def test_default_coords_lay_states_on_a_line():
 
 def test_validate_rejects_bad_row_sum():
     mdp = build_gridworld(2, 2, horizon=2)
-    mdp.transitions[1, 0] *= 0.5
+    P = mdp.transitions.copy()
+    P[1, 0] *= 0.5
     with pytest.raises(ValueError, match=r"\(s=1, a=0\) sums to"):
-        validate(mdp)
+        FiniteMdp(P, mdp.init_dist, mdp.horizon)
 
 
 def test_validate_rejects_negative_probability():
     mdp = build_gridworld(2, 2, horizon=2)
-    mdp.transitions[0, 1, 0] -= 2.0
-    mdp.transitions[0, 1, 1] += 2.0
+    P = mdp.transitions.copy()
+    P[0, 1, 0] -= 2.0
+    P[0, 1, 1] += 2.0
     with pytest.raises(ValueError, match="negative transition"):
-        validate(mdp)
+        FiniteMdp(P, mdp.init_dist, mdp.horizon)
+
+
+def test_the_mdp_owns_read_only_copies_of_its_arrays():
+    grid = build_gridworld(2, 2, horizon=2)
+    P, coords = grid.transitions.copy(), grid.coords.copy()
+    init = np.array([1.0, 0.0, 0.0, 0.0])
+    mdp = FiniteMdp(P, init, 2, coords)
+    P[0, 0] = 0.25
+    init[:] = 0.25
+    coords[1] = coords[0]
+    assert mdp.transitions[0, 0, 1] == 1.0 and mdp.init_dist[0] == 1.0
+    assert np.array_equal(mdp.coords, grid.coords)
+    for values in (mdp.transitions, mdp.init_dist, mdp.coords, mdp.succ, mdp.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.3])
+def test_successor_tables_list_every_non_zero_in_index_order(slip):
+    mdp = build_gridworld(4, 3, slip_prob=slip, horizon=2)
+    want = 1 if slip == 0.0 else 5
+    assert mdp.succ.shape == mdp.probs.shape == (12, 5, want)
+    for s in range(mdp.n_states):
+        for a in range(mdp.n_actions):
+            row = mdp.transitions[s, a]
+            nz = np.nonzero(row)[0]
+            k = len(nz)
+            assert np.array_equal(mdp.succ[s, a, :k], nz)
+            assert np.array_equal(mdp.probs[s, a, :k], row[nz])
+            assert np.all(mdp.probs[s, a, k:] == 0.0)
 
 
 def test_validate_rejects_bad_init_dist():

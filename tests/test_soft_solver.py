@@ -1,12 +1,15 @@
 """Soft backward recursion, forward marginals, and trajectory machinery."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
 
+from firl.grad_engine import analytic_grad_exact
 from firl.mdp import FiniteMdp, build_gridworld
+from firl.reward_model import apply_update, tabular_reward
 from firl.soft_solver import (TimedReward, TrajectoryBatch,
                               enumerate_trajectories, forward_marginals,
                               pairwise_marginals, sample_trajectories,
@@ -91,8 +94,52 @@ def test_marginals_rows_are_distributions():
 def test_step_kernel_rows_are_distributions():
     mdp, rng = _random_mdp(5, 2, 3, seed=1)
     sol = soft_backward(mdp, rng.normal(size=5), 1.0)
+    kernels = step_kernel(mdp, sol)
+    assert kernels.shape == (3, 5, 2 * 5)
+    assert np.allclose(kernels.sum(axis=2), 1.0, atol=1e-12)
+
+
+def _dense_kernels(mdp, kernels):
+    # scatter the weights in (t, s, a, k) order into (T, S, S)
+    n_t, n_s = kernels.shape[:2]
+    rows = np.arange(n_t * n_s).reshape(n_t, n_s, 1)
+    cells = rows * n_s + mdp.succ.reshape(n_s, -1)
+    dense = np.bincount(cells.ravel(), kernels.ravel(), minlength=n_t * n_s * n_s)
+    return dense.reshape(n_t, n_s, n_s)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_gridworld(4, 3, horizon=5),
+    lambda: build_gridworld(4, 3, slip_prob=0.2, horizon=5),
+    lambda: _random_mdp(6, 3, 5, seed=8)[0]])    # dense P, spread init_dist
+def test_successor_kernels_scatter_to_the_dense_einsum(make):
+    mdp = make()
+    rng = np.random.default_rng(9)
+    sol = forward_marginals(mdp, soft_backward(mdp, rng.normal(size=mdp.n_states), 0.7))
+    want = np.stack([np.einsum("ia,iaj->ij", sol.policy[t], mdp.transitions)
+                     for t in range(mdp.horizon)])
+    assert np.array_equal(_dense_kernels(mdp, sol.kernels), want)
+    rho = [mdp.init_dist]
     for t in range(mdp.horizon):
-        assert np.allclose(step_kernel(mdp, sol, t).sum(axis=1), 1.0, atol=1e-12)
+        rho.append(rho[-1] @ want[t])
+    assert np.abs(sol.marginals_t - np.array(rho)).max() < 1e-15
+
+
+def test_the_exact_gradient_path_stores_no_dense_kernels():
+    # a (T, S, S) kernel store alone would take 40 * 225^2 * 8 bytes = 16.2 MB
+    mdp = build_gridworld(15, 15, slip_prob=0.1, horizon=40)
+    rng = np.random.default_rng(10)
+    model = apply_update(tabular_reward(mdp.n_states), rng.normal(size=mdp.n_states))
+    rho_e = rng.dirichlet(np.ones(mdp.n_states))
+    sol = soft_backward(mdp, model.params, 1.0)
+    tracemalloc.start()
+    try:
+        forward_marginals(mdp, sol)
+        analytic_grad_exact(mdp, model, 1.0, "fkl", rho_e=rho_e, sol=sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_pairwise_diagonal_blocks_match_marginals():
