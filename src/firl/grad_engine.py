@@ -180,11 +180,7 @@ def _random_instance(rng, index):
     n_s = int(rng.integers(2, 7))
     n_a = int(rng.integers(2, 4))
     horizon = int(rng.integers(2, 6))
-    dest = rng.integers(0, n_s, size=(n_s, n_a))
-    transitions = np.zeros((n_s, n_a, n_s))
-    for s in range(n_s):
-        for a in range(n_a):
-            transitions[s, a, dest[s, a]] = 1.0
+    transitions = np.eye(n_s)[rng.integers(0, n_s, size=(n_s, n_a))]
     s0 = int(rng.integers(0, n_s))
     init = np.zeros(n_s)
     init[s0] = 1.0

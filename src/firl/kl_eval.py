@@ -20,6 +20,13 @@ lies in other cells, so L_E overstates the expert density and the
 estimate falls far below the exact value (15x15 grid, sigma-1
 Gaussian, zero reward: exact 29.6, estimate 8.4). The estimate from
 two sampled clouds has the same limit (8.3 there).
+
+Both values carry the bias of the k-NN estimates H_E and L_E, so they
+cannot resolve a divergence below about 0.01 and can read below zero.
+On the seed-0 gaussian_fkl scenario, from iteration 100 on, the
+forward estimate reads -0.004 to -0.006 while the exact forward KL
+falls from 0.0015 to 0.0003; on irl_traj16, whose cloud is 320 demo
+visits, it reads -0.04 to -0.08 after iteration 0.
 """
 
 import numpy as np

@@ -126,21 +126,15 @@ def build_gridworld(width, height, slip_prob=0.0, init_state=0, horizon=10):
     n = width * height
     if not 0 <= init_state < n:
         raise ValueError("init_state %d outside [0, %d)" % (init_state, n))
-    na = len(GRID_DELTAS)
-    dest = np.empty((n, na), dtype=int)
-    for s in range(n):
-        x, y = s % width, s // width
-        for a, (dx, dy) in enumerate(GRID_DELTAS):
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height:
-                dest[s, a] = ny * width + nx
-            else:
-                dest[s, a] = s
+    states = np.arange(n)
+    xs, ys = states % width, states // width
+    dx, dy = np.array(GRID_DELTAS).T
+    nx, ny = xs[:, None] + dx, ys[:, None] + dy
+    inside = (0 <= nx) & (nx < width) & (0 <= ny) & (ny < height)
+    dest = np.where(inside, ny * width + nx, states[:, None])
     P = _rebuild_from_effects(dest, slip_prob)
     init = np.zeros(n)
     init[init_state] = 1.0
-    xs = np.arange(n) % width
-    ys = np.arange(n) // width
     coords = np.column_stack([xs + 0.5, ys + 0.5]).astype(float)
     return FiniteMdp(P, init, horizon, coords)
 
@@ -149,16 +143,18 @@ def _rebuild_from_effects(dest, slip_prob):
     """Transition table from per-(s, a) intended destinations.
 
     Slip mass lands on the other actions' destinations; collisions
-    (several actions leading to the same cell) simply accumulate.
+    (several actions leading to the same cell) simply accumulate, each
+    cell taking its intended mass first and then the slips of actions
+    b = 0, 1, ... in turn.
     """
     n, na = dest.shape
     P = np.zeros((n, na, n))
-    for s in range(n):
-        for a in range(na):
-            P[s, a, dest[s, a]] += 1.0 - slip_prob
-            for b in range(na):
-                if b != a:
-                    P[s, a, dest[s, b]] += slip_prob / (na - 1)
+    s, a = np.indices((n, na))
+    P[s, a, dest] = 1.0 - slip_prob
+    for b in range(na):
+        # no (s, a) repeats within one statement, so += adds every share
+        others = a[0] != b
+        P[s[:, others], a[:, others], dest[:, b, None]] += slip_prob / (na - 1)
     return P
 
 

@@ -13,11 +13,9 @@ class RewardModel:
     """kind 'tabular' | 'mlp'; params is the flat theta vector.
 
     The mlp kind evaluates on a fixed per-state feature matrix.
-    clamp, when set to (lo, hi), hard-clips the output and zeroes the
-    gradient wherever the raw output saturates.
     """
 
-    def __init__(self, kind, params, features=None, clamp=None, hidden=None):
+    def __init__(self, kind, params, features=None, hidden=None):
         if kind not in ("tabular", "mlp"):
             raise ValueError("unknown reward kind %r" % (kind,))
         self.kind = kind
@@ -27,12 +25,6 @@ class RewardModel:
         self.features = None if features is None else np.asarray(features, dtype=float)
         if kind == "mlp" and self.features is None:
             raise ValueError("mlp rewards need a feature matrix")
-        if clamp is not None:
-            lo, hi = float(clamp[0]), float(clamp[1])
-            if not lo < hi:
-                raise ValueError("clamp range must satisfy lo < hi")
-            clamp = (lo, hi)
-        self.clamp = clamp
         self.hidden = None if hidden is None else tuple(int(h) for h in hidden)
         if kind == "mlp":
             if self.hidden is None or len(self.hidden) != 2:
@@ -63,12 +55,12 @@ def default_features(mdp):
     return np.column_stack([xy, np.ones(len(xy))])
 
 
-def tabular_reward(n_states, clamp=None):
+def tabular_reward(n_states):
     """One parameter per state, initialized to zero."""
-    return RewardModel("tabular", np.zeros(n_states), clamp=clamp)
+    return RewardModel("tabular", np.zeros(n_states))
 
 
-def mlp_reward(features, hidden=(64, 64), seed=0, clamp=None):
+def mlp_reward(features, hidden=(64, 64), seed=0):
     """Two tanh hidden layers on the feature matrix.
 
     Weights start symmetric uniform scaled by 1/sqrt(fan_in) from the
@@ -82,7 +74,7 @@ def mlp_reward(features, hidden=(64, 64), seed=0, clamp=None):
     for fan_in, fan_out in ((f, h1), (h1, h2), (h2, 1)):
         parts.append(rng.uniform(-1.0, 1.0, size=fan_in * fan_out) / np.sqrt(fan_in))
         parts.append(np.zeros(fan_out))
-    return RewardModel("mlp", np.concatenate(parts), features, clamp=clamp, hidden=hidden)
+    return RewardModel("mlp", np.concatenate(parts), features, hidden=hidden)
 
 
 def _mlp_unpack(model):
@@ -106,51 +98,34 @@ def _mlp_forward(model):
     return a1, a2, a2 @ w3 + b3
 
 
-def _raw_reward(model):
+def reward_vector(model):
+    """r_theta at every state; a plain per-state vector passes through
+    as floats."""
+    if not isinstance(model, RewardModel):
+        return np.asarray(model, dtype=float)
     if model.kind == "tabular":
         return model.params.copy()
     return _mlp_forward(model)[2]
 
 
-def reward_vector(model):
-    """r_theta at every state, clamped if configured; a plain per-state
-    vector passes through as floats."""
-    if not isinstance(model, RewardModel):
-        return np.asarray(model, dtype=float)
-    raw = _raw_reward(model)
-    if model.clamp is not None:
-        raw = np.clip(raw, model.clamp[0], model.clamp[1])
-    return raw
-
-
 def reward_jacobian(model):
-    """d r_theta(s) / d theta for every state, shape (S, n_params).
-
-    Rows are zeroed where a configured clamp saturates.
-    """
+    """d r_theta(s) / d theta for every state, shape (S, n_params)."""
     if model.kind == "tabular":
-        jac = np.eye(len(model.params))
-    else:
-        x = model.features
-        w1, b1, w2, b2, w3, b3 = _mlp_unpack(model)
-        a1, a2, _ = _mlp_forward(model)
-        d2 = (1.0 - a2 * a2) * w3            # (S, h2)
-        d1 = (d2 @ w2.T) * (1.0 - a1 * a1)   # (S, h1)
-        s = x.shape[0]
-        jac = np.concatenate([
-            np.einsum("sf,sh->sfh", x, d1).reshape(s, -1),
-            d1,
-            np.einsum("sg,sh->sgh", a1, d2).reshape(s, -1),
-            d2,
-            a2,
-            np.ones((s, 1)),
-        ], axis=1)
-    if model.clamp is not None:
-        raw = _raw_reward(model)
-        saturated = (raw < model.clamp[0]) | (raw > model.clamp[1])
-        jac = jac.copy()
-        jac[saturated] = 0.0
-    return jac
+        return np.eye(len(model.params))
+    x = model.features
+    w1, b1, w2, b2, w3, b3 = _mlp_unpack(model)
+    a1, a2, _ = _mlp_forward(model)
+    d2 = (1.0 - a2 * a2) * w3            # (S, h2)
+    d1 = (d2 @ w2.T) * (1.0 - a1 * a1)   # (S, h1)
+    s = x.shape[0]
+    return np.concatenate([
+        np.einsum("sf,sh->sfh", x, d1).reshape(s, -1),
+        d1,
+        np.einsum("sg,sh->sgh", a1, d2).reshape(s, -1),
+        d2,
+        a2,
+        np.ones((s, 1)),
+    ], axis=1)
 
 
 def apply_update(model, delta):
@@ -160,22 +135,26 @@ def apply_update(model, delta):
         raise ValueError("delta has length %d, params have %d"
                          % (len(delta), len(model.params)))
     return RewardModel(model.kind, model.params + delta, model.features,
-                       clamp=model.clamp, hidden=model.hidden)
+                       hidden=model.hidden)
 
 
 def reward_to_dict(model):
-    """JSON-ready description: kind, params, features, clamp, hidden."""
+    """JSON-ready description: kind, params, features, hidden."""
     return {
         "kind": model.kind,
         "params": model.params.tolist(),
-        "clamp": list(model.clamp) if model.clamp is not None else None,
         "hidden": list(model.hidden) if model.hidden is not None else None,
         "features": model.features.tolist() if model.features is not None else None,
     }
 
 
 def reward_from_dict(d):
-    clamp = tuple(d["clamp"]) if d.get("clamp") else None
+    """Inverse of reward_to_dict. Rewards have no output clamp: older
+    files carry "clamp": null and load, and one that sets a clamp is
+    refused, because loading it unclamped would change the reward."""
+    if d.get("clamp") is not None:
+        raise ValueError("rewards have no output clamp, but the file sets "
+                         "clamp %r" % (d["clamp"],))
     hidden = tuple(d["hidden"]) if d.get("hidden") else None
     return RewardModel(d["kind"], np.asarray(d["params"], dtype=float),
-                       features=d.get("features"), clamp=clamp, hidden=hidden)
+                       features=d.get("features"), hidden=hidden)

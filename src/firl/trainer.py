@@ -1,5 +1,6 @@
 """Reward learning loop: solve the soft MDP for the current reward,
-estimate the density ratio, take covariance gradient steps, repeat.
+estimate the density ratio, take one Adam step on the covariance
+gradient, repeat.
 
 Also home to the two reward-shaping constructions (potential shaping
 and a potential-shaped prior bonus) and the optimizer.
@@ -24,7 +25,6 @@ from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
 
 ESTIMATORS = ("exact", "mc", "mixture")
 RATIO_MODES = ("exact_table", "kde_pair", "discriminator")
-OPTIMIZERS = ("adam", "plain")
 
 METRIC_COLUMNS = ("iteration", "fkl_estimate", "rkl_estimate", "exact_fkl",
                   "exact_rkl", "return", "lf_exact", "grad_norm")
@@ -37,19 +37,16 @@ class TrainConfig:
     alpha: float = 1.0
     iterations: int = 100
     reward_lr: float = 1e-3
-    grad_steps_per_iter: int = 1
     estimator: str = "exact"
     batch_size: int = 64
     ratio_mode: str = "exact_table"
-    optimizer: str = "adam"
-    weight_decay: float = 0.0
     kde_bandwidth: float = 0.2
     eval_every: int = 1
     eval_expert_samples: int = 10000
 
     def validate(self):
         for name, choices in (("kind", KINDS), ("estimator", ESTIMATORS),
-                              ("ratio_mode", RATIO_MODES), ("optimizer", OPTIMIZERS)):
+                              ("ratio_mode", RATIO_MODES)):
             if getattr(self, name) not in choices:
                 raise ValueError("%s must be one of %r" % (name, choices))
         if not self.alpha > 0:
@@ -58,12 +55,8 @@ class TrainConfig:
             raise ValueError("iterations must be at least 1")
         if not self.reward_lr > 0:
             raise ValueError("reward_lr must be positive")
-        if self.grad_steps_per_iter < 1:
-            raise ValueError("grad_steps_per_iter must be at least 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
         if not self.kde_bandwidth > 0:
             raise ValueError("kde_bandwidth must be positive")
         if self.eval_every < 1:
@@ -74,21 +67,18 @@ class TrainConfig:
 
 
 class OptimizerState:
-    def __init__(self, kind):
-        if kind not in OPTIMIZERS:
-            raise ValueError("optimizer must be one of %r" % (OPTIMIZERS,))
-        self.kind = kind
+    """Adam's step count and first and second moments."""
+
+    def __init__(self):
         self.step = 0
         self.m = None
         self.v = None
 
 
-def optimizer_step(state, params, grad, lr):
-    """One descent update; returns (state, delta) with params + delta
-    the new point. adam uses bias-corrected moments, plain is -lr g."""
+def optimizer_step(state, grad, lr):
+    """One Adam update with bias-corrected moments; returns (state, delta)
+    with params + delta the new point."""
     grad = np.asarray(grad, dtype=float)
-    if state.kind == "plain":
-        return state, -lr * grad
     b1, b2, eps = 0.9, 0.999, 1e-8
     if state.m is None:
         state.m = np.zeros_like(grad)
@@ -247,7 +237,7 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
         eval_expert_states = expert_flat
     expert_cloud = CellCloud(mdp, eval_expert_states, seed=rng_expert)
 
-    opt = OptimizerState(cfg.optimizer)
+    opt = OptimizerState()
     metrics = []
     needs_batch = (cfg.estimator in ("mc", "mixture")
                    or cfg.ratio_mode in ("kde_pair", "discriminator"))
@@ -258,39 +248,31 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
         if needs_batch:
             batch = sample_trajectories(mdp, sol, cfg.batch_size, _seed_int(rng_batch))
 
-        if cfg.ratio_mode == "exact_table":
-            ratio = exact_ratio(rho_e, sol.marginal_avg)
-        elif cfg.ratio_mode == "kde_pair":
+        ratio = None
+        if cfg.ratio_mode == "kde_pair":
             ratio = kde_pair_ratio(mdp, expert_flat, batch.states[:, 1:].ravel(),
                                    bandwidth=cfg.kde_bandwidth,
                                    seed=_seed_int(rng_batch))
-        else:
+        elif cfg.ratio_mode == "discriminator":
             ratio = discriminator_ratio(discriminator_fit(
                 expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
+        elif cfg.estimator != "exact":
+            # the exact gradient forms its own h from rho_e
+            ratio = exact_ratio(rho_e, sol.marginal_avg)
 
-        def gradient(m):
-            if cfg.estimator == "exact":
-                if cfg.ratio_mode == "exact_table":
-                    return analytic_grad_exact(mdp, m, cfg.alpha, cfg.kind,
-                                               rho_e=rho_e, sol=sol)
-                return analytic_grad_exact(mdp, m, cfg.alpha, cfg.kind,
-                                           ratio=ratio, sol=sol)
-            if cfg.estimator == "mc":
-                return analytic_grad_mc(batch, m, cfg.alpha, cfg.kind, ratio)
-            return analytic_grad_mixture(batch, expert_data, m, cfg.alpha,
-                                         cfg.kind, ratio, seed=_seed_int(rng_mix))
-
-        report = gradient(model)
+        if cfg.estimator == "exact":
+            # rho_e is set on the exact_table route only
+            report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind,
+                                         rho_e=rho_e, ratio=ratio, sol=sol)
+        elif cfg.estimator == "mc":
+            report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
+        else:
+            report = analytic_grad_mixture(batch, expert_data, model, cfg.alpha,
+                                           cfg.kind, ratio, seed=_seed_int(rng_mix))
         metrics.append(_metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report,
                                    expert_cloud))
-        for k in range(cfg.grad_steps_per_iter):
-            if k > 0:
-                report = gradient(model)
-            grad = report.grad
-            if cfg.weight_decay > 0:
-                grad = grad + cfg.weight_decay * model.params
-            opt, delta = optimizer_step(opt, model.params, grad, cfg.reward_lr)
-            model = apply_update(model, delta)
+        opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
+        model = apply_update(model, delta)
 
     return TrainResult(model, metrics, time.perf_counter() - t0)
 

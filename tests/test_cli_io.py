@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
@@ -26,7 +27,7 @@ from firl.reward_model import tabular_reward
 from firl.run_io import (ConfigError, default_out_root, emit_heatmap,
                          fmt_float, load_config, make_run_dir,
                          validate_config, write_manifest, write_metrics_csv)
-from firl.trainer import ESTIMATORS, METRIC_COLUMNS, OPTIMIZERS, RATIO_MODES
+from firl.trainer import ESTIMATORS, METRIC_COLUMNS, RATIO_MODES, TrainConfig
 
 
 def _read_metrics(path):
@@ -60,6 +61,8 @@ def test_schema_accepts_a_minimal_density_config():
     lambda c: c.update(train={"kind": "tv"}),
     lambda c: c.update(train={"optimizer": "sgd"}),
     lambda c: c.update(train={"iterations": 2.0}),
+    lambda c: c.update(train={"grad_steps_per_iter": 1}),
+    lambda c: c.update(train={"weight_decay": 0.0}),
 ])
 def test_schema_rejects_malformed_configs(breakage):
     cfg = _minimal_cfg()
@@ -457,22 +460,28 @@ def test_cli_eval_rejects_a_train_config(tmp_path, capsys):
 
 _SMALL_GRID = st.lists(st.integers(1, 3), min_size=2, max_size=2)
 
-_TRAIN = st.fixed_dictionaries({
+_TRAIN_REQUIRED = {
     "iterations": st.integers(1, 2),
     "eval_expert_samples": st.integers(4, 40),
-}, optional={
+}
+_TRAIN_OPTIONAL = {
     "kind": st.sampled_from(KINDS),
     "estimator": st.sampled_from(ESTIMATORS),
     "ratio_mode": st.sampled_from(RATIO_MODES),
-    "optimizer": st.sampled_from(OPTIMIZERS),
     "alpha": st.floats(0.1, 3.0),
     "reward_lr": st.floats(1e-3, 1.0),
-    "grad_steps_per_iter": st.integers(1, 2),
     "batch_size": st.integers(2, 16),
-    "weight_decay": st.floats(0.0, 1.0),
     "kde_bandwidth": st.floats(0.1, 2.0),
     "eval_every": st.integers(1, 2),
-})
+}
+_TRAIN = st.fixed_dictionaries(_TRAIN_REQUIRED, optional=_TRAIN_OPTIONAL)
+
+
+def test_the_run_property_draws_every_train_field():
+    # the seed comes from the top level of the config
+    drawn = set(_TRAIN_REQUIRED) | set(_TRAIN_OPTIONAL)
+    assert drawn == {f.name for f in fields(TrainConfig)} - {"seed"}
+
 
 _DENSITY = st.fixed_dictionaries({
     "type": st.just("density_matching"),

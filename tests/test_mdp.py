@@ -162,6 +162,40 @@ def test_slip_override_matches_direct_build():
     assert np.allclose(mdp.transitions, direct.transitions, atol=1e-12)
 
 
+def _loop_reference(width, height, slip):
+    # cell by cell, intended effect first, then the other actions' slips
+    # in action order
+    n, na = width * height, len(GRID_ACTIONS)
+    P = np.zeros((n, na, n))
+    for s in range(n):
+        x, y = s % width, s // width
+        dest = []
+        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)):
+            nx, ny = x + dx, y + dy
+            inside = 0 <= nx < width and 0 <= ny < height
+            dest.append(ny * width + nx if inside else s)
+        for a in range(na):
+            P[s, a, dest[a]] += 1.0 - slip
+            for b in range(na):
+                if b != a:
+                    P[s, a, dest[b]] += slip / (na - 1)
+    return P
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (4, 3), (5, 5),
+                                           (7, 2), (15, 15)])
+def test_transitions_equal_a_per_cell_loop_bit_for_bit(width, height):
+    for slip in (0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.7):
+        want = _loop_reference(width, height, slip)
+        got = build_gridworld(width, height, slip_prob=slip, horizon=2)
+        assert got.transitions.tobytes() == want.tobytes()
+        if slip < 0.5:
+            # the rebuild reads each row's intended effect back from its argmax
+            base = build_gridworld(width, height, slip_prob=0.2, horizon=2)
+            moved = modify_dynamics(base, slip_override=slip)
+            assert moved.transitions.tobytes() == want.tobytes()
+
+
 def test_slip_override_needs_a_clear_intended_effect():
     noisy = build_gridworld(3, 3, slip_prob=0.55, horizon=2)
     with pytest.raises(ValueError, match="not > 0.5"):

@@ -66,23 +66,6 @@ def test_mlp_seed_determinism():
     assert not np.array_equal(a.params, c.params)
 
 
-def test_clamp_clips_output_and_zeroes_gradient():
-    model = tabular_reward(3, clamp=(-1.0, 1.0))
-    model = apply_update(model, np.array([0.5, 2.0, -3.0]))
-    assert np.array_equal(reward_vector(model), [0.5, 1.0, -1.0])
-    jac = reward_jacobian(model)
-    assert np.array_equal(jac[0], [1.0, 0.0, 0.0])
-    assert np.array_equal(jac[1], np.zeros(3))
-    assert np.array_equal(jac[2], np.zeros(3))
-
-
-def test_clamp_boundary_keeps_gradient():
-    # exactly on the clamp edge is not saturated
-    model = tabular_reward(1, clamp=(-1.0, 1.0))
-    model = apply_update(model, np.array([1.0]))
-    assert reward_jacobian(model)[0, 0] == 1.0
-
-
 def test_default_features_are_normalized_with_bias():
     feats = _grid_features()
     assert feats.shape == (12, 3)
@@ -101,8 +84,8 @@ def test_apply_update_is_pure_and_shape_checked():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: tabular_reward(4, clamp=(-2.0, 2.0)),
-    lambda: mlp_reward(_grid_features(), hidden=(4, 3), seed=1, clamp=(-0.5, 0.5)),
+    lambda: tabular_reward(4),
+    lambda: mlp_reward(_grid_features(), hidden=(4, 3), seed=1),
     lambda: mlp_reward(_grid_features(), hidden=(3, 2), seed=5),
 ])
 def test_serialization_round_trip(make):
@@ -111,9 +94,23 @@ def test_serialization_round_trip(make):
         0, 0.3, model.n_params))
     back = reward_from_dict(reward_to_dict(model))
     assert back.kind == model.kind
-    assert back.clamp == model.clamp
     assert back.hidden == model.hidden
     assert np.array_equal(back.params, model.params)
+    assert np.array_equal(reward_vector(back), reward_vector(model))
+
+
+def test_a_reward_dict_that_sets_a_clamp_is_refused():
+    # rewards have no output clamp; loading this one unclamped would
+    # silently change it
+    d = reward_to_dict(tabular_reward(2))
+    with pytest.raises(ValueError, match="no output clamp"):
+        reward_from_dict(dict(d, clamp=[-1.0, 1.0]))
+
+
+def test_a_reward_dict_with_a_null_clamp_loads():
+    # older reward.json files carry "clamp": null
+    model = apply_update(tabular_reward(3), np.array([0.5, -1.0, 2.0]))
+    back = reward_from_dict(dict(reward_to_dict(model), clamp=None))
     assert np.array_equal(reward_vector(back), reward_vector(model))
 
 
@@ -128,8 +125,6 @@ def test_constructor_validation():
         RewardModel("rbf", np.zeros(2))
     with pytest.raises(ValueError, match="feature matrix"):
         RewardModel("mlp", np.zeros(2))
-    with pytest.raises(ValueError, match="lo < hi"):
-        tabular_reward(2, clamp=(1.0, 1.0))
     with pytest.raises(ValueError, match="needs 13 params"):
         RewardModel("mlp", np.zeros(5), features=np.ones((3, 1)), hidden=(2, 2))
     with pytest.raises(ValueError, match="two hidden layers"):

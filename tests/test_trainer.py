@@ -5,9 +5,7 @@ import pytest
 
 import firl.trainer
 from firl.divergence import ExpertDensity, divergence_exact
-from firl.grad_engine import analytic_grad_exact
 from firl.mdp import FiniteMdp, build_gridworld
-from firl.reward_model import tabular_reward
 from firl.soft_solver import (forward_marginals, sample_trajectories,
                               soft_backward)
 from firl.trainer import (METRIC_COLUMNS, OptimizerState, TrainConfig,
@@ -22,21 +20,14 @@ def _uniform_marginal(mdp, alpha=1.0):
 
 # ---------------------------------------------------------------- optimizer
 
-def test_plain_step_is_scaled_negative_gradient():
-    state = OptimizerState("plain")
-    g = np.array([1.0, -2.0, 0.5])
-    _, delta = optimizer_step(state, np.zeros(3), g, lr=0.1)
-    assert np.array_equal(delta, -0.1 * g)
-
-
 def test_adam_matches_a_hand_written_reference():
     rng = np.random.default_rng(0)
     grads = rng.normal(size=(4, 3))
-    state = OptimizerState("adam")
+    state = OptimizerState()
     m = np.zeros(3)
     v = np.zeros(3)
     for t, g in enumerate(grads, start=1):
-        _, delta = optimizer_step(state, np.zeros(3), g, lr=0.05)
+        _, delta = optimizer_step(state, g, lr=0.05)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         want = -0.05 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -44,23 +35,18 @@ def test_adam_matches_a_hand_written_reference():
 
 
 def test_adam_step_size_approaches_lr_under_constant_gradient():
-    state = OptimizerState("adam")
+    state = OptimizerState()
     g = np.array([0.5])
     for _ in range(10):
-        _, delta = optimizer_step(state, np.zeros(1), g, lr=0.01)
+        _, delta = optimizer_step(state, g, lr=0.01)
         assert abs(delta[0]) == pytest.approx(0.01, rel=1e-6)
         assert delta[0] < 0
 
 
 def test_adam_zero_gradient_gives_zero_delta():
-    state = OptimizerState("adam")
-    _, delta = optimizer_step(state, np.ones(2), np.zeros(2), lr=0.3)
+    state = OptimizerState()
+    _, delta = optimizer_step(state, np.zeros(2), lr=0.3)
     assert np.array_equal(delta, np.zeros(2))
-
-
-def test_optimizer_state_rejects_unknown_kinds():
-    with pytest.raises(ValueError, match="optimizer"):
-        OptimizerState("rmsprop")
 
 
 # ------------------------------------------------------------------ shaping
@@ -145,9 +131,8 @@ def test_config_validation_catches_bad_fields():
     assert good.validate() is good
     cases = [
         {"kind": "tv"}, {"estimator": "gan"}, {"ratio_mode": "oracle"},
-        {"optimizer": "sgd"}, {"alpha": 0.0}, {"iterations": 0},
-        {"reward_lr": 0.0}, {"grad_steps_per_iter": 0}, {"batch_size": 1},
-        {"weight_decay": -0.1}, {"kde_bandwidth": 0.0}, {"eval_every": 0},
+        {"alpha": 0.0}, {"iterations": 0}, {"reward_lr": 0.0},
+        {"batch_size": 1}, {"kde_bandwidth": 0.0}, {"eval_every": 0},
         {"eval_expert_samples": 3},
     ]
     for bad in cases:
@@ -168,10 +153,10 @@ def _small_cfg(**kw):
 def test_matched_expert_leaves_parameters_alone():
     mdp = build_gridworld(3, 3, horizon=4)
     rho_e = _uniform_marginal(mdp).marginal_avg
-    cfg = _small_cfg(iterations=1, optimizer="plain")
-    result = run_firl(mdp, rho_e, cfg)
+    result = run_firl(mdp, rho_e, _small_cfg(iterations=1))
+    # Adam divides by sqrt(v) + 1e-8, which turns this rounding-level
+    # gradient into ~1e-9 parameter moves, so the gradient is checked
     assert result.metrics[0]["grad_norm"] < 1e-12
-    assert np.abs(result.model.params).max() < 1e-14
 
 
 def test_first_metric_row_describes_the_initial_model():
@@ -193,34 +178,6 @@ def test_training_reduces_the_divergence():
     rho_e = rng.dirichlet(np.full(9, 3.0))
     result = run_firl(mdp, rho_e, _small_cfg(iterations=60, eval_every=30))
     assert result.metrics[-1]["exact_fkl"] < 0.2 * result.metrics[0]["exact_fkl"]
-
-
-def test_weight_decay_shrinks_a_flat_optimum():
-    # constant reward offsets leave the marginal (hence the gradient)
-    # untouched, so decay is the only force on the parameters
-    mdp = build_gridworld(2, 2, horizon=3)
-    rho_e = _uniform_marginal(mdp).marginal_avg
-    model = tabular_reward(4)
-    model.params[:] = 2.0
-    cfg = _small_cfg(iterations=1, optimizer="plain", weight_decay=0.5)
-    result = run_firl(mdp, rho_e, cfg, model=model)
-    want = 2.0 * (1.0 - cfg.reward_lr * 0.5)
-    assert np.allclose(result.model.params, want, atol=1e-12)
-
-
-def test_inner_steps_reuse_the_iteration_solution():
-    mdp = build_gridworld(3, 3, horizon=4)
-    rng = np.random.default_rng(7)
-    rho_e = rng.dirichlet(np.full(9, 3.0))
-    cfg = _small_cfg(iterations=1, optimizer="plain", grad_steps_per_iter=2)
-    result = run_firl(mdp, rho_e, cfg)
-    # tabular jacobian + frozen solution: both inner steps apply the
-    # same gradient, so the update is exactly twice one step
-    sol0 = _uniform_marginal(mdp)
-    g0 = analytic_grad_exact(mdp, tabular_reward(9), 1.0, "fkl",
-                             rho_e=rho_e, sol=sol0).grad
-    assert np.allclose(result.model.params, -2.0 * cfg.reward_lr * g0,
-                       atol=1e-12)
 
 
 def test_run_is_bitwise_deterministic():
@@ -339,7 +296,7 @@ def test_expert_input_and_mode_mismatches_are_rejected():
 def test_rkl_trains_on_an_unnormalized_energy():
     mdp = build_gridworld(3, 3, horizon=4)
     rho_e = np.random.default_rng(9).dirichlet(np.full(9, 3.0))
-    cfg = _small_cfg(kind="rkl", optimizer="plain")
+    cfg = _small_cfg(kind="rkl")
     base = run_firl(mdp, rho_e, cfg)
     energy = run_firl(mdp, ExpertDensity(3.0 * rho_e, normalized=False), cfg)
     assert np.abs(energy.model.params - base.model.params).max() < 1e-12
