@@ -4,8 +4,10 @@ Subcommands: train, gradcheck, eval, scenario, transfer. Exit codes:
 0 success, 1 config or usage error, 2 numerical-acceptance failure
 (gradcheck only). Every run writes into its own timestamped directory
 under the --out root (or FIRL_OUT_ROOT, or ./runs) and finishes with
-an atomic manifest. Each command loads its config, builds the scenario
-(every library check runs here) and only then creates that directory.
+an atomic manifest whose status is "ok", or "failed" with the error
+message when the run raised. Each command loads its config, builds the
+scenario (every library check runs here) and only then creates that
+directory.
 """
 
 import argparse
@@ -98,11 +100,17 @@ def _load(args, config_type=None):
 
 @contextmanager
 def _emit(args, cfg, name=None):
-    """make_run_dir, the body's run and outputs, then the manifest."""
+    """make_run_dir, the body's run and outputs, then the manifest; a body
+    that raises leaves a manifest with status "failed" and its message."""
     started = utc_now()
     run_dir = make_run_dir(name or cfg.get("name", cfg["type"]), args.out)
     outputs = []
-    yield run_dir, outputs
+    try:
+        yield run_dir, outputs
+    except Exception as exc:
+        write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now(),
+                       error=str(exc))
+        raise
     write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now())
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .divergence import KINDS, density_values, divergence_exact, h_f
 from .mdp import FiniteMdp, reachable_states
 from .reward_model import (apply_update, default_features, mlp_reward,
-                           reward_jacobian, reward_vector, tabular_reward)
+                           reward_jacobian, reward_vector, reward_vjp,
+                           tabular_reward)
 from .soft_solver import (enumerate_trajectories, forward_marginals,
                           pairwise_marginals, soft_backward)
 
@@ -75,13 +76,12 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=Non
         h = h_f(kind, ratio)
     else:
         h = _h_table(kind, rho_e, sol.marginal_avg)
-    g = reward_jacobian(model)
     fwd, bwd = pairwise_marginals(mdp, sol, h)
     t_hor = mdp.horizon
     w = t_hor * h * sol.marginal_avg + fwd + bwd
     sum_h = float(t_hor * (sol.marginal_avg @ h))
-    sum_g = t_hor * (sol.marginal_avg @ g)
-    grad = (w @ g - sum_h * sum_g) / (alpha * t_hor)
+    sum_g = t_hor * reward_vjp(model, sol.marginal_avg)
+    grad = (reward_vjp(model, w) - sum_h * sum_g) / (alpha * t_hor)
     diag = {"mean_h": float(sol.marginal_avg @ h),
             "h_min": float(h.min()), "h_max": float(h.max())}
     return GradReport(grad, "exact", diagnostics=diag)
@@ -96,11 +96,12 @@ def _cov_grad(estimator, states, model, alpha, kind, ratio):
     n, t_hor = body.shape
     if n < 2:
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
-    g = reward_jacobian(model)
-    n_states = g.shape[0]
-    a = h_f(kind, ratio)[body].sum(axis=1)
+    h = h_f(kind, ratio)
+    n_states = len(h)
+    a = h[body].sum(axis=1)
     flat = (body + np.arange(n)[:, None] * n_states).ravel()
-    b = np.bincount(flat, minlength=n * n_states).reshape(n, n_states) @ g
+    b = reward_vjp(model, np.bincount(flat, minlength=n * n_states)
+                   .reshape(n, n_states))
     grad = (a - a.mean()) @ (b - b.mean(axis=0)) / (n - 1) / (alpha * t_hor)
     diag = {"mean_h": float(a.mean() / t_hor),
             "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}

@@ -12,14 +12,18 @@ side is estimated, from a CellCloud built once per run:
   KL(agent || expert) = sum over rho > 0 of rho (log rho - L_E)
 
 H_E is the k-NN entropy of the expert cloud and L_E(s) its mean k-NN
-log-density over PROBES jittered points in cell s. The forward value is
-+inf when an expert visit sits on a state rho never reaches, as the
-exact divergence is. The reverse value inherits the k-NN density's
-limit on cells of tiny expert mass: the k-th neighbour of a probe there
-lies in other cells, so L_E overstates the expert density and the
-estimate falls far below the exact value (15x15 grid, sigma-1
-Gaussian, zero reward: exact 29.6, estimate 8.4). The estimate from
-two sampled clouds has the same limit (8.3 there).
+log-density over PROBES jittered points in cell s. The cloud's one-off
+cost is n + S * PROBES tree queries for n expert visits, spread over
+every core the process may use; each query's answer is independent of
+how the queries are split, so no value depends on the core count.
+
+The forward value is +inf when an expert visit sits on a state rho
+never reaches, as the exact divergence is. The reverse value inherits
+the k-NN density's limit on cells of tiny expert mass: the k-th
+neighbour of a probe there lies in other cells, so L_E overstates the
+expert density and the estimate falls far below the exact value (15x15
+grid, sigma-1 Gaussian, zero reward: exact 29.6, estimate 8.4). The
+estimate from two sampled clouds has the same limit (8.3 there).
 
 Both values carry the bias of the k-NN estimates H_E and L_E, so they
 cannot resolve a divergence below about 0.01 and can read below zero.
@@ -28,6 +32,8 @@ forward estimate reads -0.004 to -0.006 while the exact forward KL
 falls from 0.0015 to 0.0003; on irl_traj16, whose cloud is 320 demo
 visits, it reads -0.04 to -0.08 after iteration 0.
 """
+
+import os
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,9 +49,24 @@ class KlEstimate:
         self.value = float(value)
 
 
-def _kth_distance(tree, queries, k):
-    """Distance from each query point to its k-th nearest tree point."""
-    return tree.query(queries, k=[k])[0][:, 0]
+def _workers():
+    """The number of cores this process may run on: its affinity set, or
+    the machine's core count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _kth_distance(tree, queries, k, p=2.0):
+    """Distance in the Minkowski p-norm from each query point to its
+    k-th nearest tree point. The queries are split over every usable
+    core; each answer is independent of the split."""
+    return tree.query(queries, k=[k], p=p, workers=_workers())[0][:, 0]
+
+
+def cell_gaps(coords):
+    """Each point's max-norm distance to its nearest other point in coords."""
+    return _kth_distance(cKDTree(coords), coords, 2, p=np.inf)
 
 
 class CellCloud:

@@ -128,6 +128,15 @@ def reward_jacobian(model):
     ], axis=1)
 
 
+def reward_vjp(model, x):
+    """x @ reward_jacobian(model) for x (S,) or (n, S). A tabular reward's
+    jacobian is the identity, so x comes back as floats and no (S, S)
+    array is formed."""
+    if model.kind == "tabular":
+        return np.asarray(x, dtype=float)
+    return x @ reward_jacobian(model)
+
+
 def apply_update(model, delta):
     """New model with params + delta; the input model is untouched."""
     delta = np.asarray(delta, dtype=float)

@@ -243,8 +243,9 @@ def make_run_dir(name, out_root=None):
             n += 1
 
 
-def write_manifest(run_dir, config, seed, outputs, started, ended):
-    """Atomic manifest: config snapshot + seed + version + file list."""
+def write_manifest(run_dir, config, seed, outputs, started, ended, error=None):
+    """Atomic manifest: config snapshot + seed + version + file list, and
+    status "ok", or "failed" with the error message when error is given."""
     from . import __version__
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -254,7 +255,10 @@ def write_manifest(run_dir, config, seed, outputs, started, ended):
         "started": started,
         "ended": ended,
         "outputs": sorted(outputs),
+        "status": "ok" if error is None else "failed",
     }
+    if error is not None:
+        payload["error"] = error
     path = os.path.join(run_dir, "manifest.json")
     os.replace(write_json(path + ".tmp", payload), path)
     return path

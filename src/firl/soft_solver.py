@@ -158,18 +158,23 @@ def sample_trajectories(mdp, sol, n, seed):
     """n rollouts of the solved policy, deterministic in seed. np.cumsum adds
     in row order and adding 0.0 is exact, so CDFs built once over each
     row's successors draw as a per-step cumsum over the dense row would,
-    and the 2T+1 uniform blocks come from one call in the same stream."""
+    and the 2T+1 uniform blocks come from one call in the same stream. With
+    one successor per row (no slip) that draw always picks it and is skipped;
+    its uniforms are still generated, so the stream is unchanged."""
     if n < 1:
         raise ValueError("need at least one trajectory")
     u = np.random.default_rng(seed).random((2 * mdp.horizon + 1, n, 1))
+    n_a, n_k = mdp.n_actions, mdp.succ.shape[2]
     policy_cdf = np.cumsum(sol.policy, axis=2)
-    step_cdf = np.cumsum(mdp.probs, axis=2)
+    succ = mdp.succ.reshape(-1, n_k)   # row s A + a
+    step_cdf = np.cumsum(mdp.probs, axis=2).reshape(-1, n_k)
     states = np.zeros((n, mdp.horizon + 1), dtype=np.int64)
     states[:, 0] = _draw(np.cumsum(mdp.init_dist)[None], u[0])
     for t in range(mdp.horizon):
         s = states[:, t]
-        a = _draw(policy_cdf[t, s], u[2 * t + 1])
-        states[:, t + 1] = mdp.succ[s, a, _draw(step_cdf[s, a], u[2 * t + 2])]
+        row = s * n_a + _draw(policy_cdf[t].take(s, axis=0), u[2 * t + 1])
+        k = 0 if n_k == 1 else _draw(step_cdf.take(row, axis=0), u[2 * t + 2])
+        states[:, t + 1] = succ[row, k]
     return TrajectoryBatch(states)
 
 

@@ -10,14 +10,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .density_ratio import (discriminator_fit, discriminator_ratio, exact_ratio,
                             kde_pair_ratio, sample_states)
 from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
-from .kl_eval import KNN_K, CellCloud, knn_kl, policy_return
+from .kl_eval import KNN_K, CellCloud, cell_gaps, knn_kl, policy_return
 from .mdp import reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
@@ -198,7 +197,7 @@ def check_expert_fit(mdp, expert, cfg):
             raise ValueError("knn_kl needs more than %d points: the expert cloud "
                              "holds %d" % (KNN_K, expert_flat.size))
     # O(S log S): each centre's nearest other centre in the max norm
-    gap = cKDTree(mdp.coords).query(mdp.coords, k=[2], p=np.inf)[0][:, 0]
+    gap = cell_gaps(mdp.coords)
     if gap.min() < 1.0:
         s = int(np.argmin(gap))
         raise ValueError("cells overlap: state %d's centre lies %.3g from another "

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import firl.cli
+import firl.grad_engine
 import firl.run_io as run_io
 from firl.cli import cli_main
 from firl.divergence import KINDS
@@ -199,6 +200,23 @@ def test_cli_train_writes_a_complete_run(tmp_path, capsys):
     assert len(rows) == 2 and np.isfinite(rows[-1]["lf_exact"])
     manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert manifest["outputs"] == ["heatmap.csv", "metrics.csv", "reward.json"]
+    assert manifest["status"] == "ok" and "error" not in manifest
+
+
+def test_cli_a_failed_run_leaves_a_failed_manifest(tmp_path, monkeypatch, capsys):
+    # a NaN pair contraction makes the exact gradient non-finite in
+    # iteration 0, after the run directory exists
+    monkeypatch.setattr(firl.grad_engine, "pairwise_marginals",
+                        lambda mdp, sol, h: (np.full(mdp.n_states, np.nan),) * 2)
+    cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "non-finite gradient" in capsys.readouterr().err
+    [path] = glob.glob(str(out / "tiny" / "*" / "manifest.json"))
+    manifest = json.load(open(path))
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "exact produced a non-finite gradient"
+    assert manifest["outputs"] == [] and manifest["seed"] == 0
 
 
 def test_cli_refuses_the_evaluation_rollout_count(tmp_path, capsys):

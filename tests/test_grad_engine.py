@@ -104,6 +104,24 @@ def test_exact_gradient_never_builds_the_pair_tables():
     assert peak < 32 * 2 ** 20
 
 
+def test_tabular_gradients_never_form_the_identity_jacobian():
+    # on a 40x40 grid eye(1600) alone takes 20.5 MB; a tabular reward's
+    # products with its jacobian are the vectors themselves
+    mdp, model, rho_e, sol = _instance(seed=3, grid=(40, 40), horizon=6)
+    batch = sample_trajectories(mdp, sol, 32, seed=4)
+    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    for grad in (lambda: analytic_grad_exact(mdp, model, 1.0, "fkl",
+                                             rho_e=rho_e, sol=sol),
+                 lambda: analytic_grad_mc(batch, model, 1.0, "fkl", ratio)):
+        tracemalloc.start()
+        try:
+            grad()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
 def test_fd_error_shrinks_quadratically_in_eps():
     mdp, model, rho_e, sol = _instance(seed=8)
     ga = analytic_grad_exact(mdp, model, 1.0, "fkl", rho_e=rho_e, sol=sol).grad

@@ -1,9 +1,12 @@
 """The k-NN KL sample estimator, the expert cell cloud, and expected
 return."""
 
+import os
+
 import numpy as np
 import pytest
 
+import firl.kl_eval
 from firl.density_ratio import sample_states
 from firl.divergence import divergence_exact
 from firl.kl_eval import CellCloud, knn_kl, policy_return, states_to_points
@@ -111,6 +114,37 @@ def test_cell_cloud_is_seed_deterministic():
     assert np.array_equal(a.cell_log_density, b.cell_log_density)
     assert a.cell_log_density.shape == (9,)
     assert a.entropy != c.entropy
+
+
+def test_tree_queries_on_one_core_give_the_same_bits(monkeypatch):
+    # the queries split over cores, each answer independent of the split
+    mdp = build_gridworld(6, 6, horizon=2)
+    states = np.random.default_rng(19).integers(0, 36, size=3000)
+    q = np.random.default_rng(20).dirichlet(np.ones(36))
+    rng = np.random.default_rng(21)
+    x, y = rng.normal(size=(3000, 2)), rng.normal(size=(2500, 2)) + 0.5
+
+    def results():
+        cloud = CellCloud(mdp, states, seed=22)
+        return (cloud.entropy, cloud.cell_log_density,
+                knn_kl(cloud, q).value, knn_kl(q, cloud).value,
+                knn_kl(x, y, seed=23).value)
+
+    spread = results()
+    monkeypatch.setattr(firl.kl_eval, "_workers", lambda: 1)
+    one = results()
+    for a, b in zip(spread, one):
+        assert np.array_equal(a, b)
+
+
+def test_tree_queries_use_every_usable_core(monkeypatch):
+    assert firl.kl_eval._workers() == len(os.sched_getaffinity(0)) >= 1
+    # a platform without an affinity call falls back to the core count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert firl.kl_eval._workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert firl.kl_eval._workers() == 1
 
 
 def test_cloud_fkl_is_inf_where_the_policy_never_goes():

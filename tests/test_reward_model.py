@@ -6,7 +6,8 @@ import pytest
 from firl.mdp import build_gridworld
 from firl.reward_model import (RewardModel, apply_update, default_features,
                                mlp_reward, reward_from_dict, reward_jacobian,
-                               reward_to_dict, reward_vector, tabular_reward)
+                               reward_to_dict, reward_vector, reward_vjp,
+                               tabular_reward)
 
 
 def _fd_jacobian(model, eps=1e-6):
@@ -27,6 +28,17 @@ def _grid_features():
 def test_tabular_jacobian_is_identity():
     model = tabular_reward(5)
     assert np.array_equal(reward_jacobian(model), np.eye(5))
+
+
+def test_vjp_is_the_product_with_the_jacobian():
+    rng = np.random.default_rng(1)
+    tab = apply_update(tabular_reward(12), rng.normal(size=12))
+    mlp = mlp_reward(_grid_features(), hidden=(5, 4), seed=2)
+    for model in (tab, mlp):
+        for x in (rng.normal(size=12), rng.integers(0, 5, size=(3, 12))):
+            got = reward_vjp(model, x)
+            assert got.dtype == float
+            assert np.array_equal(got, x @ reward_jacobian(model))
 
 
 def test_mlp_jacobian_matches_finite_differences():

@@ -243,7 +243,9 @@ def test_overlapping_cells_are_refused():
     coords = [[0.0, 0.0], [0.6, 0.3], [3.0, 3.0]]
     mdp = FiniteMdp(P, [1.0, 0.0, 0.0], horizon=2, coords=coords)
     rho_e = np.array([0.2, 0.6, 0.2])
-    with pytest.raises(ValueError, match="cells overlap: state 0"):
+    with pytest.raises(ValueError, match="cells overlap: state 0's centre lies "
+                       "0.6 from another in the max norm, and the kNN "
+                       "evaluation needs unit cells that are disjoint"):
         check_expert_fit(mdp, rho_e, _small_cfg())
     # unit spacing, on the default line and on a grid, is accepted
     line = FiniteMdp(P, [1.0, 0.0, 0.0], horizon=2)
