@@ -65,6 +65,11 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=Non
     """Sampling-free covariance from the diagonal t = t' plus the two
     pair contractions (t < t' and t > t') of pairwise_marginals.
 
+    The covariance is exact, but it is the derivative of the divergence
+    only when the transitions are deterministic and the start state is
+    a point mass (see _random_instance); under slip or a spread start
+    it is not.
+
     Supply either the expert density rho_e (the ratio is formed exactly
     against the solved marginal) or a precomputed (S,) ratio table from
     density_ratio; exactly one of the two.

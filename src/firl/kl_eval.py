@@ -41,6 +41,7 @@ from scipy.special import digamma
 
 KNN_K = 3
 PROBES = 400   # jittered probe points per cell for the expert log-density
+HALF_CELL = 0.5   # a visit is jittered uniformly over its unit cell
 _LOG_DISC = np.log(np.pi)   # log volume of the unit ball in 2-d
 
 
@@ -148,16 +149,16 @@ def policy_return(mdp, sol, gt_reward):
     return float(sol.marginals_t[1:].sum(axis=0) @ gt_reward)
 
 
-def states_to_points(mdp, states, seed=0, jitter=0.5):
+def states_to_points(mdp, states, seed=0):
     """Map state indices to jittered 2-d coordinates for sample-based KL.
 
     Each state index becomes its cell-center coordinate plus uniform
-    noise in [-jitter, jitter) per axis, so repeated visits to one cell
-    spread into a cloud instead of a stack of identical points.
+    noise in [-HALF_CELL, HALF_CELL) per axis, so repeated visits to one
+    cell spread over the unit cell instead of stacking on its center.
+    CellCloud's exact agent side needs exactly that: density rho[s]
+    on cell s.
     """
     rng = np.random.default_rng(seed)   # a Generator passes through as is
     states = np.asarray(states, dtype=np.int64).ravel()
     pts = mdp.coords[states].astype(float)
-    if jitter > 0:
-        pts = pts + rng.uniform(-jitter, jitter, size=pts.shape)
-    return pts
+    return pts + rng.uniform(-HALF_CELL, HALF_CELL, size=pts.shape)

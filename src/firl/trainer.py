@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density_ratio import (discriminator_fit, discriminator_ratio, exact_ratio,
-                            kde_pair_ratio, sample_states)
+                            sample_states)
 from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
@@ -23,7 +23,7 @@ from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
                           sample_trajectories, soft_backward)
 
 ESTIMATORS = ("exact", "mc", "mixture")
-RATIO_MODES = ("exact_table", "kde_pair", "discriminator")
+RATIO_MODES = ("exact_table", "discriminator")
 
 METRIC_COLUMNS = ("iteration", "fkl_estimate", "rkl_estimate", "exact_fkl",
                   "exact_rkl", "return", "lf_exact", "grad_norm")
@@ -39,7 +39,6 @@ class TrainConfig:
     estimator: str = "exact"
     batch_size: int = 64
     ratio_mode: str = "exact_table"
-    kde_bandwidth: float = 0.2
     eval_every: int = 1
     eval_expert_samples: int = 10000
 
@@ -56,8 +55,6 @@ class TrainConfig:
             raise ValueError("reward_lr must be positive")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if not self.kde_bandwidth > 0:
-            raise ValueError("kde_bandwidth must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
         if self.eval_expert_samples <= KNN_K:
@@ -162,8 +159,8 @@ def check_expert_fit(mdp, expert, cfg):
     form, expert_data = _expert_form(expert)
     if cfg.ratio_mode == "exact_table" and form != "density":
         raise ValueError("exact_table ratio mode needs an expert density")
-    if cfg.ratio_mode in ("kde_pair", "discriminator") and form == "density":
-        raise ValueError("%s ratio mode needs expert state samples" % cfg.ratio_mode)
+    if cfg.ratio_mode == "discriminator" and form == "density":
+        raise ValueError("discriminator ratio mode needs expert state samples")
     if cfg.estimator == "mixture":
         if form != "trajectories":
             raise ValueError("mixture estimator needs expert trajectories "
@@ -239,7 +236,7 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
     opt = OptimizerState()
     metrics = []
     needs_batch = (cfg.estimator in ("mc", "mixture")
-                   or cfg.ratio_mode in ("kde_pair", "discriminator"))
+                   or cfg.ratio_mode == "discriminator")
 
     for it in range(cfg.iterations):
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), cfg.alpha))
@@ -248,11 +245,7 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
             batch = sample_trajectories(mdp, sol, cfg.batch_size, _seed_int(rng_batch))
 
         ratio = None
-        if cfg.ratio_mode == "kde_pair":
-            ratio = kde_pair_ratio(mdp, expert_flat, batch.states[:, 1:].ravel(),
-                                   bandwidth=cfg.kde_bandwidth,
-                                   seed=_seed_int(rng_batch))
-        elif cfg.ratio_mode == "discriminator":
+        if cfg.ratio_mode == "discriminator":
             ratio = discriminator_ratio(discriminator_fit(
                 expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
         elif cfg.estimator != "exact":
@@ -268,12 +261,25 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
         else:
             report = analytic_grad_mixture(batch, expert_data, model, cfg.alpha,
                                            cfg.kind, ratio, seed=_seed_int(rng_mix))
+        _check_grad_scale(it, report.grad)
         metrics.append(_metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report,
                                    expert_cloud))
         opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
         model = apply_update(model, delta)
 
     return TrainResult(model, metrics, time.perf_counter() - t0)
+
+
+def _check_grad_scale(it, grad):
+    """Refuse a finite gradient whose squares overflow: with every entry
+    at most sqrt(float max / n), the n squares summed by the gradient
+    norm and by Adam's second moment stay finite."""
+    cap = np.sqrt(np.finfo(float).max / grad.size)
+    big = float(np.abs(grad).max())
+    if big > cap:
+        raise ValueError("iteration %d: a gradient entry of %.3g exceeds %.3g, "
+                         "past which the squares summed by the gradient norm "
+                         "and Adam's second moment overflow" % (it, big, cap))
 
 
 def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):

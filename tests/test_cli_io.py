@@ -219,6 +219,20 @@ def test_cli_a_failed_run_leaves_a_failed_manifest(tmp_path, monkeypatch, capsys
     assert manifest["outputs"] == [] and manifest["seed"] == 0
 
 
+def test_cli_fails_a_run_whose_gradient_squares_overflow(tmp_path, capsys):
+    # at alpha = 1e-300 every gradient entry is finite, near 1 / alpha,
+    # but its square is not: the run stops before the norm and Adam's step
+    payload = dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"], alpha=1e-300))
+    cfg = _write_cfg(tmp_path, "d.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "iteration 0: a gradient entry of" in capsys.readouterr().err
+    [path] = glob.glob(str(out / "tiny" / "*" / "manifest.json"))
+    manifest = json.load(open(path))
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("iteration 0: a gradient entry of")
+
+
 def test_cli_refuses_the_evaluation_rollout_count(tmp_path, capsys):
     # the agent side of the KL columns is exact, so no rollouts are drawn
     payload = dict(_TINY_DENSITY,
@@ -228,6 +242,33 @@ def test_cli_refuses_the_evaluation_rollout_count(tmp_path, capsys):
     assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
     assert "eval_agent_trajectories" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("train", [{"ratio_mode": "kde_pair"},
+                                   {"kde_bandwidth": 0.2}],
+                         ids=["kde-pair-mode", "kde-bandwidth"])
+def test_cli_refuses_the_retired_kde_ratio_route(tmp_path, capsys, train):
+    # the discriminator is the one sampled ratio route
+    payload = dict(_TINY_IRL, train=dict(_TINY_IRL["train"], **train))
+    cfg = _write_cfg(tmp_path, "i.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert next(iter(train)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SHIPPED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                         "scenarios", "*.json")))
+
+
+@pytest.mark.parametrize("path", _SHIPPED, ids=os.path.basename)
+def test_every_shipped_scenario_loads_and_builds(path):
+    cfg = load_config(path)
+    if cfg["type"] == "transfer":
+        cfg = firl.cli._nested_scenario(cfg)
+    if cfg["type"] != "prior_downstream":
+        # the builders run every library check on the train block
+        firl.cli._build_scenario(cfg)
 
 
 def test_cli_seed_flag_overrides_the_config(tmp_path, capsys):
@@ -262,12 +303,13 @@ def test_cli_builds_the_scenario_before_the_run_directory(tmp_path, capsys):
 @pytest.mark.parametrize("payload, flags, message", [
     (_TINY_DENSITY, ["--estimator", "mixture"],
      "mixture estimator needs expert trajectories"),
-    (dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"], ratio_mode="kde_pair")),
-     [], "kde_pair ratio mode needs expert state samples"),
+    (dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"],
+                                    ratio_mode="discriminator")),
+     [], "discriminator ratio mode needs expert state samples"),
     (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], ratio_mode="exact_table")),
      [], "exact_table ratio mode needs an expert density"),
     (dict(_TINY_IRL, n_expert_traj=1, horizon=2), [], "expert cloud holds 2"),
-], ids=["mixture-on-a-density", "kde-pair-on-a-density", "exact-table-on-demos",
+], ids=["mixture-on-a-density", "discriminator-on-a-density", "exact-table-on-demos",
         "expert-cloud-below-k"])
 def test_cli_refuses_a_misfit_before_the_run_directory(tmp_path, capsys, payload,
                                                        flags, message):
@@ -489,7 +531,6 @@ _TRAIN_OPTIONAL = {
     "alpha": st.floats(0.1, 3.0),
     "reward_lr": st.floats(1e-3, 1.0),
     "batch_size": st.integers(2, 16),
-    "kde_bandwidth": st.floats(0.1, 2.0),
     "eval_every": st.integers(1, 2),
 }
 _TRAIN = st.fixed_dictionaries(_TRAIN_REQUIRED, optional=_TRAIN_OPTIONAL)

@@ -1,13 +1,11 @@
-"""Ratio estimators: exact table, Epanechnikov KDE pair, discriminator."""
+"""Ratio estimators: exact table and discriminator."""
 
 import numpy as np
 import pytest
 
 from firl.density_ratio import (LOGIT_CLIP, Discriminator, discriminator_fit,
-                                discriminator_ratio, exact_ratio, kde_density,
-                                kde_pair_ratio, sample_states)
+                                discriminator_ratio, exact_ratio, sample_states)
 from firl.divergence import RATIO_CLIP_HI
-from firl.mdp import build_gridworld
 
 
 def test_exact_ratio_table():
@@ -24,69 +22,6 @@ def test_exact_ratio_floors_the_denominator():
 
 def test_exact_ratio_clips_unvisited_states():
     assert exact_ratio([0.5, 0.5], [1.0, 0.0])[1] == RATIO_CLIP_HI
-
-
-def test_kde_density_of_a_point_cluster():
-    # four stacked points: density at the stack is 0.75^2 / bw^2
-    pts = np.zeros((4, 2))
-    for bw in (0.5, 1.0, 2.0):
-        val = kde_density(pts, bw, np.zeros((1, 2)))[0]
-        assert val == pytest.approx(0.5625 / bw ** 2, abs=1e-12)
-
-
-def test_kde_integrates_to_one():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(60, 2)) * 0.8
-    bw = 0.4
-    step = 0.05
-    lo = pts.min(axis=0) - bw - step
-    hi = pts.max(axis=0) + bw + step
-    xs = np.arange(lo[0], hi[0], step)
-    ys = np.arange(lo[1], hi[1], step)
-    gx, gy = np.meshgrid(xs, ys)
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    mass = kde_density(pts, bw, grid).sum() * step * step
-    assert mass == pytest.approx(1.0, abs=0.02)
-
-
-def test_kde_support_is_compact():
-    pts = np.zeros((3, 2))
-    far = np.array([[0.51, 0.0], [0.0, -0.51], [3.0, 3.0]])
-    assert np.array_equal(kde_density(pts, 0.5, far), np.zeros(3))
-
-
-def test_kde_density_is_consistent_across_batching():
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(40, 2))
-    queries = rng.normal(size=(25, 2))
-    whole = kde_density(pts, 0.7, queries)
-    singles = np.array([kde_density(pts, 0.7, q[None, :])[0] for q in queries])
-    assert np.allclose(whole, singles, atol=1e-14)
-
-
-def test_kde_argument_validation():
-    with pytest.raises(ValueError, match=r"\(n, 2\)"):
-        kde_density(np.zeros((4, 3)), 0.2, np.zeros((1, 2)))
-    with pytest.raises(ValueError, match="bandwidth"):
-        kde_density(np.zeros((4, 2)), 0.0, np.zeros((1, 2)))
-
-
-def test_kde_pair_ratio_shape_and_mode():
-    mdp = build_gridworld(3, 3, horizon=4)
-    rng = np.random.default_rng(2)
-    u = kde_pair_ratio(mdp, rng.integers(0, 9, 300), rng.integers(0, 9, 300),
-                       bandwidth=0.6, seed=3)
-    assert u.shape == (9,)
-    assert np.all(u > 0) and np.all(np.isfinite(u))
-
-
-def test_kde_pair_ratio_tracks_the_sample_imbalance():
-    mdp = build_gridworld(3, 1, horizon=2)
-    expert = np.array([0] * 80 + [1] * 20)
-    agent = np.array([0] * 20 + [1] * 80)
-    u = kde_pair_ratio(mdp, expert, agent, bandwidth=0.5, seed=4)
-    assert u[0] > 1.5
-    assert u[1] < 0.7
 
 
 def test_discriminator_reaches_the_frequency_optimum():

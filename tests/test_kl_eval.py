@@ -195,12 +195,6 @@ def test_states_to_points_jitter_stays_in_the_cell():
     assert np.all(np.abs(pts - mdp.coords) < 0.5)
 
 
-def test_states_to_points_without_jitter_hits_centers():
-    mdp = build_gridworld(3, 2, horizon=2)
-    pts = states_to_points(mdp, [0, 5], jitter=0.0)
-    assert np.array_equal(pts, mdp.coords[[0, 5]])
-
-
 def test_states_to_points_accepts_a_generator():
     mdp = build_gridworld(2, 2, horizon=2)
     a = states_to_points(mdp, [0, 1, 2], seed=np.random.default_rng(8))

@@ -114,8 +114,9 @@ def test_irl_demonstrations_are_the_best_of_the_pool():
 
 
 def test_builders_refuse_an_estimator_the_expert_cannot_feed():
-    with pytest.raises(ValueError, match="kde_pair ratio mode needs expert state"):
-        density_matching("uniform", grid=(2, 2), horizon=2, ratio_mode="kde_pair")
+    with pytest.raises(ValueError, match="discriminator ratio mode needs expert state"):
+        density_matching("uniform", grid=(2, 2), horizon=2,
+                         ratio_mode="discriminator")
     mdp, gt, seed = _irl_setup(horizon=2)
     with pytest.raises(ValueError, match="exact_table ratio mode needs an expert"):
         irl_from_trajectories(mdp, 4, gt, seed=seed, ratio_mode="exact_table")

@@ -132,7 +132,7 @@ def test_config_validation_catches_bad_fields():
     cases = [
         {"kind": "tv"}, {"estimator": "gan"}, {"ratio_mode": "oracle"},
         {"alpha": 0.0}, {"iterations": 0}, {"reward_lr": 0.0},
-        {"batch_size": 1}, {"kde_bandwidth": 0.0}, {"eval_every": 0},
+        {"batch_size": 1}, {"eval_every": 0},
         {"eval_expert_samples": 3},
     ]
     for bad in cases:
@@ -292,7 +292,7 @@ def test_expert_input_and_mode_mismatches_are_rejected():
                                           ratio_mode="discriminator"))
     with pytest.raises(ValueError, match=r"expert state index 4 is outside 0\.\.3"):
         run_firl(mdp, np.append(demos[:, 1:].ravel(), 4),
-                 _small_cfg(estimator="mc", ratio_mode="kde_pair"))
+                 _small_cfg(estimator="mc", ratio_mode="discriminator"))
 
 
 def test_rkl_trains_on_an_unnormalized_energy():
@@ -323,7 +323,7 @@ def test_flat_expert_states_drive_the_sampled_ratio_modes():
     mdp = build_gridworld(3, 3, horizon=4)
     sol = _uniform_marginal(mdp)
     visits = sample_trajectories(mdp, sol, 30, seed=3).states[:, 1:].ravel()
-    cfg = _small_cfg(estimator="mc", ratio_mode="kde_pair", batch_size=32,
-                     iterations=2, kde_bandwidth=0.6)
+    cfg = _small_cfg(estimator="mc", ratio_mode="discriminator", batch_size=32,
+                     iterations=2)
     result = run_firl(mdp, visits, cfg)
     assert all(np.isfinite(row["grad_norm"]) for row in result.metrics)
