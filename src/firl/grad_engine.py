@@ -55,13 +55,7 @@ def _h_table(kind, rho_e, marginal_avg):
     return h
 
 
-def _ensure_solution(mdp, model, alpha, sol):
-    if sol is None:
-        sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), alpha))
-    return sol
-
-
-def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=None):
+def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
     """Sampling-free covariance from the diagonal t = t' plus the two
     pair contractions (t < t' and t > t') of pairwise_marginals.
 
@@ -70,17 +64,10 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e=None, sol=None, ratio=Non
     a point mass (see _random_instance); under slip or a spread start
     it is not.
 
-    Supply either the expert density rho_e (the ratio is formed exactly
-    against the solved marginal) or a precomputed (S,) ratio table from
-    density_ratio; exactly one of the two.
+    h is formed from the expert density rho_e against the marginal of
+    sol, the forward solve for model at alpha.
     """
-    if (rho_e is None) == (ratio is None):
-        raise ValueError("pass exactly one of rho_e and ratio")
-    sol = _ensure_solution(mdp, model, alpha, sol)
-    if ratio is not None:
-        h = h_f(kind, ratio)
-    else:
-        h = _h_table(kind, rho_e, sol.marginal_avg)
+    h = _h_table(kind, rho_e, sol.marginal_avg)
     fwd, bwd = pairwise_marginals(mdp, sol, h)
     t_hor = mdp.horizon
     w = t_hor * h * sol.marginal_avg + fwd + bwd
@@ -159,9 +146,9 @@ def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):
     return GradReport(grad, "fd_oracle")
 
 
-def enumeration_grad(mdp, model, alpha, kind, rho_e, sol=None):
-    """Exact covariance by summing over every trajectory explicitly."""
-    sol = _ensure_solution(mdp, model, alpha, sol)
+def enumeration_grad(mdp, model, alpha, kind, rho_e, sol):
+    """Exact covariance by summing over every trajectory explicitly,
+    under sol, the forward solve for model at alpha."""
     h = _h_table(kind, rho_e, sol.marginal_avg)
     g = reward_jacobian(model)
     paths, probs = enumerate_trajectories(mdp, sol)
@@ -219,7 +206,8 @@ def gradcheck_suite(n_instances=20, seed=0, eps=1e-5):
     for i in range(n_instances):
         mdp, rho_e, model, alpha = _random_instance(rng, i)
         kind = KINDS[i % len(KINDS)]
-        ga = analytic_grad_exact(mdp, model, alpha, kind, rho_e=rho_e).grad
+        sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), alpha))
+        ga = analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol).grad
         gf = fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=eps).grad
         rel = float(np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12))
         records.append({

@@ -35,8 +35,8 @@ class Scenario:
         self.notes = notes or {}
 
 
-def run_scenario(sc, model=None):
-    return run_firl(sc.mdp, sc.expert, sc.cfg, model=model, gt_reward=sc.gt_reward)
+def run_scenario(sc):
+    return run_firl(sc.mdp, sc.expert, sc.cfg, gt_reward=sc.gt_reward)
 
 
 def _grid_hull(mdp):
@@ -74,7 +74,7 @@ def density_matching(shape, grid=(5, 5), kind="fkl", seed=0, horizon=40,
 
     shape is 'gaussian' (blob at the grid center), 'mixture2' (two
     symmetric blobs), or 'uniform'. Training defaults: tabular reward,
-    adam, exact estimator on the exact ratio table; overrides are
+    adam, exact estimator, exact_table ratio mode; overrides are
     TrainConfig fields. The sample-based KL columns are throttled to
     every 25 iterations by default since they exist for curves, not
     for the optimization.

@@ -140,7 +140,8 @@ class TrajectoryBatch:
     def __init__(self, states):
         self.states = np.asarray(states, dtype=np.int64)
         if self.states.ndim != 2:
-            raise ValueError("trajectory batch must be 2-d")
+            raise ValueError("trajectory batch must be 2-d, shaped "
+                             "(n, horizon + 1)")
 
     @property
     def n(self):

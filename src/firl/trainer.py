@@ -28,6 +28,9 @@ RATIO_MODES = ("exact_table", "discriminator")
 METRIC_COLUMNS = ("iteration", "fkl_estimate", "rkl_estimate", "exact_fkl",
                   "exact_rkl", "return", "lf_exact", "grad_norm")
 
+# jittered expert visits drawn from a density for the kNN columns
+EVAL_EXPERT_SAMPLES = 10000
+
 
 @dataclass
 class TrainConfig:
@@ -40,7 +43,6 @@ class TrainConfig:
     batch_size: int = 64
     ratio_mode: str = "exact_table"
     eval_every: int = 1
-    eval_expert_samples: int = 10000
 
     def validate(self):
         for name, choices in (("kind", KINDS), ("estimator", ESTIMATORS),
@@ -57,8 +59,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
-        if self.eval_expert_samples <= KNN_K:
-            raise ValueError("eval_expert_samples must exceed the knn k of %d" % KNN_K)
         return self
 
 
@@ -128,16 +128,15 @@ class TrainResult:
 
 def _expert_form(expert):
     """Classify the expert input: ('density', ExpertDensity; a float vector
-    is taken as normalized), ('trajectories', batch) or ('states', ints)."""
+    is taken as normalized) or ('trajectories', batch; an int array is
+    taken as (n, horizon + 1) state rows)."""
     if isinstance(expert, ExpertDensity):
         return "density", expert
     if isinstance(expert, TrajectoryBatch):
         return "trajectories", expert
     arr = np.asarray(expert)
     if arr.dtype.kind in "iu":
-        if arr.ndim == 2:
-            return "trajectories", TrajectoryBatch(arr)
-        return "states", arr.ravel().astype(np.int64)
+        return "trajectories", TrajectoryBatch(arr)
     return "density", ExpertDensity(arr)
 
 
@@ -147,12 +146,12 @@ def _seed_int(rng):
 
 def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
-    mode against expert form, mixture against (n, horizon + 1)
-    trajectories, density length, normalization (only rkl accepts an
-    unnormalized energy), an rkl target's support, expert state indices,
-    more than KNN_K points in the kNN expert cloud, and disjoint unit
-    cells around mdp.coords, on which the evaluation takes the agent's
-    density as exact. Returns
+    mode and estimator against expert form (the exact estimator needs a
+    density), mixture against (n, horizon + 1) trajectories, density
+    length, normalization (only rkl accepts an unnormalized energy), an
+    rkl target's support, expert state indices, more than KNN_K points
+    in the kNN expert cloud, and disjoint unit cells around mdp.coords,
+    on which the evaluation takes the agent's density as exact. Returns
     (rho_e, expert_flat, expert_data): the ExpertDensity or None, the
     visits after s_0 or None, the classified input."""
     cfg.validate()
@@ -161,6 +160,9 @@ def check_expert_fit(mdp, expert, cfg):
         raise ValueError("exact_table ratio mode needs an expert density")
     if cfg.ratio_mode == "discriminator" and form == "density":
         raise ValueError("discriminator ratio mode needs expert state samples")
+    if cfg.estimator == "exact" and form != "density":
+        raise ValueError("exact estimator needs an expert density: expert "
+                         "trajectories train mc or mixture")
     if cfg.estimator == "mixture":
         if form != "trajectories":
             raise ValueError("mixture estimator needs expert trajectories "
@@ -184,12 +186,12 @@ def check_expert_fit(mdp, expert, cfg):
                                  "state: state %d is reachable in 1..%d steps "
                                  "but has zero density" % (empty[0], mdp.horizon))
     else:
-        states = expert_data.states if form == "trajectories" else expert_data
+        states = expert_data.states
         outside = states[(states < 0) | (states >= mdp.n_states)]
         if outside.size:
             raise ValueError("expert state index %d is outside 0..%d"
                              % (outside[0], mdp.n_states - 1))
-        expert_flat = states[:, 1:].ravel() if form == "trajectories" else states
+        expert_flat = states[:, 1:].ravel()
         if expert_flat.size <= KNN_K:
             raise ValueError("knn_kl needs more than %d points: the expert cloud "
                              "holds %d" % (KNN_K, expert_flat.size))
@@ -203,20 +205,22 @@ def check_expert_fit(mdp, expert, cfg):
     return rho_e, expert_flat, expert_data
 
 
-def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
-    """Minimize the chosen f-divergence to the expert state density.
+def run_firl(mdp, expert, cfg, gt_reward=None):
+    """Minimize the chosen f-divergence to the expert state density,
+    starting from a zero tabular reward.
 
-    expert is a state density (exact_table ratio mode) or expert state
-    samples: a flat int array of visits, or trajectories shaped
-    (n, horizon + 1) for the mixture estimator. Returns a TrainResult
-    whose metrics rows follow METRIC_COLUMNS; sample-based KL columns
-    are filled every eval_every iterations and NaN between.
+    expert is a state density, which trains the exact estimator or mc on
+    the exact_table ratio, or expert trajectories shaped
+    (n, horizon + 1), which train mc or mixture on the discriminator
+    ratio. Returns a TrainResult whose metrics rows follow
+    METRIC_COLUMNS; sample-based KL columns are filled every eval_every
+    iterations and NaN between. The run fails at the first non-finite
+    gradient entry or lf_exact that the target does not force.
     """
     t0 = time.perf_counter()
     rho_e, expert_flat, expert_data = check_expert_fit(mdp, expert, cfg)
 
-    if model is None:
-        model = tabular_reward(mdp.n_states)
+    model = tabular_reward(mdp.n_states)
     if gt_reward is not None:
         gt_reward = np.asarray(gt_reward, dtype=float)
 
@@ -227,7 +231,7 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
 
     # fixed expert cloud for the sample-based KL columns
     if rho_e is not None:
-        eval_expert_states = sample_states(rho_e.values, cfg.eval_expert_samples,
+        eval_expert_states = sample_states(rho_e.values, EVAL_EXPERT_SAMPLES,
                                            rng_expert)
     else:
         eval_expert_states = expert_flat
@@ -235,35 +239,26 @@ def run_firl(mdp, expert, cfg, model=None, gt_reward=None):
 
     opt = OptimizerState()
     metrics = []
-    needs_batch = (cfg.estimator in ("mc", "mixture")
-                   or cfg.ratio_mode == "discriminator")
-
     for it in range(cfg.iterations):
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), cfg.alpha))
-        batch = None
-        if needs_batch:
-            batch = sample_trajectories(mdp, sol, cfg.batch_size, _seed_int(rng_batch))
-
-        ratio = None
-        if cfg.ratio_mode == "discriminator":
-            ratio = discriminator_ratio(discriminator_fit(
-                expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
-        elif cfg.estimator != "exact":
-            # the exact gradient forms its own h from rho_e
-            ratio = exact_ratio(rho_e, sol.marginal_avg)
-
         if cfg.estimator == "exact":
-            # rho_e is set on the exact_table route only
-            report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind,
-                                         rho_e=rho_e, ratio=ratio, sol=sol)
-        elif cfg.estimator == "mc":
-            report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
+            report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e, sol)
         else:
-            report = analytic_grad_mixture(batch, expert_data, model, cfg.alpha,
-                                           cfg.kind, ratio, seed=_seed_int(rng_mix))
+            batch = sample_trajectories(mdp, sol, cfg.batch_size, _seed_int(rng_batch))
+            if cfg.ratio_mode == "discriminator":
+                ratio = discriminator_ratio(discriminator_fit(
+                    expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
+            else:
+                ratio = exact_ratio(rho_e, sol.marginal_avg)
+            if cfg.estimator == "mc":
+                report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
+            else:
+                report = analytic_grad_mixture(batch, expert_data, model, cfg.alpha,
+                                               cfg.kind, ratio, seed=_seed_int(rng_mix))
         _check_grad_scale(it, report.grad)
-        metrics.append(_metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report,
-                                   expert_cloud))
+        row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud)
+        _check_objective(it, mdp, rho_e, row["lf_exact"])
+        metrics.append(row)
         opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
         model = apply_update(model, delta)
 
@@ -280,6 +275,20 @@ def _check_grad_scale(it, grad):
         raise ValueError("iteration %d: a gradient entry of %.3g exceeds %.3g, "
                          "past which the squares summed by the gradient norm "
                          "and Adam's second moment overflow" % (it, big, cap))
+
+
+def _check_objective(it, mdp, rho_e, lf):
+    """Refuse a non-finite lf_exact on a normalized target that puts no
+    mass off the states reachable within the horizon; only off that set
+    is fkl infinite by construction. The reachable set is found only
+    after a non-finite value, so a finite run pays one isfinite."""
+    if rho_e is None or not rho_e.normalized or np.isfinite(lf):
+        return
+    if not np.any(rho_e.values[~reachable_states(mdp)] > 0):
+        raise ValueError("iteration %d: lf_exact is %s, though every state of "
+                         "the target is reachable in 1..%d steps: the policy "
+                         "has collapsed off part of the target"
+                         % (it, lf, mdp.horizon))
 
 
 def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):

@@ -177,15 +177,14 @@ def _write_cfg(tmp_path, name, payload):
 _TINY_DENSITY = {
     "schema_version": 1, "seed": 0, "type": "density_matching",
     "name": "tiny", "shape": "uniform", "grid": [3, 3], "horizon": 5,
-    "train": {"iterations": 2, "eval_every": 1, "eval_expert_samples": 100},
+    "train": {"iterations": 2, "eval_every": 1},
 }
 
 _TINY_IRL = {
     "schema_version": 1, "seed": 0, "type": "irl_from_trajectories",
     "name": "tiny-irl", "grid": [3, 3], "horizon": 6,
     "n_expert_traj": 4, "pool_size": 20, "gt_reward": {"8": 1.0},
-    "train": {"iterations": 3, "batch_size": 16, "eval_every": 3,
-              "eval_expert_samples": 100},
+    "train": {"iterations": 3, "batch_size": 16, "eval_every": 3},
 }
 
 
@@ -233,6 +232,21 @@ def test_cli_fails_a_run_whose_gradient_squares_overflow(tmp_path, capsys):
     assert manifest["error"].startswith("iteration 0: a gradient entry of")
 
 
+def test_cli_fails_a_run_whose_objective_goes_infinite(tmp_path, capsys):
+    # every cell of the tiny grid is reachable, so fkl is finite until a
+    # huge first step leaves the policy no mass on part of the target
+    payload = dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"],
+                                             reward_lr=1e10))
+    cfg = _write_cfg(tmp_path, "d.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "iteration 1: lf_exact is inf" in capsys.readouterr().err
+    [path] = glob.glob(str(out / "tiny" / "*" / "manifest.json"))
+    manifest = json.load(open(path))
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("iteration 1: lf_exact is inf")
+
+
 def test_cli_refuses_the_evaluation_rollout_count(tmp_path, capsys):
     # the agent side of the KL columns is exact, so no rollouts are drawn
     payload = dict(_TINY_DENSITY,
@@ -245,10 +259,13 @@ def test_cli_refuses_the_evaluation_rollout_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("train", [{"ratio_mode": "kde_pair"},
-                                   {"kde_bandwidth": 0.2}],
-                         ids=["kde-pair-mode", "kde-bandwidth"])
+                                   {"kde_bandwidth": 0.2},
+                                   {"eval_expert_samples": 10000}],
+                         ids=["kde-pair-mode", "kde-bandwidth",
+                              "eval-expert-samples"])
 def test_cli_refuses_the_retired_kde_ratio_route(tmp_path, capsys, train):
-    # the discriminator is the one sampled ratio route
+    # the discriminator is the one sampled ratio route, and a density's
+    # kNN cloud is a fixed 10,000 visits
     payload = dict(_TINY_IRL, train=dict(_TINY_IRL["train"], **train))
     cfg = _write_cfg(tmp_path, "i.json", payload)
     out = tmp_path / "out"
@@ -309,8 +326,9 @@ def test_cli_builds_the_scenario_before_the_run_directory(tmp_path, capsys):
     (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], ratio_mode="exact_table")),
      [], "exact_table ratio mode needs an expert density"),
     (dict(_TINY_IRL, n_expert_traj=1, horizon=2), [], "expert cloud holds 2"),
+    (_TINY_IRL, ["--estimator", "exact"], "exact estimator needs an expert density"),
 ], ids=["mixture-on-a-density", "discriminator-on-a-density", "exact-table-on-demos",
-        "expert-cloud-below-k"])
+        "expert-cloud-below-k", "exact-on-demos"])
 def test_cli_refuses_a_misfit_before_the_run_directory(tmp_path, capsys, payload,
                                                        flags, message):
     cfg = _write_cfg(tmp_path, "c.json", payload)
@@ -522,7 +540,6 @@ _SMALL_GRID = st.lists(st.integers(1, 3), min_size=2, max_size=2)
 
 _TRAIN_REQUIRED = {
     "iterations": st.integers(1, 2),
-    "eval_expert_samples": st.integers(4, 40),
 }
 _TRAIN_OPTIONAL = {
     "kind": st.sampled_from(KINDS),

@@ -76,7 +76,7 @@ def test_density_matching_builds_the_documented_defaults():
 
 def test_density_matching_smoke_run():
     sc = density_matching("uniform", grid=(3, 3), horizon=6, iterations=2,
-                          eval_every=2, eval_expert_samples=100)
+                          eval_every=2)
     result = run_scenario(sc)
     assert len(result.metrics) == 2
     assert np.isfinite(result.metrics[-1]["lf_exact"])

@@ -133,7 +133,6 @@ def test_config_validation_catches_bad_fields():
         {"kind": "tv"}, {"estimator": "gan"}, {"ratio_mode": "oracle"},
         {"alpha": 0.0}, {"iterations": 0}, {"reward_lr": 0.0},
         {"batch_size": 1}, {"eval_every": 0},
-        {"eval_expert_samples": 3},
     ]
     for bad in cases:
         cfg = TrainConfig(seed=0, **bad)
@@ -144,8 +143,7 @@ def test_config_validation_catches_bad_fields():
 # ------------------------------------------------------------ training loop
 
 def _small_cfg(**kw):
-    base = dict(seed=0, iterations=3, reward_lr=0.1, eval_every=1,
-                eval_expert_samples=100)
+    base = dict(seed=0, iterations=3, reward_lr=0.1, eval_every=1)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -272,9 +270,14 @@ def test_expert_input_and_mode_mismatches_are_rejected():
     with pytest.raises(ValueError, match="needs expert state samples"):
         run_firl(mdp, rho_e, _small_cfg(ratio_mode="discriminator",
                                         estimator="mc"))
+    with pytest.raises(ValueError, match="exact estimator needs an expert density"):
+        run_firl(mdp, demos, _small_cfg(ratio_mode="discriminator"))
     with pytest.raises(ValueError, match="needs expert trajectories"):
+        run_firl(mdp, rho_e, _small_cfg(estimator="mixture"))
+    # expert visits come as (n, T+1) rows; a flat int array is refused
+    with pytest.raises(ValueError, match=r"2-d, shaped \(n, horizon \+ 1\)"):
         run_firl(mdp, demos[:, 1:].ravel(),
-                 _small_cfg(estimator="mixture", ratio_mode="discriminator"))
+                 _small_cfg(estimator="mc", ratio_mode="discriminator"))
     with pytest.raises(ValueError, match="horizon"):
         run_firl(mdp, demos[:, :-1],
                  _small_cfg(estimator="mixture", ratio_mode="discriminator"))
@@ -290,9 +293,10 @@ def test_expert_input_and_mode_mismatches_are_rejected():
     with pytest.raises(ValueError, match=r"expert state index -1 is outside 0\.\.3"):
         run_firl(mdp, wrapped, _small_cfg(estimator="mixture",
                                           ratio_mode="discriminator"))
+    past = demos.copy()
+    past[3, 1] = 4
     with pytest.raises(ValueError, match=r"expert state index 4 is outside 0\.\.3"):
-        run_firl(mdp, np.append(demos[:, 1:].ravel(), 4),
-                 _small_cfg(estimator="mc", ratio_mode="discriminator"))
+        run_firl(mdp, past, _small_cfg(estimator="mc", ratio_mode="discriminator"))
 
 
 def test_rkl_trains_on_an_unnormalized_energy():
@@ -322,8 +326,8 @@ def test_only_rkl_accepts_an_unnormalized_energy():
 def test_flat_expert_states_drive_the_sampled_ratio_modes():
     mdp = build_gridworld(3, 3, horizon=4)
     sol = _uniform_marginal(mdp)
-    visits = sample_trajectories(mdp, sol, 30, seed=3).states[:, 1:].ravel()
+    demos = sample_trajectories(mdp, sol, 30, seed=3).states
     cfg = _small_cfg(estimator="mc", ratio_mode="discriminator", batch_size=32,
                      iterations=2)
-    result = run_firl(mdp, visits, cfg)
+    result = run_firl(mdp, demos, cfg)
     assert all(np.isfinite(row["grad_norm"]) for row in result.metrics)
