@@ -20,7 +20,10 @@ class FiniteMdp:
     (s, a) lists the states with P[s, a, s'] > 0 in increasing index,
     and their probabilities; K is the most such states in any row, and
     padded slots hold state 0 with probability 0. A gridworld has
-    K <= 5; a dense P has K = S. transitions, init_dist and coords are
+    K <= 5; a dense P has K = S. The solve, the marginals, the gradients,
+    sampling and reachability read only the tables; the dense
+    transitions are the constructor's input, read again only by
+    validate and modify_dynamics. transitions, init_dist and coords are
     read-only copies, so neither the tables nor the checked layout can
     go stale.
     """
@@ -100,12 +103,12 @@ def validate(mdp):
 
 def reachable_states(mdp):
     """Boolean (S,) mask of the states with positive probability at some
-    t in 1..T under a policy that takes every action."""
-    step = mdp.transitions.max(axis=1) > 0
+    t in 1..T under a policy that takes every action, pushed through succ."""
+    live = mdp.probs > 0
     front = mdp.init_dist > 0
     seen = np.zeros(mdp.n_states, dtype=bool)
     for _ in range(mdp.horizon):
-        front = step[front].any(axis=0)
+        front = np.bincount(mdp.succ[front][live[front]], minlength=mdp.n_states) > 0
         seen |= front
     return seen
 

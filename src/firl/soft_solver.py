@@ -1,14 +1,13 @@
 """Exact finite-horizon soft (maximum-entropy) planning.
 
 Backward recursion gives the soft values and the Boltzmann policy, one
-max-shifted numpy log-sum-exp per step. Everything after the solve runs
-over P's successor tables (mdp.succ, mdp.probs; K successors per
-state-action pair): the step kernels are the weights pi_t(a|s) P(s'|s, a)
-in successor form, forward propagation pushes the state marginals
-through them, and sampling draws from CDF tables over each row's
-successors, built once per call. Reward, finite or refused, is credited
-on the arrival state, so t = 0 earns none and time averages run over
-1..T.
+max-shifted numpy log-sum-exp per step. Every step reads P's successor
+tables (mdp.succ, mdp.probs; K per state-action pair), never the dense
+P: the solve gathers Q_t at the successors, the kernels pi_t(a|s)
+P(s'|s, a) push the state marginals, and sampling draws from CDF tables
+over each row's successors, built once per call. Reward, finite or
+refused, is credited on the arrival state, so t = 0 earns none and
+time averages run over 1..T.
 
 pairwise_marginals contracts the exact gradient's pair occupancies in
 two O(T S A K) sweeps over the kernels, never building the dense
@@ -63,8 +62,8 @@ class SoftSolution:
 
 
 def soft_backward(mdp, reward, alpha=1.0):
-    """Solve V_T = 0, Q_t = E[r(s') + V_{t+1}(s')], V_t = alpha * lse(Q_t / alpha).
-    The lse is shifted by each row's max; its exponentials give the policy."""
+    """Solve V_T = 0, Q_t = E[r(s') + V_{t+1}(s')] over succ/probs, V_t =
+    alpha * lse(Q_t / alpha), max-shifted per row; exponentials give the policy."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     timed = _as_timed(reward, mdp.horizon, mdp.n_states)
@@ -72,7 +71,8 @@ def soft_backward(mdp, reward, alpha=1.0):
     policy = np.empty((mdp.horizon, mdp.n_states, mdp.n_actions))
     totals = np.empty((mdp.horizon, mdp.n_states))
     for t in range(mdp.horizon - 1, -1, -1):
-        q = mdp.transitions @ (timed.arrival[t] + soft_v[t + 1])
+        x = timed.arrival[t] + soft_v[t + 1]
+        q = np.einsum("sak,sak->sa", mdp.probs, x[mdp.succ])
         z = (q + timed.departure[t][:, None]) / alpha
         top = z.max(axis=1)
         e = np.exp(z - top[:, None], out=policy[t])

@@ -214,11 +214,18 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     (n, horizon + 1), which train mc or mixture on the discriminator
     ratio. Returns a TrainResult whose metrics rows follow
     METRIC_COLUMNS; sample-based KL columns are filled every eval_every
-    iterations and NaN between. The run fails at the first non-finite
-    gradient entry or lf_exact that the target does not force.
+    iterations and NaN between. The run fails at the first gradient
+    entry that is not finite or whose square can overflow, and at the
+    first solve that leaves no mass on a state the expert occupies and
+    the walk can reach.
     """
     t0 = time.perf_counter()
     rho_e, expert_flat, expert_data = check_expert_fit(mdp, expert, cfg)
+    if rho_e is not None:
+        occupied = rho_e.values > 0
+    else:
+        occupied = np.bincount(expert_flat, minlength=mdp.n_states) > 0
+    occupied &= reachable_states(mdp)
 
     model = tabular_reward(mdp.n_states)
     if gt_reward is not None:
@@ -241,6 +248,7 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     metrics = []
     for it in range(cfg.iterations):
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), cfg.alpha))
+        _check_collapse(it, mdp, sol, occupied)
         if cfg.estimator == "exact":
             report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e, sol)
         else:
@@ -257,7 +265,6 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
                                                cfg.kind, ratio, seed=_seed_int(rng_mix))
         _check_grad_scale(it, report.grad)
         row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud)
-        _check_objective(it, mdp, rho_e, row["lf_exact"])
         metrics.append(row)
         opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
         model = apply_update(model, delta)
@@ -277,18 +284,17 @@ def _check_grad_scale(it, grad):
                          "and Adam's second moment overflow" % (it, big, cap))
 
 
-def _check_objective(it, mdp, rho_e, lf):
-    """Refuse a non-finite lf_exact on a normalized target that puts no
-    mass off the states reachable within the horizon; only off that set
-    is fkl infinite by construction. The reachable set is found only
-    after a non-finite value, so a finite run pays one isfinite."""
-    if rho_e is None or not rho_e.normalized or np.isfinite(lf):
-        return
-    if not np.any(rho_e.values[~reachable_states(mdp)] > 0):
-        raise ValueError("iteration %d: lf_exact is %s, though every state of "
-                         "the target is reachable in 1..%d steps: the policy "
-                         "has collapsed off part of the target"
-                         % (it, lf, mdp.horizon))
+def _check_collapse(it, mdp, sol, occupied):
+    """Refuse a solve whose marginal is 0 on a state the expert occupies
+    and the walk can reach: the policy has collapsed off part of the
+    target, where a gradient that weighs each state by the policy's mass
+    cannot pull it back."""
+    lost = np.nonzero(occupied & (sol.marginal_avg == 0))[0]
+    if lost.size:
+        raise ValueError("iteration %d: the policy puts no mass on state %d, "
+                         "which the expert occupies and the walk can reach in "
+                         "1..%d steps: the policy has collapsed off part of "
+                         "the target" % (it, lost[0], mdp.horizon))
 
 
 def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):

@@ -240,11 +240,31 @@ def test_cli_fails_a_run_whose_objective_goes_infinite(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "d.json", payload)
     out = tmp_path / "out"
     assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
-    assert "iteration 1: lf_exact is inf" in capsys.readouterr().err
+    assert "iteration 1: the policy puts no mass on state" in capsys.readouterr().err
     [path] = glob.glob(str(out / "tiny" / "*" / "manifest.json"))
     manifest = json.load(open(path))
     assert manifest["status"] == "failed"
-    assert manifest["error"].startswith("iteration 1: lf_exact is inf")
+    assert manifest["error"].startswith("iteration 1: the policy puts no mass on state")
+
+
+@pytest.mark.parametrize("payload, it", [
+    (dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"], kind="js",
+                                    reward_lr=1e10)), 1),
+    (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], reward_lr=1e10,
+                                eval_every=1)), 2),
+], ids=["js-on-a-density", "mixture-on-demos"])
+def test_cli_fails_a_run_whose_policy_collapses(tmp_path, capsys, payload, it):
+    # js stays finite and a run on demonstrations has no exact column, so
+    # only the marginal on the expert's reachable states shows the collapse
+    cfg = _write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    message = "iteration %d: the policy puts no mass on state" % it
+    assert message in capsys.readouterr().err
+    [path] = glob.glob(str(out / payload["name"] / "*" / "manifest.json"))
+    manifest = json.load(open(path))
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith(message)
 
 
 def test_cli_refuses_the_evaluation_rollout_count(tmp_path, capsys):

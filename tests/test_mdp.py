@@ -123,6 +123,12 @@ def test_reachable_states_follow_the_horizon():
     for horizon, want in ((1, [1, 1, 0, 0]), (2, [1, 1, 1, 0]), (5, [1, 1, 1, 1])):
         mdp = build_gridworld(4, 1, horizon=horizon)
         assert np.array_equal(reachable_states(mdp), np.array(want, dtype=bool))
+    # slip lands on the other actions' cells, so from corner 0 two steps
+    # still reach only the cells within two moves: not 5, 7 or 8
+    for slip in (0.0, 0.2):
+        mdp = build_gridworld(3, 3, slip_prob=slip, horizon=2)
+        assert np.array_equal(reachable_states(mdp),
+                              np.array([1, 1, 1, 1, 1, 0, 1, 0, 0], dtype=bool))
 
 
 def test_builder_argument_errors():

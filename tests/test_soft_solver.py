@@ -5,15 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp, softmax
 
-from firl.grad_engine import analytic_grad_exact
-from firl.mdp import FiniteMdp, build_gridworld
-from firl.reward_model import apply_update, tabular_reward
+from firl.grad_engine import analytic_grad_exact, enumeration_grad
+from firl.mdp import FiniteMdp, build_gridworld, reachable_states
+from firl.reward_model import apply_update, reward_vector, tabular_reward
 from firl.soft_solver import (TimedReward, TrajectoryBatch,
                               enumerate_trajectories, forward_marginals,
                               pairwise_marginals, sample_trajectories,
                               soft_backward, step_kernel)
+from firl.trainer import TrainConfig, run_firl
 
 
 def _two_arm_bandit():
@@ -243,14 +243,20 @@ def test_sampling_equals_the_per_step_cumsum_draws(slip, n):
 
 
 def _reference_solve(mdp, timed, alpha):
-    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
-    policy = np.zeros((mdp.horizon, mdp.n_states, mdp.n_actions))
+    # Q, the log-sum-exp and the softmax in long double on the dense P,
+    # so the reference pins the solve's accuracy, not one summation order:
+    # at alpha 1e-3 one ulp of Q is ~1e-10 in Q / alpha
+    ld = np.longdouble
+    P = mdp.transitions.astype(ld)
+    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states), dtype=ld)
+    policy = np.zeros((mdp.horizon, mdp.n_states, mdp.n_actions), dtype=ld)
     for t in range(mdp.horizon - 1, -1, -1):
-        q = mdp.transitions @ (timed.arrival[t] + soft_v[t + 1])
-        q = q + timed.departure[t][:, None]
-        soft_v[t] = alpha * logsumexp(q / alpha, axis=1)
-        policy[t] = softmax(q / alpha, axis=1)
-    return soft_v, policy
+        q = P @ (timed.arrival[t].astype(ld) + soft_v[t + 1])
+        z = (q + timed.departure[t].astype(ld)[:, None]) / ld(alpha)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        soft_v[t] = ld(alpha) * (z.max(axis=1) + np.log(e.sum(axis=1)))
+        policy[t] = e / e.sum(axis=1, keepdims=True)
+    return soft_v.astype(float), policy.astype(float)
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 1.0, 10.0])
@@ -267,6 +273,66 @@ def test_soft_backward_matches_a_logsumexp_reference(alpha, scale):
         sol = soft_backward(mdp, timed, alpha)
     assert np.abs(sol.soft_v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
     assert np.abs(sol.policy - pi_ref).max() <= 1e-12
+
+
+def _dense_matvec_solve(mdp, timed, alpha):
+    # soft_backward's arithmetic step for step, with Q = P @ v on the dense P
+    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
+    policy = np.empty((mdp.horizon, mdp.n_states, mdp.n_actions))
+    totals = np.empty((mdp.horizon, mdp.n_states))
+    for t in range(mdp.horizon - 1, -1, -1):
+        q = mdp.transitions @ (timed.arrival[t] + soft_v[t + 1])
+        z = (q + timed.departure[t][:, None]) / alpha
+        top = z.max(axis=1)
+        e = np.exp(z - top[:, None], out=policy[t])
+        totals[t] = e.sum(axis=1)
+        soft_v[t] = alpha * (top + np.log(totals[t]))
+    policy /= totals[..., None]
+    return soft_v, policy
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0])
+@pytest.mark.parametrize("grid, horizon", [((5, 5), 20), ((15, 15), 40)])
+def test_soft_backward_equals_the_dense_matvec_at_slip_zero(grid, horizon, alpha):
+    # one successor per row: the gather adds the same terms as P @ v, so
+    # the shipped runs' artifacts do not move
+    mdp = build_gridworld(*grid, horizon=horizon)
+    rng = np.random.default_rng(12)
+    shape = (horizon, mdp.n_states)
+    r = rng.normal(size=mdp.n_states)
+    timed = TimedReward(rng.normal(size=shape), rng.normal(size=shape))
+    for reward, as_timed in ((r, TimedReward(np.tile(r, (horizon, 1)))),
+                             (timed, timed)):
+        sol = soft_backward(mdp, reward, alpha)
+        soft_v, policy = _dense_matvec_solve(mdp, as_timed, alpha)
+        assert np.array_equal(sol.soft_v, soft_v)
+        assert np.array_equal(sol.policy, policy)
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.2])
+def test_every_per_iteration_layer_runs_without_the_dense_p(slip):
+    # only construction reads mdp.transitions; the solve, the marginals,
+    # both gradients, the sampler, reachability and training read the
+    # successor tables
+    mdp = build_gridworld(3, 3, slip_prob=slip, horizon=4)
+    rng = np.random.default_rng(13)
+    model = apply_update(tabular_reward(9), rng.normal(size=9))
+    rho_e = rng.dirichlet(np.ones(9))
+    mdp.transitions = None
+    timed = TimedReward(rng.normal(size=(4, 9)), rng.normal(size=(4, 9)))
+    assert np.isfinite(soft_backward(mdp, timed, 0.7).soft_v).all()
+    sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), 0.7))
+    assert np.isfinite(np.concatenate(pairwise_marginals(mdp, sol, rho_e))).all()
+    for grad in (analytic_grad_exact, enumeration_grad):
+        assert np.isfinite(grad(mdp, model, 0.7, "fkl", rho_e, sol).grad).all()
+    demos = sample_trajectories(mdp, sol, 8, seed=14)
+    assert reachable_states(mdp).all()    # every cell is within 4 moves of 0
+    for expert, estimator, ratio_mode in ((rho_e, "exact", "exact_table"),
+                                          (rho_e, "mc", "exact_table"),
+                                          (demos, "mixture", "discriminator")):
+        cfg = TrainConfig(seed=0, iterations=2, estimator=estimator,
+                          ratio_mode=ratio_mode, batch_size=8)
+        assert len(run_firl(mdp, expert, cfg).metrics) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
