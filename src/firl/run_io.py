@@ -8,6 +8,7 @@ at the end and is enough to reproduce the run.
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import fields
@@ -195,11 +196,21 @@ def load_config(path):
         raise ConfigError("config file not found: %s" % path)
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_finite_pairs)
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     validate_config(cfg)
     return cfg
+
+
+def _finite_pairs(pairs):
+    """json.load's object hook: json reads NaN, Infinity and 1e400 as
+    floats, which the schema's "number" admits; refuse them by key."""
+    for key, value in pairs:
+        for x in value if isinstance(value, list) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError("%s must be finite, got %r" % (key, x))
+    return dict(pairs)
 
 
 # jsonschema counts 2.0 as an integer; range() and numpy seeding do not.

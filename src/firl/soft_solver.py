@@ -1,11 +1,12 @@
 """Exact finite-horizon soft (maximum-entropy) planning.
 
 Backward recursion gives the soft values and the Boltzmann policy, one
-max-shifted numpy log-sum-exp per step. Every step reads P's successor
-tables (mdp.succ, mdp.probs; K per state-action pair), never the dense
-P: the solve gathers Q_t at the successors, the kernels pi_t(a|s)
-P(s'|s, a) push the state marginals, and sampling draws from CDF tables
-over each row's successors, built once per call. Reward, finite or
+max-shifted numpy log-sum-exp per step over action-major (A, S) rows.
+Every step reads P's successor tables (mdp.succ, mdp.probs; K per
+state-action pair), never the dense P: the solve gathers Q_t at the
+successors, the kernels pi_t(a|s) P(s'|s, a) push the state marginals,
+and sampling draws from CDF tables over each row's successors, built
+once per call, walking time-major (T+1, n) rows. Reward, finite or
 refused, is credited on the arrival state, so t = 0 earns none and
 time averages run over 1..T.
 
@@ -36,16 +37,21 @@ class TimedReward:
             raise ValueError("reward must be finite")
 
 
-def _as_timed(reward, horizon, n_states):
+def _reward_tables(reward, horizon, n_states):
+    """(arrival, departure) as the solve reads them: a stationary reward
+    is its (S,) vector broadcast over the steps, not a copy per step, and
+    a departure table of zeros is None, since adding 0.0 changes nothing."""
     if isinstance(reward, TimedReward):
         if reward.arrival.shape != (horizon, n_states):
             raise ValueError("timed reward is %r, mdp needs %r"
                              % (reward.arrival.shape, (horizon, n_states)))
-        return reward
+        return reward.arrival, reward.departure if reward.departure.any() else None
     reward = np.asarray(reward, dtype=float)
     if reward.shape != (n_states,):
         raise ValueError("stationary reward must have one value per state")
-    return TimedReward(np.tile(reward, (horizon, 1)))
+    if not np.isfinite(reward).all():
+        raise ValueError("reward must be finite")
+    return np.broadcast_to(reward, (horizon, n_states)), None
 
 
 class SoftSolution:
@@ -63,23 +69,44 @@ class SoftSolution:
 
 def soft_backward(mdp, reward, alpha=1.0):
     """Solve V_T = 0, Q_t = E[r(s') + V_{t+1}(s')] over succ/probs, V_t =
-    alpha * lse(Q_t / alpha), max-shifted per row; exponentials give the policy."""
+    alpha * lse(Q_t / alpha), max-shifted per state; exponentials give the
+    policy.
+
+    Each step works action-major on (A, S) tables, so the max and the sum
+    over the actions run as A - 1 vector operations over contiguous rows;
+    for fewer than 8 actions numpy adds them in the same order as a
+    reduction along a state's row, so the results are bit for bit those
+    of the state-major solve. With one successor per row (no slip) Q_t is
+    a plain gather, as probs is 1 there. The policy is returned
+    state-major, (T, S, A) and C-contiguous."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    timed = _as_timed(reward, mdp.horizon, mdp.n_states)
-    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
-    policy = np.empty((mdp.horizon, mdp.n_states, mdp.n_actions))
-    totals = np.empty((mdp.horizon, mdp.n_states))
-    for t in range(mdp.horizon - 1, -1, -1):
-        x = timed.arrival[t] + soft_v[t + 1]
-        q = np.einsum("sak,sak->sa", mdp.probs, x[mdp.succ])
-        z = (q + timed.departure[t][:, None]) / alpha
-        top = z.max(axis=1)
-        e = np.exp(z - top[:, None], out=policy[t])
-        totals[t] = e.sum(axis=1)
-        soft_v[t] = alpha * (top + np.log(totals[t]))
-    policy /= totals[..., None]
-    return SoftSolution(policy, soft_v)
+    arrival, departure = _reward_tables(reward, mdp.horizon, mdp.n_states)
+    n_t, n_s, n_a = mdp.horizon, mdp.n_states, mdp.n_actions
+    one_succ = mdp.succ.shape[2] == 1
+    if one_succ:
+        succ_t = np.ascontiguousarray(mdp.succ[..., 0].T)
+    soft_v = np.zeros((n_t + 1, n_s))
+    pol = np.empty((n_t, n_a, n_s))
+    totals = np.empty((n_t, n_s))
+    for t in range(n_t - 1, -1, -1):
+        x = arrival[t] + soft_v[t + 1]
+        if one_succ:
+            z = x.take(succ_t)
+        else:
+            z = np.einsum("sak,sak->sa", mdp.probs, x[mdp.succ]).T
+        if departure is not None:
+            z += departure[t]
+        z /= alpha
+        top = np.maximum.reduce(z, axis=0)
+        z -= top
+        np.exp(z, out=pol[t])
+        np.add.reduce(pol[t], axis=0, out=totals[t])
+        v = np.log(totals[t], out=soft_v[t])
+        v += top
+        v *= alpha
+    pol /= totals[:, None, :]
+    return SoftSolution(np.ascontiguousarray(pol.transpose(0, 2, 1)), soft_v)
 
 
 def step_kernel(mdp, sol):
@@ -148,11 +175,11 @@ class TrajectoryBatch:
         return self.states.shape[0]
 
 
-def _draw(cdf, u):
+def _draw(cdf, last, u):
     """One categorical draw per row of a (n, k) table of cumulative sums,
-    given (n, 1) uniforms: the first entry above u times the row's last
-    entry, which a row has because u < 1."""
-    return (cdf > u * cdf[:, -1:]).argmax(axis=1)
+    given the rows' last entries and (n,) uniforms: the first entry above
+    u times the last, which a row has because u < 1."""
+    return (cdf > (u * last)[:, None]).argmax(axis=1)
 
 
 def sample_trajectories(mdp, sol, n, seed):
@@ -161,22 +188,30 @@ def sample_trajectories(mdp, sol, n, seed):
     row's successors draw as a per-step cumsum over the dense row would,
     and the 2T+1 uniform blocks come from one call in the same stream. With
     one successor per row (no slip) that draw always picks it and is skipped;
-    its uniforms are still generated, so the stream is unchanged."""
+    its uniforms are still generated, so the stream is unchanged. The walk
+    fills time-major (T+1, n) rows, transposed once at the end."""
     if n < 1:
         raise ValueError("need at least one trajectory")
-    u = np.random.default_rng(seed).random((2 * mdp.horizon + 1, n, 1))
+    u = np.random.default_rng(seed).random((2 * mdp.horizon + 1, n))
     n_a, n_k = mdp.n_actions, mdp.succ.shape[2]
     policy_cdf = np.cumsum(sol.policy, axis=2)
-    succ = mdp.succ.reshape(-1, n_k)   # row s A + a
-    step_cdf = np.cumsum(mdp.probs, axis=2).reshape(-1, n_k)
-    states = np.zeros((n, mdp.horizon + 1), dtype=np.int64)
-    states[:, 0] = _draw(np.cumsum(mdp.init_dist)[None], u[0])
+    policy_last = policy_cdf[..., -1]
+    succ = mdp.succ.reshape(-1)   # entry (s A + a) K + k
+    if n_k > 1:
+        step_cdf = np.cumsum(mdp.probs, axis=2).reshape(-1, n_k)
+        step_last = step_cdf[:, -1]
+    init_cdf = np.cumsum(mdp.init_dist)
+    states = np.empty((mdp.horizon + 1, n), dtype=np.int64)
+    states[0] = _draw(init_cdf[None], init_cdf[-1], u[0])
     for t in range(mdp.horizon):
-        s = states[:, t]
-        row = s * n_a + _draw(policy_cdf[t].take(s, axis=0), u[2 * t + 1])
-        k = 0 if n_k == 1 else _draw(step_cdf.take(row, axis=0), u[2 * t + 2])
-        states[:, t + 1] = succ[row, k]
-    return TrajectoryBatch(states)
+        s = states[t]
+        row = s * n_a + _draw(policy_cdf[t].take(s, axis=0),
+                              policy_last[t].take(s), u[2 * t + 1])
+        if n_k > 1:
+            row = row * n_k + _draw(step_cdf.take(row, axis=0),
+                                    step_last.take(row), u[2 * t + 2])
+        states[t + 1] = succ.take(row)
+    return TrajectoryBatch(np.ascontiguousarray(states.T))
 
 
 def enumerate_trajectories(mdp, sol):

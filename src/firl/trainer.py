@@ -302,9 +302,10 @@ def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):
     row["iteration"] = it
     row["grad_norm"] = float(np.linalg.norm(report.grad))
     if rho_e is not None and rho_e.normalized:
-        row["exact_fkl"] = divergence_exact("fkl", rho_e, sol.marginal_avg)
-        row["exact_rkl"] = divergence_exact("rkl", rho_e, sol.marginal_avg)
-        row["lf_exact"] = divergence_exact(cfg.kind, rho_e, sol.marginal_avg)
+        exact = {kind: divergence_exact(kind, rho_e, sol.marginal_avg)
+                 for kind in {"fkl", "rkl", cfg.kind}}
+        row["exact_fkl"], row["exact_rkl"] = exact["fkl"], exact["rkl"]
+        row["lf_exact"] = exact[cfg.kind]
     if gt_reward is not None:
         row["return"] = policy_return(mdp, sol, gt_reward)
     if it % cfg.eval_every == 0:

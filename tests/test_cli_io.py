@@ -471,6 +471,27 @@ def test_cli_refuses_a_non_finite_prior(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block, key, token", [
+    ("train", "alpha", "Infinity"),       # used to fail mid-run, dir left
+    ("train", "reward_lr", "Infinity"),   # ditto, naming no iteration
+    (None, "sigma", "Infinity"),          # used to exit 0, manifest not JSON
+    (None, "sigma", "NaN"),
+    ("train", "alpha", "1e400"),          # json reads it as inf
+])
+def test_cli_refuses_a_non_finite_config_number(tmp_path, capsys, block, key,
+                                                token):
+    shipped = dict(zip(map(os.path.basename, _SHIPPED), _SHIPPED))
+    with open(shipped["gaussian_fkl.json"]) as fh:
+        payload = json.load(fh)
+    (payload[block] if block else payload)[key] = "@@"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload).replace('"@@"', token))
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    assert ("firl: error: %s must be finite" % key) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grids", [
     {"lambda_grid": [0.5, 1.0]},
     {"lambda_grid": []},

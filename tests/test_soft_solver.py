@@ -242,6 +242,17 @@ def test_sampling_equals_the_per_step_cumsum_draws(slip, n):
                               _reference_sample(mdp, sol, n, 100 + seed))
 
 
+@pytest.mark.parametrize("n", [1, 256])
+def test_sampling_on_a_dense_p_equals_the_per_step_cumsum_draws(n):
+    mdp, rng = _random_mdp(6, 3, 5, seed=15)
+    for seed in range(5):
+        sol = soft_backward(mdp, rng.normal(size=mdp.n_states), 0.7)
+        batch = sample_trajectories(mdp, sol, n, seed=200 + seed)
+        assert np.array_equal(batch.states,
+                              _reference_sample(mdp, sol, n, 200 + seed))
+        assert batch.states.flags.c_contiguous
+
+
 def _reference_solve(mdp, timed, alpha):
     # Q, the log-sum-exp and the softmax in long double on the dense P,
     # so the reference pins the solve's accuracy, not one summation order:
@@ -307,6 +318,74 @@ def test_soft_backward_equals_the_dense_matvec_at_slip_zero(grid, horizon, alpha
         soft_v, policy = _dense_matvec_solve(mdp, as_timed, alpha)
         assert np.array_equal(sol.soft_v, soft_v)
         assert np.array_equal(sol.policy, policy)
+
+
+def _state_major_solve(mdp, timed, alpha):
+    # the solve on (S, A) tables, reducing along each state's row
+    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
+    policy = np.empty((mdp.horizon, mdp.n_states, mdp.n_actions))
+    totals = np.empty((mdp.horizon, mdp.n_states))
+    for t in range(mdp.horizon - 1, -1, -1):
+        x = timed.arrival[t] + soft_v[t + 1]
+        q = np.einsum("sak,sak->sa", mdp.probs, x[mdp.succ])
+        z = (q + timed.departure[t][:, None]) / alpha
+        top = z.max(axis=1)
+        e = np.exp(z - top[:, None], out=policy[t])
+        totals[t] = e.sum(axis=1)
+        soft_v[t] = alpha * (top + np.log(totals[t]))
+    policy /= totals[..., None]
+    return soft_v, policy
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_gridworld(4, 3, slip_prob=0.1, horizon=7),
+    lambda: build_gridworld(5, 5, slip_prob=0.3, horizon=9),
+    lambda: _random_mdp(6, 3, 5, seed=16)[0],    # dense P, K = S
+    lambda: _chain(horizon=4)])                   # one action
+@pytest.mark.parametrize("departs", [None, "zero", "random"])
+def test_soft_backward_equals_the_state_major_solve(make, departs):
+    # action-major rows add fewer than 8 actions in a row's order, so the
+    # layout moves no bit
+    mdp = make()
+    rng = np.random.default_rng(17)
+    shape = (mdp.horizon, mdp.n_states)
+    for alpha in (1e-3, 0.7):
+        if departs is None:
+            r = rng.normal(size=mdp.n_states)
+            reward, timed = r, TimedReward(np.tile(r, (mdp.horizon, 1)))
+        else:
+            departure = np.zeros(shape) if departs == "zero" else rng.normal(size=shape)
+            reward = timed = TimedReward(rng.normal(size=shape), departure)
+        sol = soft_backward(mdp, reward, alpha)
+        soft_v, policy = _state_major_solve(mdp, timed, alpha)
+        assert np.array_equal(sol.soft_v, soft_v)
+        assert np.array_equal(sol.policy, policy)
+        assert sol.policy.flags.c_contiguous
+
+
+def test_soft_backward_past_eight_actions_agrees_to_rounding():
+    # from 8 terms on numpy sums a row pairwise, so only the last bits move
+    mdp, rng = _random_mdp(7, 9, 6, seed=18)
+    timed = TimedReward(rng.normal(size=(6, 7)), rng.normal(size=(6, 7)))
+    sol = soft_backward(mdp, timed, 0.7)
+    soft_v, policy = _state_major_solve(mdp, timed, 0.7)
+    assert np.abs(sol.soft_v - soft_v).max() <= 1e-14 * np.abs(soft_v).max()
+    assert np.abs(sol.policy - policy).max() <= 1e-14
+
+
+def test_soft_backward_holds_two_policy_tables_at_peak():
+    # the (T, A, S) working table and the (T, S, A) result, plus the
+    # values, the totals and per-step rows
+    mdp = build_gridworld(15, 15, horizon=40)
+    r = np.random.default_rng(19).normal(size=mdp.n_states)
+    tracemalloc.start()
+    try:
+        soft_backward(mdp, r, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_t, n_s, n_a = mdp.horizon, mdp.n_states, mdp.n_actions
+    assert peak <= 8 * (2 * n_t * n_s * n_a + 4 * (n_t + 1) * n_s)
 
 
 @pytest.mark.parametrize("slip", [0.0, 0.2])
