@@ -125,11 +125,10 @@ def _gt_from_config(g, n_states):
         return g
     vec = np.zeros(n_states)
     for key, val in g.items():
-        s = int(key)
-        if not 0 <= s < n_states:
-            raise ConfigError("gt_reward names state %d outside 0..%d"
-                              % (s, n_states - 1))
-        vec[s] = float(val)
+        if not (key.isdecimal() and int(key) < n_states):
+            raise ConfigError("gt_reward key %r is not a state index in 0..%d"
+                              % (key, n_states - 1))
+        vec[int(key)] = val
     return vec
 
 

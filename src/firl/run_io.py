@@ -1,5 +1,11 @@
-"""Run artifacts: schema-validated JSON configs, deterministic output
-directories, and CSV/JSON emission with round-trip-exact floats.
+"""Run artifacts: JSON configs checked key by key against CONFIG_KEYS,
+deterministic output directories, and CSV/JSON emission with
+round-trip-exact floats.
+
+An unknown key is refused, integers are strict, and each refusal names
+its key. The train block's types come from TrainConfig's fields;
+TrainConfig.validate and the scenario builders own the bounds the table
+leaves out.
 
 All CSVs carry a header row and a fixed column order; floats are
 written with 17 significant digits so a re-read recovers the exact
@@ -13,9 +19,7 @@ import os
 import time
 from dataclasses import fields
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match, relevance
 
 from .reward_model import reward_from_dict, reward_to_dict, reward_vector
 from .trainer import METRIC_COLUMNS, TrainConfig
@@ -95,103 +99,79 @@ def _jsonable(obj):
     raise TypeError("cannot serialize %r" % type(obj))
 
 
+def _number(x):
+    return type(x) in (int, float)
+
+
+def _numbers(x):
+    return type(x) is list and all(map(_number, x))
+
+
+def _int_from(low):
+    return ("an integer >= %d" % low, lambda x: type(x) is int and x >= low)
+
+
+# Each check is (meaning, predicate). Integers are strict: 2.0 and true
+# are refused, as range() and numpy seeding would.
+_INTEGER = ("an integer", lambda x: type(x) is int)
+_NUMBER = ("a number", _number)
+_POSITIVE = ("a number > 0", lambda x: _number(x) and x > 0)
+_STRING = ("a string", lambda x: type(x) is str)
+_OBJECT = ("an object", lambda x: type(x) is dict)
+_GRID = ("two integers", lambda x: type(x) is list and len(x) == 2
+         and all(type(v) is int for v in x))
+# the top level owns the seed a nested scenario trains with
+_SCENARIO = ("an object without seed or schema_version",
+             lambda x: type(x) is dict and not {"seed", "schema_version"} & x.keys())
+
 # Types only: TrainConfig.validate owns every bound and choice list.
-_JSON_TYPES = {int: "integer", float: "number", str: "string"}
-_TRAIN_BLOCK = {"type": "object", "additionalProperties": False,
-                "properties": {f.name: {"type": _JSON_TYPES[f.type]}
-                               for f in fields(TrainConfig) if f.name != "seed"}}
+_TRAIN_KEYS = {f.name: {int: _INTEGER, float: _NUMBER, str: _STRING}[f.type]
+               for f in fields(TrainConfig) if f.name != "seed"}
 
-_GRID = {"type": "array", "items": {"type": "integer", "minimum": 1},
-         "minItems": 2, "maxItems": 2}
+_COMMON_KEYS = {
+    "schema_version": ("%d" % SCHEMA_VERSION,
+                       lambda x: type(x) is int and x == SCHEMA_VERSION),
+    "seed": _int_from(0),
+    # the run directory is <out root>/<name>/<stamp>; a name stays inside the root
+    "name": ("a directory name other than '.' or '..', without '/' or NUL",
+             lambda x: type(x) is str and x not in ("", ".", "..")
+             and not {"/", os.sep, "\0"} & set(x)),
+    "type": _STRING,
+}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "seed", "type"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer", "minimum": 0},
-        "name": {"type": "string"},
-        "type": {"enum": ["density_matching", "irl_from_trajectories",
-                          "prior_downstream", "transfer", "eval"]},
-    },
-    # refuses keys no branch below declares, such as a misspelt "horizn"
-    "unevaluatedProperties": False,
-    "allOf": [
-        {
-            "if": {"properties": {"type": {"const": "density_matching"}}},
-            "then": {
-                "required": ["shape"],
-                "properties": {
-                    "shape": {"enum": ["gaussian", "mixture2", "uniform"]},
-                    "grid": _GRID,
-                    "horizon": {"type": "integer", "minimum": 1},
-                    "sigma": {"type": "number", "exclusiveMinimum": 0},
-                    "train": _TRAIN_BLOCK,
-                },
-            },
-        },
-        {
-            "if": {"properties": {"type": {"const": "irl_from_trajectories"}}},
-            "then": {
-                "required": ["n_expert_traj", "gt_reward"],
-                "properties": {
-                    "n_expert_traj": {"type": "integer", "minimum": 1},
-                    "grid": _GRID,
-                    "horizon": {"type": "integer", "minimum": 1},
-                    "expert_alpha": {"type": "number", "exclusiveMinimum": 0},
-                    "pool_size": {"type": "integer", "minimum": 1},
-                    "gt_reward": {"type": ["array", "object"]},
-                    "train": _TRAIN_BLOCK,
-                },
-            },
-        },
-        {
-            "if": {"properties": {"type": {"const": "prior_downstream"}}},
-            "then": {
-                "properties": {
-                    "prior_file": {"type": "string"},
-                    "prior": {"type": "array", "items": {"type": "number"}},
-                    # lambda = 0 is the unshaped control each cell is scored against
-                    "lambda_grid": {"type": "array", "items": {"type": "number"},
-                                    "minItems": 1, "contains": {"const": 0}},
-                    "alpha_grid": {"type": "array", "minItems": 1,
-                                   "items": {"type": "number",
-                                             "exclusiveMinimum": 0}},
-                    "horizon": {"type": "integer", "minimum": 1},
-                    "gamma": {"type": "number", "exclusiveMinimum": 0,
-                              "maximum": 1},
-                },
-            },
-        },
-        {
-            "if": {"properties": {"type": {"const": "transfer"}}},
-            "then": {
-                "required": ["scenario"],
-                "properties": {
-                    "scenario": {"type": "object"},
-                    "slip_override": {"type": "number", "minimum": 0,
-                                      "exclusiveMaximum": 1},
-                    "action_remap": {"type": "object"},
-                    "alpha": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-        {
-            "if": {"properties": {"type": {"const": "eval"}}},
-            "then": {
-                "required": ["reward_file", "scenario"],
-                "properties": {
-                    "reward_file": {"type": "string"},
-                    "scenario": {"type": "object"},
-                },
-            },
-        },
-    ],
+# config type -> (required keys, {key: check}). Bounds the library owns
+# before the run directory exists: density_matching (shape),
+# build_gridworld and mdp.validate (grid, horizon >= 1),
+# irl_from_trajectories (pool_size) and modify_dynamics (slip_override).
+CONFIG_KEYS = {
+    "density_matching": (("shape",), {
+        "shape": _STRING, "grid": _GRID, "horizon": _INTEGER,
+        "sigma": _POSITIVE, "train": _OBJECT}),
+    "irl_from_trajectories": (("n_expert_traj", "gt_reward"), {
+        "n_expert_traj": _int_from(1), "grid": _GRID, "horizon": _INTEGER,
+        "expert_alpha": _POSITIVE, "pool_size": _INTEGER,
+        "gt_reward": ("an array of numbers, or an object whose values are numbers",
+                      lambda x: _numbers(list(x.values()) if type(x) is dict else x)),
+        "train": _OBJECT}),
+    "prior_downstream": ((), {
+        "prior_file": _STRING, "prior": ("an array of numbers", _numbers),
+        # lambda = 0 is the unshaped control each cell is scored against
+        "lambda_grid": ("an array of numbers that contains 0",
+                        lambda x: _numbers(x) and 0 in x),
+        "alpha_grid": ("a non-empty array of numbers > 0",
+                       lambda x: _numbers(x) and len(x) > 0 and min(x) > 0),
+        "horizon": _int_from(1),
+        "gamma": ("a number in (0, 1]", lambda x: _number(x) and 0 < x <= 1)}),
+    "transfer": (("scenario",), {
+        "scenario": _SCENARIO, "slip_override": _NUMBER,
+        "action_remap": _OBJECT, "alpha": _POSITIVE}),
+    "eval": (("reward_file", "scenario"), {
+        "reward_file": _STRING, "scenario": _SCENARIO}),
 }
 
 
 def load_config(path):
-    """Read and schema-check a run config; ConfigError on any problem."""
+    """Read and check a run config; ConfigError on any problem."""
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
     try:
@@ -205,7 +185,7 @@ def load_config(path):
 
 def _finite_pairs(pairs):
     """json.load's object hook: json reads NaN, Infinity and 1e400 as
-    floats, which the schema's "number" admits; refuse them by key."""
+    floats, which a "number" check admits; refuse them by key."""
     for key, value in pairs:
         for x in value if isinstance(value, list) else (value,):
             if isinstance(x, float) and not math.isfinite(x):
@@ -213,20 +193,34 @@ def _finite_pairs(pairs):
     return dict(pairs)
 
 
-# jsonschema counts 2.0 as an integer; range() and numpy seeding do not.
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, x: type(x) is int))(CONFIG_SCHEMA)
+def _check_keys(block, required, keys, where):
+    """ConfigError naming the first key of block that is missing, then
+    the first that keys does not name, then the first that fails its
+    (meaning, predicate) check."""
+    for key in required:
+        if key not in block:
+            raise ConfigError("config rejected: %s needs '%s'" % (where, key))
+    for key in block:
+        if key not in keys:
+            raise ConfigError("config rejected: '%s' was unexpected in %s, which "
+                              "takes %s" % (key, where, ", ".join(sorted(keys))))
+    for key, value in block.items():
+        meaning, check = keys[key]
+        if not check(value):
+            raise ConfigError("config rejected: %s in %s must be %s, got %r"
+                              % (key, where, meaning, value))
 
 
 def validate_config(cfg):
-    """Schema first, then TrainConfig.validate on the train block."""
-    # a failed branch leaves its keys unevaluated too: report the failure
-    error = best_match(_VALIDATOR.iter_errors(cfg), key=lambda e: (
-        e.validator != "unevaluatedProperties", relevance(e)))
-    if error is not None:
-        raise ConfigError("config rejected: %s" % error.message)
+    """The key tables first, then TrainConfig.validate on the train block."""
+    kind = cfg.get("type") if type(cfg) is dict else None
+    if type(kind) is not str or kind not in CONFIG_KEYS:
+        raise ConfigError("config rejected: a config is an object whose 'type' is "
+                          "one of %s, got %r" % (", ".join(CONFIG_KEYS), kind))
+    required, keys = CONFIG_KEYS[kind]
+    _check_keys(cfg, ("schema_version", "seed") + required,
+                dict(_COMMON_KEYS, **keys), "the %s config" % kind)
+    _check_keys(cfg.get("train", {}), (), _TRAIN_KEYS, "the train block")
     try:
         TrainConfig(seed=cfg["seed"], **cfg.get("train", {})).validate()
     except ValueError as exc:

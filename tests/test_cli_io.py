@@ -1,4 +1,4 @@
-"""Config schema, run artifacts, and the command-line surface.
+"""Config checks, run artifacts, and the command-line surface.
 
 CLI commands run in-process through cli_main so exit codes and stdout
 are asserted directly; every run writes under tmp_path via --out.
@@ -9,10 +9,11 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,6 @@ def _minimal_cfg(**extra):
 
 
 def test_schema_accepts_a_minimal_density_config():
-    jsonschema.Draft202012Validator.check_schema(run_io.CONFIG_SCHEMA)
     assert validate_config(_minimal_cfg()) is not None
 
 
@@ -64,6 +64,7 @@ def test_schema_accepts_a_minimal_density_config():
     lambda c: c.update(train={"iterations": 2.0}),
     lambda c: c.update(train={"grad_steps_per_iter": 1}),
     lambda c: c.update(train={"weight_decay": 0.0}),
+    lambda c: c.update(schema_version=1.0),
 ])
 def test_schema_rejects_malformed_configs(breakage):
     cfg = _minimal_cfg()
@@ -188,6 +189,13 @@ _TINY_IRL = {
 }
 
 
+def _nested(payload):
+    """payload as the scenario of a transfer or eval config, whose top
+    level owns the seed, schema_version and run name."""
+    return {k: v for k, v in payload.items()
+            if k not in ("schema_version", "seed", "name")}
+
+
 def test_cli_train_writes_a_complete_run(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
     assert cli_main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -308,6 +316,18 @@ def test_every_shipped_scenario_loads_and_builds(path):
         firl.cli._build_scenario(cfg)
 
 
+def test_loading_every_shipped_scenario_imports_no_schema_validator():
+    # a fresh interpreter, since a pytest plugin may import one here
+    code = ("import sys, firl.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    firl.cli.load_config(path)\n"
+            "assert 'jsonschema' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(firl.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", code] + _SHIPPED, env=env, check=True)
+
+
 def test_cli_seed_flag_overrides_the_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
     assert cli_main(["train", "--config", cfg, "--out", str(tmp_path),
@@ -358,6 +378,51 @@ def test_cli_refuses_a_misfit_before_the_run_directory(tmp_path, capsys, payload
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gt", [{"3": None}, {"3": [1]}, {"3": {"a": 1}},
+                                {"x": 1}, [0.0] * 8 + [None]],
+                         ids=["null", "array", "object", "not-a-state",
+                              "null-entry"])
+def test_cli_refuses_a_gt_reward_that_is_not_numbers(tmp_path, capsys, gt):
+    cfg = _write_cfg(tmp_path, "i.json", dict(_TINY_IRL, gt_reward=gt))
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "firl: error:" in err and "gt_reward" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["../esc", "TMP/abs", "a/b", "", ".", "..",
+                                  "nul\0"])
+def test_cli_refuses_a_name_that_is_not_one_directory(tmp_path, capsys, name):
+    # the run directory is <out>/<name>/<stamp>, so each of these would
+    # write outside <out>, or nest or drop the name level
+    payload = dict(_TINY_DENSITY, name=name.replace("TMP", str(tmp_path)))
+    cfg = _write_cfg(tmp_path, "d.json", payload)
+    assert cli_main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "config rejected: name" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["d.json"]
+
+
+@pytest.mark.parametrize("command, key", [("transfer", "seed"),
+                                          ("transfer", "schema_version"),
+                                          ("eval", "seed")])
+def test_cli_refuses_a_seed_inside_the_nested_scenario(tmp_path, capsys,
+                                                       command, key):
+    # a nested seed once trained in place of the top-level seed and
+    # --seed, while the manifest recorded the other
+    payload = {"schema_version": 1, "seed": 0, "type": command,
+               "scenario": dict(_nested(_TINY_IRL), **{key: 1})}
+    if command == "eval":
+        payload["reward_file"] = str(tmp_path / "reward.json")
+    cfg = _write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", cfg, "--out", str(out),
+                     "--seed", "7"]) == 1
+    assert "without seed or schema_version" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_gradcheck_emits_the_sweep_table(tmp_path, capsys):
     assert cli_main(["gradcheck", "--instances", "3",
                      "--out", str(tmp_path)]) == 0
@@ -397,8 +462,7 @@ def test_cli_eval_scores_a_stored_reward(tmp_path, capsys):
     eval_cfg = {
         "schema_version": 1, "seed": 0, "type": "eval",
         "reward_file": os.path.join(run_dir, "reward.json"),
-        "scenario": {k: v for k, v in _TINY_DENSITY.items()
-                     if k not in ("name",)},
+        "scenario": _nested(_TINY_DENSITY),
     }
     path = _write_cfg(tmp_path, "e.json", eval_cfg)
     assert cli_main(["eval", "--config", path, "--out", str(tmp_path)]) == 0
@@ -421,7 +485,7 @@ def test_cli_eval_rejects_a_malformed_reward_file(tmp_path, capsys, content):
     path = _write_cfg(tmp_path, "e.json", {
         "schema_version": 1, "seed": 0, "type": "eval",
         "reward_file": str(reward),
-        "scenario": {k: v for k, v in _TINY_DENSITY.items() if k != "name"},
+        "scenario": _nested(_TINY_DENSITY),
     })
     out = tmp_path / "out"
     assert cli_main(["eval", "--config", path, "--out", str(out)]) == 1
@@ -512,7 +576,7 @@ def test_cli_prior_sweep_needs_a_control_and_a_temperature(tmp_path, capsys,
 def test_cli_transfer_scores_on_modified_dynamics(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "t.json", {
         "schema_version": 1, "seed": 0, "type": "transfer",
-        "scenario": _TINY_IRL, "action_remap": {"down": "stay"},
+        "scenario": _nested(_TINY_IRL), "action_remap": {"down": "stay"},
         "slip_override": 0.1,
     })
     assert cli_main(["transfer", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -525,7 +589,7 @@ def test_cli_transfer_scores_on_modified_dynamics(tmp_path, capsys):
 def test_cli_training_flags_reach_the_transfer_scenario(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "t.json", {
         "schema_version": 1, "seed": 0, "type": "transfer",
-        "scenario": _TINY_IRL, "slip_override": 0.1,
+        "scenario": _nested(_TINY_IRL), "slip_override": 0.1,
     })
     curves = []
     for flags in ([], ["--divergence", "js"]):
@@ -545,7 +609,7 @@ def test_cli_training_flags_reach_the_transfer_scenario(tmp_path, capsys):
      "do not apply to a prior_downstream config"),
     ({"type": "prior_downstream", "prior": [0.0] * 36, "train": {}}, [],
      "'train' was unexpected"),
-    ({"type": "transfer", "scenario": _TINY_IRL, "train": {"kind": "js"}}, [],
+    ({"type": "transfer", "scenario": _nested(_TINY_IRL), "train": {"kind": "js"}}, [],
      "'train' was unexpected"),
 ], ids=["estimator-on-prior", "divergence-on-prior", "train-on-prior",
         "train-on-transfer"])
