@@ -249,6 +249,9 @@ def _cmd_scenario(args):
 def _run_prior(cfg, args):
     if "prior" not in cfg and "prior_file" not in cfg:
         raise ConfigError("prior_downstream needs 'prior' or 'prior_file'")
+    if "prior" in cfg and "prior_file" in cfg:
+        raise ConfigError("prior_downstream takes 'prior' or 'prior_file', "
+                          "not both")
     prior = task_prior(cfg["prior"] if "prior" in cfg else
                        read_reward_json(_resolve(cfg["prior_file"], args.config)))
     sweep = _given(cfg, ("lambda_grid", "alpha_grid", "horizon", "gamma"))

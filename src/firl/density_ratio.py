@@ -3,7 +3,10 @@
 Two routes, each returning one (S,) ratio table clipped into
 [RATIO_CLIP_LO, RATIO_CLIP_HI]: the exact table (known densities) and
 the closed-form optimum of the one-hot logistic discriminator over
-sampled states, whose odds are c_E / c_A.
+sampled states, whose odds are c_E / c_A. Its logits are log c_E -
+log c_A with an unseen state's frequency read as the smallest normal
+float, whose log (-708) lies far below any seen state's, so no infinity
+forms and the logit box takes a one-sided state to +-LOGIT_CLIP.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import numpy as np
 from .divergence import DENSITY_FLOOR, RATIO_CLIP_LO, RATIO_CLIP_HI, density_values
 
 LOGIT_CLIP = 10.0
+_TINY = np.finfo(float).tiny
 
 
 def exact_ratio(rho_e, marginal_avg):
@@ -29,7 +33,7 @@ class Discriminator:
         self.weights = np.asarray(weights, dtype=float)
 
     def state_logits(self):
-        return np.clip(self.weights, -LOGIT_CLIP, LOGIT_CLIP)
+        return self.weights.clip(-LOGIT_CLIP, LOGIT_CLIP)
 
 
 def _frequencies(states, n_states):
@@ -51,10 +55,8 @@ def discriminator_fit(expert_states, agent_states, n_states):
     """
     c_e = _frequencies(expert_states, n_states)
     c_a = _frequencies(agent_states, n_states)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.log(c_e) - np.log(c_a)
-    z = np.where((c_e > 0) | (c_a > 0), z, 0.0)
-    return Discriminator(np.clip(z, -LOGIT_CLIP, LOGIT_CLIP))
+    z = np.log(np.maximum(c_e, _TINY)) - np.log(np.maximum(c_a, _TINY))
+    return Discriminator(z.clip(-LOGIT_CLIP, LOGIT_CLIP))
 
 
 def discriminator_ratio(disc):

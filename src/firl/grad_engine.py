@@ -34,7 +34,7 @@ class GradReport:
 
     def __init__(self, grad, estimator, diagnostics=None):
         self.grad = np.asarray(grad, dtype=float)
-        if not np.all(np.isfinite(self.grad)):
+        if not np.isfinite(self.grad).all():
             raise ValueError("%s produced a non-finite gradient" % estimator)
         self.diagnostics = diagnostics or {}
 
@@ -90,12 +90,13 @@ def _cov_grad(estimator, states, model, alpha, kind, ratio):
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
     h = h_f(kind, ratio)
     n_states = len(h)
-    a = h[body].sum(axis=1)
-    flat = (body + np.arange(n)[:, None] * n_states).ravel()
+    a = h.take(body).sum(axis=1)
+    flat = (body + np.arange(0, n * n_states, n_states)[:, None]).ravel()
     b = reward_vjp(model, np.bincount(flat, minlength=n * n_states)
                    .reshape(n, n_states))
-    grad = (a - a.mean()) @ (b - b.mean(axis=0)) / (n - 1) / (alpha * t_hor)
-    diag = {"mean_h": float(a.mean() / t_hor),
+    a_mean = a.sum() / n   # ndarray.mean's arithmetic, without its wrapper
+    grad = (a - a_mean) @ (b - b.sum(axis=0) / n) / (n - 1) / (alpha * t_hor)
+    diag = {"mean_h": float(a_mean / t_hor),
             "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
     return GradReport(grad, estimator, diagnostics=diag)
 
@@ -119,7 +120,7 @@ def analytic_grad_mixture(agent, expert, model, alpha, kind, ratio, seed=0):
         raise ValueError("agent and expert horizons differ")
     rng = np.random.default_rng(seed)
     pick = rng.integers(0, expert.n, size=agent.n)
-    pooled = np.vstack([agent.states, expert.states[pick]])
+    pooled = np.concatenate([agent.states, expert.states.take(pick, axis=0)])
     return _cov_grad("mixture", pooled, model, alpha, kind, ratio)
 
 

@@ -20,7 +20,7 @@ class RewardModel:
             raise ValueError("unknown reward kind %r" % (kind,))
         self.kind = kind
         self.params = np.asarray(params, dtype=float).copy()
-        if self.params.ndim != 1 or not np.all(np.isfinite(self.params)):
+        if self.params.ndim != 1 or not np.isfinite(self.params).all():
             raise ValueError("params must be a finite flat vector")
         self.features = None if features is None else np.asarray(features, dtype=float)
         if kind == "mlp" and self.features is None:

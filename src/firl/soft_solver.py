@@ -5,10 +5,12 @@ max-shifted numpy log-sum-exp per step over action-major (A, S) rows.
 Every step reads P's successor tables (mdp.succ, mdp.probs; K per
 state-action pair), never the dense P: the solve gathers Q_t at the
 successors, the kernels pi_t(a|s) P(s'|s, a) push the state marginals,
-and sampling draws from CDF tables over each row's successors, built
-once per call, walking time-major (T+1, n) rows. Reward, finite or
-refused, is credited on the arrival state, so t = 0 earns none and
-time averages run over 1..T.
+and sampling draws from action-major CDF tables of the policy and of
+each row's successors, built once per call: a draw counts a row's cuts
+at or below u times its total, which in a never-decreasing row is the
+first entry above it, so it is the per-step cumsum draw. Reward,
+finite or refused, is credited on the arrival state, so t = 0 earns
+none and time averages run over 1..T.
 
 pairwise_marginals contracts the exact gradient's pair occupancies in
 two O(T S A K) sweeps over the kernels, never building the dense
@@ -39,8 +41,8 @@ class TimedReward:
 
 def _reward_tables(reward, horizon, n_states):
     """(arrival, departure) as the solve reads them: a stationary reward
-    is its (S,) vector broadcast over the steps, not a copy per step, and
-    a departure table of zeros is None, since adding 0.0 changes nothing."""
+    is its (S,) vector, read at every step with no (T, S) copy, and a
+    departure table of zeros is None, since adding 0.0 changes nothing."""
     if isinstance(reward, TimedReward):
         if reward.arrival.shape != (horizon, n_states):
             raise ValueError("timed reward is %r, mdp needs %r"
@@ -51,7 +53,7 @@ def _reward_tables(reward, horizon, n_states):
         raise ValueError("stationary reward must have one value per state")
     if not np.isfinite(reward).all():
         raise ValueError("reward must be finite")
-    return np.broadcast_to(reward, (horizon, n_states)), None
+    return reward, None
 
 
 class SoftSolution:
@@ -83,6 +85,7 @@ def soft_backward(mdp, reward, alpha=1.0):
         raise ValueError("alpha must be positive")
     arrival, departure = _reward_tables(reward, mdp.horizon, mdp.n_states)
     n_t, n_s, n_a = mdp.horizon, mdp.n_states, mdp.n_actions
+    stationary = arrival.ndim == 1
     one_succ = mdp.succ.shape[2] == 1
     if one_succ:
         succ_t = np.ascontiguousarray(mdp.succ[..., 0].T)
@@ -90,7 +93,7 @@ def soft_backward(mdp, reward, alpha=1.0):
     pol = np.empty((n_t, n_a, n_s))
     totals = np.empty((n_t, n_s))
     for t in range(n_t - 1, -1, -1):
-        x = arrival[t] + soft_v[t + 1]
+        x = (arrival if stationary else arrival[t]) + soft_v[t + 1]
         if one_succ:
             z = x.take(succ_t)
         else:
@@ -137,7 +140,7 @@ def forward_marginals(mdp, sol):
         rho[t + 1] = _push(succ, rho[t], kernels[t])
     sol.marginals_t = rho
     sol.kernels = kernels
-    sol.marginal_avg = rho[1:].mean(axis=0)
+    sol.marginal_avg = rho[1:].sum(axis=0) / mdp.horizon
     return sol
 
 
@@ -175,41 +178,40 @@ class TrajectoryBatch:
         return self.states.shape[0]
 
 
-def _draw(cdf, last, u):
-    """One categorical draw per row of a (n, k) table of cumulative sums,
-    given the rows' last entries and (n,) uniforms: the first entry above
-    u times the last, which a row has because u < 1."""
-    return (cdf > (u * last)[:, None]).argmax(axis=1)
-
-
 def sample_trajectories(mdp, sol, n, seed):
-    """n rollouts of the solved policy, deterministic in seed. np.cumsum adds
-    in row order and adding 0.0 is exact, so CDFs built once over each
-    row's successors draw as a per-step cumsum over the dense row would,
-    and the 2T+1 uniform blocks come from one call in the same stream. With
-    one successor per row (no slip) that draw always picks it and is skipped;
-    its uniforms are still generated, so the stream is unchanged. The walk
-    fills time-major (T+1, n) rows, transposed once at the end."""
+    """n rollouts of the solved policy, deterministic in seed; the 2T+1
+    uniform blocks come from one call in the same stream. The CDFs are
+    built once per call, action-major: (T, A, S) over the policy and
+    (K, S A) over each row's successors, which draw as a per-step cumsum
+    over the dense row would, since np.cumsum adds in row order and
+    adding 0.0 is exact. A draw from a CDF row c is the count of the
+    entries of c[:-1] at or below u c[-1]: c never decreases and u c[-1]
+    < c[-1] for every u < 1 the generator gives, so the count is the
+    index of the first entry above u c[-1], and an action of probability
+    0, whose entry repeats its left neighbour's, is never drawn. With one
+    successor per row (no slip) that draw always picks it and is skipped,
+    its uniforms still generated. The walk fills time-major (T+1, n)
+    rows, transposed once at the end."""
     if n < 1:
         raise ValueError("need at least one trajectory")
     u = np.random.default_rng(seed).random((2 * mdp.horizon + 1, n))
     n_a, n_k = mdp.n_actions, mdp.succ.shape[2]
-    policy_cdf = np.cumsum(sol.policy, axis=2)
-    policy_last = policy_cdf[..., -1]
+    policy_cdf = np.ascontiguousarray(
+        np.cumsum(sol.policy, axis=2).transpose(0, 2, 1))
     succ = mdp.succ.reshape(-1)   # entry (s A + a) K + k
     if n_k > 1:
-        step_cdf = np.cumsum(mdp.probs, axis=2).reshape(-1, n_k)
-        step_last = step_cdf[:, -1]
+        step_cdf = np.ascontiguousarray(
+            np.cumsum(mdp.probs, axis=2).reshape(-1, n_k).T)
     init_cdf = np.cumsum(mdp.init_dist)
     states = np.empty((mdp.horizon + 1, n), dtype=np.int64)
-    states[0] = _draw(init_cdf[None], init_cdf[-1], u[0])
+    states[0] = np.searchsorted(init_cdf, u[0] * init_cdf[-1], side="right")
     for t in range(mdp.horizon):
         s = states[t]
-        row = s * n_a + _draw(policy_cdf[t].take(s, axis=0),
-                              policy_last[t].take(s), u[2 * t + 1])
+        c = policy_cdf[t].take(s, axis=1)
+        row = s * n_a + (c[:-1] <= u[2 * t + 1] * c[-1]).sum(axis=0)
         if n_k > 1:
-            row = row * n_k + _draw(step_cdf.take(row, axis=0),
-                                    step_last.take(row), u[2 * t + 2])
+            c = step_cdf.take(row, axis=1)
+            row = row * n_k + (c[:-1] <= u[2 * t + 2] * c[-1]).sum(axis=0)
         states[t + 1] = succ.take(row)
     return TrajectoryBatch(np.ascontiguousarray(states.T))
 

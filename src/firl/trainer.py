@@ -246,6 +246,7 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
 
     opt = OptimizerState()
     metrics = []
+    grad_cap = np.sqrt(np.finfo(float).max / model.n_params)
     for it in range(cfg.iterations):
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), cfg.alpha))
         _check_collapse(it, mdp, sol, occupied)
@@ -263,7 +264,7 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
             else:
                 report = analytic_grad_mixture(batch, expert_data, model, cfg.alpha,
                                                cfg.kind, ratio, seed=_seed_int(rng_mix))
-        _check_grad_scale(it, report.grad)
+        _check_grad_scale(it, report.grad, grad_cap)
         row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud)
         metrics.append(row)
         opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
@@ -272,11 +273,10 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     return TrainResult(model, metrics, time.perf_counter() - t0)
 
 
-def _check_grad_scale(it, grad):
+def _check_grad_scale(it, grad, cap):
     """Refuse a finite gradient whose squares overflow: with every entry
-    at most sqrt(float max / n), the n squares summed by the gradient
-    norm and by Adam's second moment stay finite."""
-    cap = np.sqrt(np.finfo(float).max / grad.size)
+    at most cap = sqrt(float max / n), the n squares summed by the
+    gradient norm and by Adam's second moment stay finite."""
     big = float(np.abs(grad).max())
     if big > cap:
         raise ValueError("iteration %d: a gradient entry of %.3g exceeds %.3g, "
@@ -300,7 +300,8 @@ def _check_collapse(it, mdp, sol, occupied):
 def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):
     row = {c: float("nan") for c in METRIC_COLUMNS}
     row["iteration"] = it
-    row["grad_norm"] = float(np.linalg.norm(report.grad))
+    # what np.linalg.norm computes for a 1-d float vector
+    row["grad_norm"] = float(np.sqrt(report.grad @ report.grad))
     if rho_e is not None and rho_e.normalized:
         exact = {kind: divergence_exact(kind, rho_e, sol.marginal_avg)
                  for kind in {"fkl", "rkl", cfg.kind}}

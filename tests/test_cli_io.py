@@ -535,6 +535,21 @@ def test_cli_refuses_a_non_finite_prior(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_a_prior_and_a_prior_file_together(tmp_path, capsys):
+    # the run used to take 'prior' and ignore the file, even a missing one,
+    # while the manifest recorded both
+    cfg = _write_cfg(tmp_path, "p.json", {
+        "schema_version": 1, "seed": 0, "type": "prior_downstream",
+        "prior": [0.0] * 36, "prior_file": "does_not_exist.json",
+        "lambda_grid": [0.0], "alpha_grid": [1.0], "horizon": 3,
+    })
+    out = tmp_path / "out"
+    assert cli_main(["scenario", "--config", cfg, "--out", str(out)]) == 1
+    assert ("firl: error: prior_downstream takes 'prior' or 'prior_file', "
+            "not both") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block, key, token", [
     ("train", "alpha", "Infinity"),       # used to fail mid-run, dir left
     ("train", "reward_lr", "Infinity"),   # ditto, naming no iteration

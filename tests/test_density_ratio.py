@@ -86,3 +86,38 @@ def test_sample_states_follows_the_weights():
     assert freq[2] == pytest.approx(0.75, abs=0.02)
     with pytest.raises(ValueError, match="positive mass"):
         sample_states([0.0, 0.0], 5, rng)
+
+
+def _errstate_logits(expert_states, agent_states, n_states):
+    # the closed form as first written: log differences with the divide
+    # and invalid warnings silenced, then 0 where neither side visits
+    c_e = np.bincount(expert_states, minlength=n_states) / expert_states.size
+    c_a = np.bincount(agent_states, minlength=n_states) / agent_states.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.log(c_e) - np.log(c_a)
+    z = np.where((c_e > 0) | (c_a > 0), z, 0.0)
+    return np.clip(z, -LOGIT_CLIP, LOGIT_CLIP)
+
+
+def test_discriminator_logits_are_bit_for_bit_the_errstate_log_difference():
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        n_states = int(rng.integers(4, 40))
+        # 0: expert only, 1: agent only, 2: both, 3: neither
+        role = rng.permutation(np.resize(np.arange(4), n_states))
+        sides = []
+        for own in (0, 1):
+            pool = np.nonzero((role == own) | (role == 2))[0]
+            # every pool state once, then a skewed tail, so some log
+            # differences fall outside the box and some inside
+            weights = rng.random(len(pool)) ** 8
+            tail = rng.choice(pool, size=int(rng.integers(0, 60_000)),
+                              p=weights / weights.sum())
+            sides.append(rng.permutation(np.concatenate([pool, tail])))
+        expert, agent = sides
+        z = discriminator_fit(expert, agent, n_states).weights
+        assert np.array_equal(z, _errstate_logits(expert, agent, n_states))
+        assert (z[role == 0] == LOGIT_CLIP).all()
+        assert (z[role == 1] == -LOGIT_CLIP).all()
+        assert (z[role == 3] == 0.0).all()
+        assert np.array_equal(Discriminator(z).state_logits(), z)

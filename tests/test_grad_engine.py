@@ -10,14 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from firl.density_ratio import exact_ratio
-from firl.divergence import KINDS, ExpertDensity
+from firl.density_ratio import LOGIT_CLIP, exact_ratio
+from firl.divergence import KINDS, ExpertDensity, h_f
 from firl.grad_engine import (GradReport, analytic_grad_exact,
                               analytic_grad_mc, analytic_grad_mixture,
                               enumeration_grad, fd_grad_oracle,
                               gradcheck_suite)
 from firl.mdp import build_gridworld
-from firl.reward_model import apply_update, tabular_reward
+from firl.reward_model import (apply_update, default_features, mlp_reward,
+                               reward_vector, reward_vjp, tabular_reward)
 from firl.soft_solver import (TrajectoryBatch, forward_marginals,
                               sample_trajectories, soft_backward)
 
@@ -230,3 +231,48 @@ def test_exact_report_diagnostics():
     report = analytic_grad_exact(mdp, model, 1.0, "fkl", rho_e=rho_e, sol=sol)
     d = report.diagnostics
     assert d["h_min"] <= d["mean_h"] <= d["h_max"]
+
+
+def _mean_formula_cov(states, model, alpha, kind, ratio):
+    # the covariance as first written, with fancy indexing and .mean():
+    # the estimator must stay this arithmetic, bit for bit
+    body = states[:, 1:]
+    n, t_hor = body.shape
+    h = h_f(kind, ratio)
+    a = h[body].sum(axis=1)
+    flat = (body + np.arange(n)[:, None] * len(h)).ravel()
+    b = reward_vjp(model, np.bincount(flat, minlength=n * len(h))
+                   .reshape(n, len(h)))
+    grad = (a - a.mean()) @ (b - b.mean(axis=0)) / (n - 1) / (alpha * t_hor)
+    return grad, {"mean_h": float(a.mean() / t_hor),
+                  "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("reward", ["tabular", "mlp"])
+def test_sampled_covariances_are_bit_for_bit_the_mean_formula(kind, reward):
+    rng = np.random.default_rng(KINDS.index(kind) + 10 * (reward == "mlp"))
+    mdp = build_gridworld(5, 4, slip_prob=0.1, horizon=7)
+    if reward == "tabular":
+        model = tabular_reward(mdp.n_states)
+    else:
+        model = mlp_reward(default_features(mdp), hidden=(8, 8), seed=3)
+    for trial in range(6):
+        model = apply_update(model, rng.normal(0.0, 0.3, model.n_params))
+        sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), 0.7))
+        agent = sample_trajectories(mdp, sol, int(rng.integers(2, 300)),
+                                    seed=int(rng.integers(2 ** 31)))
+        expert = TrajectoryBatch(rng.integers(0, mdp.n_states,
+                                              size=(int(rng.integers(1, 20)), 8)))
+        ratio = np.exp(rng.uniform(-LOGIT_CLIP, LOGIT_CLIP, mdp.n_states))
+        alpha = float(rng.uniform(0.2, 2.0))
+        mix_seed = int(rng.integers(2 ** 31))
+        pick = np.random.default_rng(mix_seed).integers(0, expert.n, size=agent.n)
+        pooled = np.vstack([agent.states, expert.states[pick]])
+        for report, states in (
+                (analytic_grad_mixture(agent, expert, model, alpha, kind, ratio,
+                                       seed=mix_seed), pooled),
+                (analytic_grad_mc(agent, model, alpha, kind, ratio), agent.states)):
+            grad, diag = _mean_formula_cov(states, model, alpha, kind, ratio)
+            assert np.array_equal(report.grad, grad)
+            assert report.diagnostics == diag

@@ -9,7 +9,7 @@ import pytest
 from firl.grad_engine import analytic_grad_exact, enumeration_grad
 from firl.mdp import FiniteMdp, build_gridworld, reachable_states
 from firl.reward_model import apply_update, reward_vector, tabular_reward
-from firl.soft_solver import (TimedReward, TrajectoryBatch,
+from firl.soft_solver import (SoftSolution, TimedReward, TrajectoryBatch,
                               enumerate_trajectories, forward_marginals,
                               pairwise_marginals, sample_trajectories,
                               soft_backward, step_kernel)
@@ -251,6 +251,60 @@ def test_sampling_on_a_dense_p_equals_the_per_step_cumsum_draws(n):
         assert np.array_equal(batch.states,
                               _reference_sample(mdp, sol, n, 200 + seed))
         assert batch.states.flags.c_contiguous
+
+
+def _random_sparse_mdp(n_s, n_a, horizon, seed):
+    # rows keep 1..n_s successors, so the successor tables are ragged and
+    # padded with zero-probability slots
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(n_s), size=(n_s, n_a))
+    P *= rng.random(P.shape) < 0.5
+    P[P.sum(axis=2) == 0, 0] = 1.0
+    P /= P.sum(axis=2, keepdims=True)
+    return FiniteMdp(P, rng.dirichlet(np.ones(n_s)), horizon), rng
+
+
+@pytest.mark.parametrize("make", [_random_mdp, _random_sparse_mdp],
+                         ids=["dense", "ragged"])
+@pytest.mark.parametrize("n_a", [2, 5, 9])
+@pytest.mark.parametrize("n", [1, 2, 256])
+def test_sampling_on_random_mdps_equals_the_per_step_cumsum_draws(make, n_a, n):
+    mdp, rng = make(7, n_a, 5, seed=30 + n_a)
+    assert mdp.succ.shape[2] > 1 and (mdp.init_dist > 0).sum() > 1
+    for seed in range(4):
+        sol = soft_backward(mdp, rng.normal(size=mdp.n_states),
+                            rng.uniform(0.2, 2.0))
+        batch = sample_trajectories(mdp, sol, n, seed=300 + seed)
+        assert np.array_equal(batch.states,
+                              _reference_sample(mdp, sol, n, 300 + seed))
+
+
+def test_sampling_never_draws_an_action_whose_probability_underflowed():
+    # action a moves s to (s + a) mod S, so each step's action is read off
+    # the states; exp(-800) underflows to exactly 0, as it does in a solve
+    # at a small alpha, and every row keeps one action that did not
+    n_s, n_a, horizon = 7, 5, 6
+    P = np.zeros((n_s, n_a, n_s))
+    for a in range(n_a):
+        P[np.arange(n_s), a, (np.arange(n_s) + a) % n_s] = 1.0
+    rng = np.random.default_rng(3)
+    mdp = FiniteMdp(P, rng.dirichlet(np.ones(n_s)), horizon)
+    z = rng.normal(size=(horizon, n_s, n_a))
+    z[rng.random(z.shape) < 0.5] = -800.0
+    z[..., 2] = 0.0
+    z[:, 0, [0, 4]] = -800.0   # the first and the last action of a row
+    policy = np.exp(z)
+    policy /= policy.sum(axis=2, keepdims=True)
+    assert (policy == 0).sum() > policy.size // 4
+    sol = SoftSolution(policy, np.zeros((horizon + 1, n_s)))
+    for seed in range(5):
+        batch = sample_trajectories(mdp, sol, 256, seed=400 + seed)
+        s = batch.states[:, :-1]
+        a = (batch.states[:, 1:] - s) % n_s
+        assert (policy[np.arange(horizon), s, a] > 0).all()
+        assert (s == 0).any()
+        assert np.array_equal(batch.states,
+                              _reference_sample(mdp, sol, 256, 400 + seed))
 
 
 def _reference_solve(mdp, timed, alpha):
