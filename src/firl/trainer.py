@@ -213,11 +213,14 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     the exact_table ratio, or expert trajectories shaped
     (n, horizon + 1), which train mc or mixture on the discriminator
     ratio. Returns a TrainResult whose metrics rows follow
-    METRIC_COLUMNS; sample-based KL columns are filled every eval_every
-    iterations and NaN between. The run fails at the first gradient
-    entry that is not finite or whose square can overflow, and at the
-    first solve that leaves no mass on a state the expert occupies and
-    the walk can reach.
+    METRIC_COLUMNS; the kNN KL columns are filled every eval_every
+    iterations and NaN between. Their expert cloud's tree queries run on
+    a worker thread while the loop trains, so the loop keeps each eval
+    iteration's marginal and the columns are filled after the last
+    iteration; the worker is joined on every exit. The run fails at the
+    first gradient entry that is not finite or whose square can
+    overflow, and at the first solve that leaves no mass on a state the
+    expert occupies and the walk can reach.
     """
     t0 = time.perf_counter()
     rho_e, expert_flat, expert_data = check_expert_fit(mdp, expert, cfg)
@@ -236,7 +239,8 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     rng_batch, rng_expert, _, rng_mix = [
         np.random.default_rng(c) for c in ss.spawn(4)]
 
-    # fixed expert cloud for the sample-based KL columns
+    # fixed expert cloud for the sample-based KL columns; its tree
+    # queries run on a worker thread while the loop below trains
     if rho_e is not None:
         eval_expert_states = sample_states(rho_e.values, EVAL_EXPERT_SAMPLES,
                                            rng_expert)
@@ -246,29 +250,43 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
 
     opt = OptimizerState()
     metrics = []
+    evaluated = []   # (row, marginal) of each eval iteration
     grad_cap = np.sqrt(np.finfo(float).max / model.n_params)
-    for it in range(cfg.iterations):
-        sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), cfg.alpha))
-        _check_collapse(it, mdp, sol, occupied)
-        if cfg.estimator == "exact":
-            report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e, sol)
-        else:
-            batch = sample_trajectories(mdp, sol, cfg.batch_size, _seed_int(rng_batch))
-            if cfg.ratio_mode == "discriminator":
-                ratio = discriminator_ratio(discriminator_fit(
-                    expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
+    try:
+        for it in range(cfg.iterations):
+            sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model),
+                                                       cfg.alpha))
+            _check_collapse(it, mdp, sol, occupied)
+            if cfg.estimator == "exact":
+                report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
+                                             sol)
             else:
-                ratio = exact_ratio(rho_e, sol.marginal_avg)
-            if cfg.estimator == "mc":
-                report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
-            else:
-                report = analytic_grad_mixture(batch, expert_data, model, cfg.alpha,
-                                               cfg.kind, ratio, seed=_seed_int(rng_mix))
-        _check_grad_scale(it, report.grad, grad_cap)
-        row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud)
-        metrics.append(row)
-        opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
-        model = apply_update(model, delta)
+                batch = sample_trajectories(mdp, sol, cfg.batch_size,
+                                            _seed_int(rng_batch))
+                if cfg.ratio_mode == "discriminator":
+                    ratio = discriminator_ratio(discriminator_fit(
+                        expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
+                else:
+                    ratio = exact_ratio(rho_e, sol.marginal_avg)
+                if cfg.estimator == "mc":
+                    report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
+                else:
+                    report = analytic_grad_mixture(batch, expert_data, model,
+                                                   cfg.alpha, cfg.kind, ratio,
+                                                   seed=_seed_int(rng_mix))
+            _check_grad_scale(it, report.grad, grad_cap)
+            row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report)
+            metrics.append(row)
+            if it % cfg.eval_every == 0:
+                evaluated.append((row, sol.marginal_avg))
+            opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
+            model = apply_update(model, delta)
+    finally:
+        expert_cloud.join()
+    # the first read of the cloud, after the last iteration
+    for row, marginal in evaluated:
+        row["fkl_estimate"] = knn_kl(expert_cloud, marginal).value
+        row["rkl_estimate"] = knn_kl(marginal, expert_cloud).value
 
     return TrainResult(model, metrics, time.perf_counter() - t0)
 
@@ -297,7 +315,7 @@ def _check_collapse(it, mdp, sol, occupied):
                          "the target" % (it, lost[0], mdp.horizon))
 
 
-def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):
+def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report):
     row = {c: float("nan") for c in METRIC_COLUMNS}
     row["iteration"] = it
     # what np.linalg.norm computes for a 1-d float vector
@@ -309,7 +327,4 @@ def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report, expert_cloud):
         row["lf_exact"] = exact[cfg.kind]
     if gt_reward is not None:
         row["return"] = policy_return(mdp, sol, gt_reward)
-    if it % cfg.eval_every == 0:
-        row["fkl_estimate"] = knn_kl(expert_cloud, sol.marginal_avg).value
-        row["rkl_estimate"] = knn_kl(sol.marginal_avg, expert_cloud).value
     return row

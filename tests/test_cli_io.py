@@ -12,6 +12,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import firl.cli
 import firl.grad_engine
+import firl.kl_eval
 import firl.run_io as run_io
 from firl.cli import cli_main
 from firl.divergence import KINDS
@@ -253,6 +256,51 @@ def test_cli_fails_a_run_whose_objective_goes_infinite(tmp_path, capsys):
     manifest = json.load(open(path))
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith("iteration 1: the policy puts no mass on state")
+
+
+def test_cli_a_run_that_fails_mid_loop_leaves_no_thread_behind(tmp_path, capsys,
+                                                               monkeypatch):
+    # the collapse above fails iteration 1 while a slowed cloud worker is
+    # still querying; run_firl joins it before the error leaves
+    original = firl.kl_eval._kth_distance
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(firl.kl_eval, "_kth_distance", slow)
+    payload = dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"],
+                                             reward_lr=1e10))
+    cfg = _write_cfg(tmp_path, "d.json", payload)
+    before = threading.active_count()
+    assert cli_main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "iteration 1: the policy puts no mass on state" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
+def test_cli_a_failed_cloud_worker_leaves_a_failed_manifest(tmp_path, monkeypatch):
+    # the error raised on the worker thread surfaces at the first read of
+    # the cloud, after the loop: no hang, no NaN column
+    class TreeFailure(Exception):
+        pass
+
+    original = firl.kl_eval.cKDTree
+
+    def tree(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise TreeFailure("the cloud's tree failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(firl.kl_eval, "cKDTree", tree)
+    cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
+    out = tmp_path / "out"
+    with pytest.raises(TreeFailure):
+        cli_main(["train", "--config", cfg, "--out", str(out)])
+    [path] = glob.glob(str(out / "tiny" / "*" / "manifest.json"))
+    manifest = json.load(open(path))
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "the cloud's tree failed"
+    assert manifest["outputs"] == []
 
 
 @pytest.mark.parametrize("payload, it", [

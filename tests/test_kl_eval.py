@@ -2,9 +2,12 @@
 return."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 import firl.kl_eval
 from firl.density_ratio import sample_states
@@ -147,6 +150,70 @@ def test_tree_queries_use_every_usable_core(monkeypatch):
     assert firl.kl_eval._workers() == 1
 
 
+def _default_tree_cloud(mdp, states, seed):
+    """entropy and cell_log_density by the formulas of the cloud, with
+    the draws in its order and scipy's default (balanced, compact) tree."""
+    rng = np.random.default_rng(seed)
+    n, k, log_disc = states.size, 3, np.log(np.pi)
+    pts = mdp.coords[states].astype(float) + rng.uniform(-0.5, 0.5, size=(n, 2))
+    pts = pts + rng.uniform(-1e-10, 1e-10, size=pts.shape)
+    tree = cKDTree(pts)
+    rho = tree.query(pts, k=[k + 1])[0][:, 0]
+    entropy = float(digamma(n) - digamma(k) + log_disc + 2.0 * np.mean(np.log(rho)))
+    cells = np.repeat(np.arange(mdp.n_states), 400)
+    probes = mdp.coords[cells].astype(float) + rng.uniform(-0.5, 0.5,
+                                                           size=(cells.size, 2))
+    nu = tree.query(probes, k=[k])[0][:, 0]
+    log_density = digamma(k) - digamma(n + 1) - log_disc - 2.0 * np.log(nu)
+    return entropy, log_density.reshape(mdp.n_states, 400).mean(axis=1)
+
+
+@pytest.mark.parametrize("side, sigma", [(5, 1.0), (15, 3.0)])
+def test_the_cloud_tree_shape_moves_no_value(side, sigma):
+    # the cloud builds an unbalanced, non-compact tree; k-th distances
+    # are exact on any tree shape, so every bit matches the default tree
+    mdp = build_gridworld(side, side, init_state=0, horizon=2)
+    rho_e = gaussian_density(mdp, (side / 2.0, side / 2.0), sigma)
+    states = sample_states(rho_e, 10000, np.random.default_rng(24))
+    entropy, cell_log_density = _default_tree_cloud(mdp, states, 25)
+    cloud = CellCloud(mdp, states, seed=25)
+    assert np.array_equal(cloud.entropy, entropy)
+    assert np.array_equal(cloud.cell_log_density, cell_log_density)
+
+
+def test_a_failed_tree_build_re_raises_at_the_read(monkeypatch):
+    class TreeFailure(Exception):
+        pass
+
+    def failing_tree(*args, **kwargs):
+        raise TreeFailure("no tree")
+
+    monkeypatch.setattr(firl.kl_eval, "cKDTree", failing_tree)
+    cloud = CellCloud(build_gridworld(2, 2, horizon=2), [0, 1, 2, 3, 0])
+    cloud.join()   # waits without raising
+    for read in (lambda: cloud.entropy, lambda: cloud.cell_log_density,
+                 lambda: knn_kl(cloud, np.full(4, 0.25))):
+        with pytest.raises(TreeFailure, match="no tree"):
+            read()
+
+
+def test_the_cloud_queries_on_one_worker_thread(monkeypatch):
+    # the tree work starts with the constructor and ends by the first read
+    before = threading.active_count()
+    started = []
+    original = firl.kl_eval._kth_distance
+
+    def recorded(*args, **kwargs):
+        started.append(threading.current_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(firl.kl_eval, "_kth_distance", recorded)
+    CellCloud(build_gridworld(3, 3, horizon=2), np.arange(9), seed=26).entropy
+    assert len(started) == 2 and started[0] is started[1]
+    assert started[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
 def test_cloud_fkl_is_inf_where_the_policy_never_goes():
     # from corner 0 in one step the walk reaches 0, 1 and 3 only
     mdp = build_gridworld(3, 3, init_state=0, horizon=1)
@@ -200,3 +267,12 @@ def test_states_to_points_accepts_a_generator():
     a = states_to_points(mdp, [0, 1, 2], seed=np.random.default_rng(8))
     b = states_to_points(mdp, [0, 1, 2], seed=np.random.default_rng(8))
     assert np.array_equal(a, b)
+
+
+def test_states_to_points_equals_the_indexed_sum_bit_for_bit():
+    # take plus an in-place add of the same draw, without the temporaries
+    mdp = build_gridworld(7, 5, horizon=2)
+    states = np.random.default_rng(27).integers(0, 35, size=5000)
+    want = mdp.coords[states].astype(float) + np.random.default_rng(28).uniform(
+        -0.5, 0.5, size=(5000, 2))
+    assert np.array_equal(states_to_points(mdp, states, seed=28), want)

@@ -1,8 +1,14 @@
 """Optimizer, reward shaping, and the training loop contract."""
 
+import functools
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 
+import firl.cli  # noqa: F401  (loads every firl module for the thread guard)
 import firl.trainer
 from firl.divergence import ExpertDensity, divergence_exact
 from firl.mdp import FiniteMdp, build_gridworld
@@ -331,3 +337,44 @@ def test_flat_expert_states_drive_the_sampled_ratio_modes():
                      iterations=2)
     result = run_firl(mdp, demos, cfg)
     assert all(np.isfinite(row["grad_norm"]) for row in result.metrics)
+
+
+# ------------------------------------------------ the evaluation cloud's worker
+
+@pytest.mark.parametrize("route", ["density", "trajectories"])
+def test_every_public_firl_function_runs_on_the_main_thread(monkeypatch, route):
+    # a tracer that wraps public functions keeps one call stack, so the
+    # cloud's worker may run private code only
+    mdp = build_gridworld(3, 3, horizon=4)
+    if route == "density":
+        expert, cfg = np.random.default_rng(29).dirichlet(np.full(9, 3.0)), _small_cfg()
+    else:
+        gt = np.zeros(9)
+        gt[8] = 1.0
+        sol = forward_marginals(mdp, soft_backward(mdp, gt, 0.5))
+        expert = sample_trajectories(mdp, sol, 20, seed=1).states
+        cfg = _small_cfg(estimator="mixture", ratio_mode="discriminator",
+                         batch_size=32)
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("firl.")]
+    public = {id(fn): fn for m in modules for name, fn in vars(m).items()
+              if isinstance(fn, types.FunctionType) and not name.startswith("_")
+              and fn.__module__ == m.__name__}
+    calls = []
+
+    def record(fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return recorded
+
+    wrapped = {key: record(fn) for key, fn in public.items()}
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if id(value) in wrapped and value is public[id(value)]:
+                monkeypatch.setattr(module, name, wrapped[id(value)])
+    firl.trainer.run_firl(mdp, expert, cfg)
+    assert {"run_firl", "states_to_points", "knn_kl"} <= {name for name, _ in calls}
+    off = [name for name, thread in calls if thread is not threading.main_thread()]
+    assert off == []
