@@ -24,8 +24,8 @@ from .mdp import GRID_ACTIONS, build_gridworld, modify_dynamics
 from .reward_model import reward_vector
 from .run_io import (SCHEMA_VERSION, ConfigError, emit_heatmap, fmt_float,
                      load_config, make_run_dir, read_reward_json, utc_now,
-                     validate_config, write_json, write_lines,
-                     write_manifest, write_metrics_csv, write_reward_json)
+                     validate_config, write_csv, write_json, write_manifest,
+                     write_metrics_csv, write_reward_json)
 from .scenarios import (density_matching, dynamics_transfer,
                         irl_from_trajectories, percentile_weights,
                         prior_reward_downstream, reward_recovery_check,
@@ -100,18 +100,16 @@ def _load(args, config_type=None):
 
 @contextmanager
 def _emit(args, cfg, name=None):
-    """make_run_dir, the body's run and outputs, then the manifest; a body
-    that raises leaves a manifest with status "failed" and its message."""
+    """make_run_dir, the body's run, then a manifest of the directory; a
+    body that raises leaves one with status "failed" and its message."""
     started = utc_now()
     run_dir = make_run_dir(name or cfg.get("name", cfg["type"]), args.out)
-    outputs = []
     try:
-        yield run_dir, outputs
+        yield run_dir
     except Exception as exc:
-        write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now(),
-                       error=str(exc))
+        write_manifest(run_dir, cfg, started, utc_now(), error=str(exc))
         raise
-    write_manifest(run_dir, cfg, cfg["seed"], outputs, started, utc_now())
+    write_manifest(run_dir, cfg, started, utc_now())
 
 
 def _resolve(path, config_path):
@@ -121,14 +119,17 @@ def _resolve(path, config_path):
 
 
 def _gt_from_config(g, n_states):
+    """A list as it is, or an object keyed by canonical state indices
+    ("8", not "08" or a non-ASCII digit): no two keys name one state."""
     if isinstance(g, list):
         return g
+    index = {str(s): s for s in range(n_states)}
     vec = np.zeros(n_states)
     for key, val in g.items():
-        if not (key.isdecimal() and int(key) < n_states):
+        if key not in index:
             raise ConfigError("gt_reward key %r is not a state index in 0..%d"
                               % (key, n_states - 1))
-        vec[int(key)] = val
+        vec[index[key]] = val
     return vec
 
 
@@ -159,20 +160,19 @@ def _nested_scenario(cfg):
                             **cfg["scenario"]})
 
 
-def _train(sc, run_dir, outputs):
+def _train(sc, run_dir):
     result = run_scenario(sc)
     write_metrics_csv(os.path.join(run_dir, "metrics.csv"), result.metrics)
     write_reward_json(os.path.join(run_dir, "reward.json"), result.model)
     emit_heatmap(result.model, sc.mdp, os.path.join(run_dir, "heatmap.csv"))
-    outputs += ["metrics.csv", "reward.json", "heatmap.csv"]
     return result
 
 
 def _cmd_train(args):
     cfg = _load(args)
     sc = _build_scenario(cfg)
-    with _emit(args, cfg) as (run_dir, outputs):
-        _train(sc, run_dir, outputs)
+    with _emit(args, cfg) as run_dir:
+        _train(sc, run_dir)
     print(run_dir)
     return 0
 
@@ -181,18 +181,11 @@ def _cmd_gradcheck(args):
     if args.instances < 1:
         raise ConfigError("--instances must be at least 1, got %d" % args.instances)
     cfg = {"seed": args.seed, "instances": args.instances}
-    with _emit(args, cfg, "gradcheck") as (run_dir, outputs):
+    with _emit(args, cfg, "gradcheck") as run_dir:
         records = gradcheck_suite(n_instances=args.instances, seed=args.seed)
-        cols = ("instance", "n_states", "n_actions", "horizon", "kind",
-                "reward_kind", "rel_error")
-        lines = [",".join(cols)]
-        for r in records:
-            lines.append("%d,%d,%d,%d,%s,%s,%s"
-                         % (r["instance"], r["n_states"], r["n_actions"],
-                            r["horizon"], r["kind"], r["reward_kind"],
-                            fmt_float(r["rel_error"])))
-        write_lines(os.path.join(run_dir, "gradcheck.csv"), lines)
-        outputs.append("gradcheck.csv")
+        write_csv(os.path.join(run_dir, "gradcheck.csv"),
+                  ("instance", "n_states", "n_actions", "horizon", "kind",
+                   "reward_kind", "rel_error"), records)
     worst = max(r["rel_error"] for r in records)
     print("%s worst rel_error %s (tolerance %s)"
           % (run_dir, fmt_float(worst), fmt_float(GRADCHECK_TOL)))
@@ -206,7 +199,7 @@ def _cmd_eval(args):
     # the solve is the check that the stored reward fits the scenario's grid
     sol = forward_marginals(sc.mdp, soft_backward(sc.mdp, reward_vector(model),
                                                   sc.cfg.alpha))
-    with _emit(args, cfg) as (run_dir, outputs):
+    with _emit(args, cfg) as run_dir:
         rho_e = sc.expert if isinstance(sc.expert, np.ndarray) \
             else sc.notes.get("expert_marginal")
         report = {"alpha": sc.cfg.alpha}
@@ -216,7 +209,6 @@ def _cmd_eval(args):
         if sc.gt_reward is not None:
             report["return"] = policy_return(sc.mdp, sol, sc.gt_reward)
         write_json(os.path.join(run_dir, "eval.json"), report)
-        outputs.append("eval.json")
     print(run_dir)
     return 0
 
@@ -226,8 +218,8 @@ def _cmd_scenario(args):
     if cfg["type"] == "prior_downstream":
         return _run_prior(cfg, args)
     sc = _build_scenario(cfg)
-    with _emit(args, cfg) as (run_dir, outputs):
-        result = _train(sc, run_dir, outputs)
+    with _emit(args, cfg) as run_dir:
+        result = _train(sc, run_dir)
         summary = {"name": sc.name, "wall_clock": result.wall_clock}
         last = result.metrics[-1]
         summary["final"] = {k: last[k] for k in ("exact_fkl", "exact_rkl",
@@ -241,7 +233,6 @@ def _cmd_scenario(args):
             summary["recovery_fit"] = fit
             summary["expert_demo_return"] = sc.notes.get("expert_demo_return")
         write_json(os.path.join(run_dir, "summary.json"), summary)
-        outputs.append("summary.json")
     print(run_dir)
     return 0
 
@@ -255,19 +246,15 @@ def _run_prior(cfg, args):
     prior = task_prior(cfg["prior"] if "prior" in cfg else
                        read_reward_json(_resolve(cfg["prior_file"], args.config)))
     sweep = _given(cfg, ("lambda_grid", "alpha_grid", "horizon", "gamma"))
-    with _emit(args, cfg) as (run_dir, outputs):
+    with _emit(args, cfg) as run_dir:
         rows = prior_reward_downstream(prior, **sweep)
-        lines = ["lambda,alpha,return"]
-        for r in rows:
-            lines.append("%s,%s,%s" % (fmt_float(r["lambda"]), fmt_float(r["alpha"]),
-                                       fmt_float(r["return"])))
-        write_lines(os.path.join(run_dir, "prior_heatmap.csv"), lines)
+        write_csv(os.path.join(run_dir, "prior_heatmap.csv"),
+                  ("lambda", "alpha", "return"), rows)
         controls = {r["alpha"]: r["return"] for r in rows if r["lambda"] == 0.0}
         best = max(rows, key=lambda r: r["return"] - controls[r["alpha"]])
         summary = {"best": best, "control_return": controls[best["alpha"]],
                    "improvement": best["return"] - controls[best["alpha"]]}
         write_json(os.path.join(run_dir, "summary.json"), summary)
-        outputs += ["prior_heatmap.csv", "summary.json"]
     print(run_dir)
     return 0
 
@@ -293,12 +280,11 @@ def _cmd_transfer(args):
     target = modify_dynamics(sc.mdp,
                              action_remap=_remap_from_names(cfg.get("action_remap", {})),
                              slip_override=cfg.get("slip_override"))
-    with _emit(args, cfg) as (run_dir, outputs):
-        result = _train(sc, run_dir, outputs)
+    with _emit(args, cfg) as run_dir:
+        result = _train(sc, run_dir)
         rec = dynamics_transfer(result.model, sc.mdp, target, sc.gt_reward,
                                 alpha=cfg.get("alpha", sc.cfg.alpha))
         write_json(os.path.join(run_dir, "transfer.json"), rec)
-        outputs.append("transfer.json")
     print(run_dir)
     return 0
 

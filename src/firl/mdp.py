@@ -1,5 +1,7 @@
 """Finite-horizon tabular MDPs: construction, validation, perturbation."""
 
+import math
+
 import numpy as np
 
 # Action order used by the gridworld builders.
@@ -7,6 +9,11 @@ GRID_ACTIONS = ("right", "up", "left", "down", "stay")
 GRID_DELTAS = ((1, 0), (0, 1), (-1, 0), (0, -1), (0, 0))
 
 STOCHASTIC_TOL = 1e-12
+
+# The most bytes one float table may take: a gridworld's dense P (S, A, S)
+# and each (T, S, A K) step table of a solve. A training iteration holds P
+# and at most four step tables at once, so about 1.25 GiB (README).
+TABLE_BYTES_CAP = 2 ** 28
 
 
 class FiniteMdp:
@@ -25,7 +32,8 @@ class FiniteMdp:
     transitions are the constructor's input, read again only by
     validate and modify_dynamics. transitions, init_dist and coords are
     read-only copies, so neither the tables nor the checked layout can
-    go stale.
+    go stale. A horizon whose (T, S, A K) step tables would pass
+    TABLE_BYTES_CAP is refused.
     """
 
     def __init__(self, transitions, init_dist, horizon, coords=None):
@@ -45,6 +53,17 @@ class FiniteMdp:
         self.coords = _read_only(coords)
         validate(self)
         self.succ, self.probs = _successor_tables(self.transitions)
+        _check_table_bytes("step tables (T, S, A, K)",
+                           (self.horizon,) + self.succ.shape)
+
+
+def _check_table_bytes(what, shape):
+    """ValueError if a float table of this shape would pass TABLE_BYTES_CAP;
+    called before anything of that size is allocated."""
+    size = 8 * math.prod(shape)
+    if size > TABLE_BYTES_CAP:
+        raise ValueError("%s = %r would take %d bytes, past the cap of %d"
+                         % (what, shape, size, TABLE_BYTES_CAP))
 
 
 def _read_only(values):
@@ -127,6 +146,7 @@ def build_gridworld(width, height, slip_prob=0.0, init_state=0, horizon=10):
     if not 0.0 <= slip_prob < 1.0:
         raise ValueError("slip_prob must lie in [0, 1)")
     n = width * height
+    _check_table_bytes("dense transitions (S, A, S)", (n, len(GRID_ACTIONS), n))
     if not 0 <= init_state < n:
         raise ValueError("init_state %d outside [0, %d)" % (init_state, n))
     states = np.arange(n)

@@ -2,15 +2,17 @@
 deterministic output directories, and CSV/JSON emission with
 round-trip-exact floats.
 
-An unknown key is refused, integers are strict, and each refusal names
-its key. The train block's types come from TrainConfig's fields;
+An unknown key, a key repeated within one object and a non-finite
+number are refused, integers are strict, and each refusal names its
+key. The train block's types come from TrainConfig's fields;
 TrainConfig.validate and the scenario builders own the bounds the table
 leaves out.
 
-All CSVs carry a header row and a fixed column order; floats are
-written with 17 significant digits so a re-read recovers the exact
-double. One run owns one directory; the manifest is written atomically
-at the end and is enough to reproduce the run.
+write_csv owns the CSV format: a header row, a fixed column order, %d
+integers, and floats with 17 significant digits so a re-read recovers
+the exact double. One run owns one directory; the manifest is written
+atomically at the end, lists every file the directory holds, and is
+enough to reproduce the run.
 """
 
 import json
@@ -38,20 +40,25 @@ def fmt_float(x):
     return "%.17g" % x
 
 
-def write_lines(path, lines):
-    """Newline-terminated text file from a list of lines."""
+def write_csv(path, columns, rows):
+    """Header, then one newline-terminated line per dict in rows, in column
+    order: integers as %d, strings as they are, others through fmt_float."""
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _cell(x):
+    if isinstance(x, (int, np.integer)):
+        return "%d" % x
+    return x if isinstance(x, str) else fmt_float(x)
 
 
 def write_metrics_csv(path, metrics):
     """Learning-curve rows in METRIC_COLUMNS order."""
-    lines = [",".join(METRIC_COLUMNS)]
-    for row in metrics:
-        cells = ["%d" % row["iteration"]]
-        cells += [fmt_float(row[c]) for c in METRIC_COLUMNS[1:]]
-        lines.append(",".join(cells))
-    write_lines(path, lines)
+    return write_csv(path, METRIC_COLUMNS, metrics)
 
 
 def emit_heatmap(model, mdp, path):
@@ -61,13 +68,9 @@ def emit_heatmap(model, mdp, path):
     if vals.shape != (mdp.n_states,):
         raise ValueError("reward covers %d states, mdp has %d"
                          % (vals.size, mdp.n_states))
-    lines = ["state,x,y,reward_value"]
-    for s in range(mdp.n_states):
-        lines.append("%d,%s,%s,%s" % (s, fmt_float(mdp.coords[s, 0]),
-                                      fmt_float(mdp.coords[s, 1]),
-                                      fmt_float(vals[s])))
-    write_lines(path, lines)
-    return path
+    cols = ("state", "x", "y", "reward_value")
+    rows = enumerate(zip(mdp.coords[:, 0], mdp.coords[:, 1], vals))
+    return write_csv(path, cols, [dict(zip(cols, (s,) + r)) for s, r in rows])
 
 
 def write_reward_json(path, model):
@@ -176,21 +179,27 @@ def load_config(path):
         raise ConfigError("config file not found: %s" % path)
     try:
         with open(path) as fh:
-            cfg = json.load(fh, object_pairs_hook=_finite_pairs)
+            cfg = json.load(fh, object_pairs_hook=_checked_pairs)
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     validate_config(cfg)
     return cfg
 
 
-def _finite_pairs(pairs):
-    """json.load's object hook: json reads NaN, Infinity and 1e400 as
-    floats, which a "number" check admits; refuse them by key."""
+def _checked_pairs(pairs):
+    """json.load's object hook. json keeps the last of a repeated key and
+    reads NaN, Infinity and 1e400 as floats, which a "number" check
+    admits; refuse both by key."""
+    out = {}
     for key, value in pairs:
+        if key in out:
+            raise ConfigError("config rejected: '%s' appears twice in one object"
+                              % key)
         for x in value if isinstance(value, list) else (value,):
             if isinstance(x, float) and not math.isfinite(x):
                 raise ConfigError("%s must be finite, got %r" % (key, x))
-    return dict(pairs)
+        out[key] = value
+    return out
 
 
 def _check_keys(block, required, keys, where):
@@ -248,18 +257,18 @@ def make_run_dir(name, out_root=None):
             n += 1
 
 
-def write_manifest(run_dir, config, seed, outputs, started, ended, error=None):
-    """Atomic manifest: config snapshot + seed + version + file list, and
-    status "ok", or "failed" with the error message when error is given."""
+def write_manifest(run_dir, config, started, ended, error=None):
+    """Atomic manifest: config snapshot + seed + version + the files run_dir
+    holds, and status "ok", or "failed" with the message error gives."""
     from . import __version__
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": config,
-        "seed": seed,
+        "seed": config["seed"],
         "version": __version__,
         "started": started,
         "ended": ended,
-        "outputs": sorted(outputs),
+        "outputs": sorted(set(os.listdir(run_dir)) - {"manifest.json"}),
         "status": "ok" if error is None else "failed",
     }
     if error is not None:

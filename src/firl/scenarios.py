@@ -22,8 +22,9 @@ from .trainer import (TrainConfig, check_expert_fit, run_firl,
 class Scenario:
     """name, mdp, expert input, training config, optional gt reward.
 
-    notes carries evaluation context (expert marginal, expert alpha)
-    that the runners and tests want back without recomputing."""
+    notes carries the evaluation context of an IRL scenario (the expert
+    marginal and the demos' mean return) that the CLI and demos read
+    back without recomputing."""
 
     def __init__(self, name, mdp, expert, cfg, gt_reward=None, notes=None):
         check_expert_fit(mdp, expert, cfg)
@@ -95,8 +96,7 @@ def density_matching(shape, grid=(5, 5), kind="fkl", seed=0, horizon=40,
                       reward_lr=0.1, estimator="exact",
                       ratio_mode="exact_table", eval_every=25)
     cfg = replace(cfg, **overrides)
-    return Scenario("density_%s_%s" % (shape, kind), mdp, rho_e, cfg,
-                    notes={"shape": shape, "grid": tuple(grid)})
+    return Scenario("density_%s_%s" % (shape, kind), mdp, rho_e, cfg)
 
 
 def irl_from_trajectories(mdp, n_expert_traj, gt_reward, seed=0,
@@ -127,8 +127,7 @@ def irl_from_trajectories(mdp, n_expert_traj, gt_reward, seed=0,
                       batch_size=256, ratio_mode="discriminator",
                       eval_every=100)
     cfg = replace(cfg, **overrides)
-    notes = {"expert_alpha": expert_alpha,
-             "expert_marginal": sol_e.marginal_avg,
+    notes = {"expert_marginal": sol_e.marginal_avg,
              "expert_demo_return": float(returns[top].mean())}
     return Scenario("irl_traj%d" % n_expert_traj, mdp, expert, cfg,
                     gt_reward=gt_reward, notes=notes)

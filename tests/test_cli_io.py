@@ -129,9 +129,51 @@ def test_heatmap_layout_and_determinism(tmp_path):
         emit_heatmap(np.zeros(3), mdp, path)
 
 
+def _legacy_tables(values):
+    """The four tables as each writer formatted its rows by hand before
+    write_csv owned the format: (file, columns, rows, expected bytes)."""
+    fmt = fmt_float
+    metrics = [dict(zip(METRIC_COLUMNS, [i] + values[i:] + values[:i]))
+               for i in range(len(METRIC_COLUMNS) - 1)]
+    heat_cols = ("state", "x", "y", "reward_value")
+    heat = [dict(zip(heat_cols, (s, v, -v, values[s - 1])))
+            for s, v in enumerate(values)]
+    grad_cols = ("instance", "n_states", "n_actions", "horizon", "kind",
+                 "reward_kind", "rel_error")
+    grad = [dict(zip(grad_cols, (i, np.int64(9), 5, 3, kind, "mlp", v)))
+            for i, (kind, v) in enumerate(zip(("fkl", "rkl", "js", "fkl"), values))]
+    prior_cols = ("lambda", "alpha", "return")
+    prior = [dict(zip(prior_cols, (v, values[-1], -v))) for v in values]
+    return [
+        ("metrics.csv", METRIC_COLUMNS, metrics,
+         [",".join(METRIC_COLUMNS)] + [",".join(["%d" % r["iteration"]] + [
+             fmt(r[c]) for c in METRIC_COLUMNS[1:]]) for r in metrics]),
+        ("heatmap.csv", heat_cols, heat, ["state,x,y,reward_value"] + [
+            "%d,%s,%s,%s" % (r["state"], fmt(r["x"]), fmt(r["y"]),
+                             fmt(r["reward_value"])) for r in heat]),
+        ("gradcheck.csv", grad_cols, grad, [",".join(grad_cols)] + [
+            "%d,%d,%d,%d,%s,%s,%s" % (r["instance"], r["n_states"], r["n_actions"],
+                                      r["horizon"], r["kind"], r["reward_kind"],
+                                      fmt(r["rel_error"])) for r in grad]),
+        ("prior_heatmap.csv", prior_cols, prior, ["lambda,alpha,return"] + [
+            "%s,%s,%s" % (fmt(r["lambda"]), fmt(r["alpha"]), fmt(r["return"]))
+            for r in prior]),
+    ]
+
+
+def test_write_csv_keeps_the_hand_written_formats_byte_for_byte(tmp_path):
+    values = [float("nan"), float("inf"), -0.0, 1 / 3, -float("inf"),
+              np.float64(2.5e-300), 6.02214076e23]
+    for name, columns, rows, lines in _legacy_tables(values):
+        path = run_io.write_csv(str(tmp_path / name), columns, rows)
+        assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode()
+
+
 def test_manifest_contents_and_atomicity(tmp_path):
     run_dir = str(tmp_path)
-    write_manifest(run_dir, {"seed": 4}, 4, ["b.csv", "a.json"],
+    for name in ("b.csv", "a.json"):
+        (tmp_path / name).write_text("x\n")
+    write_manifest(run_dir, {"seed": 4},
                    "2026-01-01T00:00:00Z", "2026-01-01T00:00:05Z")
     payload = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert payload["schema_version"] == 1
@@ -227,6 +269,22 @@ def test_cli_a_failed_run_leaves_a_failed_manifest(tmp_path, monkeypatch, capsys
     assert manifest["status"] == "failed"
     assert manifest["error"] == "exact produced a non-finite gradient"
     assert manifest["outputs"] == [] and manifest["seed"] == 0
+
+
+def test_cli_a_failed_manifest_lists_the_files_written_before_the_failure(
+        tmp_path, monkeypatch, capsys):
+    def broken_heatmap(model, mdp, path):
+        open(path, "w").write("state")
+        raise ValueError("the heatmap failed")
+    monkeypatch.setattr(firl.cli, "emit_heatmap", broken_heatmap)
+    cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "the heatmap failed" in capsys.readouterr().err
+    [path] = glob.glob(str(out / "tiny" / "*" / "manifest.json"))
+    manifest = json.load(open(path))
+    assert manifest["status"] == "failed"
+    assert manifest["outputs"] == ["heatmap.csv", "metrics.csv", "reward.json"]
 
 
 def test_cli_fails_a_run_whose_gradient_squares_overflow(tmp_path, capsys):
@@ -376,6 +434,23 @@ def test_loading_every_shipped_scenario_imports_no_schema_validator():
     subprocess.run([sys.executable, "-c", code] + _SHIPPED, env=env, check=True)
 
 
+def test_importing_the_cli_loads_every_firl_module():
+    # perfbench/child.py wraps the public functions of the firl modules
+    # loaded by `import firl.cli`; a module imported later would escape
+    # the tracing and leave its spans without calls
+    src = os.path.dirname(os.path.dirname(firl.cli.__file__))
+    modules = sorted("firl." + name[:-3]
+                     for name in os.listdir(os.path.join(src, "firl"))
+                     if name.endswith(".py") and name != "__init__.py")
+    assert "firl.run_io" in modules and "firl.cli" in modules
+    code = ("import sys, firl.cli\n"
+            "missing = [m for m in sys.argv[1:] if m not in sys.modules]\n"
+            "assert not missing, missing\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", code] + modules, env=env, check=True)
+
+
 def test_cli_seed_flag_overrides_the_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
     assert cli_main(["train", "--config", cfg, "--out", str(tmp_path),
@@ -436,6 +511,52 @@ def test_cli_refuses_a_gt_reward_that_is_not_numbers(tmp_path, capsys, gt):
     assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "firl: error:" in err and "gt_reward" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gt", [{"8": 1.0, "08": -5.0}, {"\u0668": 1.0}, {"9": 1.0}],
+                         ids=["leading-zero", "non-ascii-digit", "past-the-grid"])
+def test_cli_refuses_a_gt_reward_key_that_is_not_a_canonical_state(tmp_path, capsys,
+                                                                   gt):
+    # "08" and "8" both named state 8, and the last of them won
+    cfg = _write_cfg(tmp_path, "i.json", dict(_TINY_IRL, gt_reward=gt))
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "firl: error: gt_reward key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"schema_version": 1, "seed": 0, "seed": 7, "type": "density_matching",'
+     ' "name": "tiny", "shape": "uniform", "grid": [3, 3], "horizon": 5,'
+     ' "train": {"iterations": 2, "eval_every": 1}}', "seed"),
+    ('{"schema_version": 1, "seed": 0, "type": "density_matching",'
+     ' "name": "tiny", "shape": "uniform", "grid": [3, 3], "horizon": 5,'
+     ' "train": {"iterations": 2, "iterations": 3, "eval_every": 1}}', "iterations"),
+], ids=["top-level", "train-block"])
+def test_cli_refuses_a_key_that_appears_twice(tmp_path, capsys, text, key):
+    # json keeps the last value, so this trained with seed 7 or for 3
+    # iterations while the manifest recorded only that value
+    cfg = tmp_path / "dup.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'%s' appears twice" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    # used to raise numpy's "Unable to allocate 2.88 PiB" uncaught
+    ({"grid": [3000, 3000]}, "dense transitions (S, A, S)"),
+    # used to create the run directory, then loop in reachable_states
+    ({"grid": [2, 2], "horizon": 10 ** 12}, "step tables (T, S, A, K)"),
+], ids=["grid", "horizon"])
+def test_cli_refuses_a_table_past_the_byte_cap(tmp_path, capsys, extra, message):
+    cfg = _write_cfg(tmp_path, "big.json", dict(_TINY_DENSITY, **extra))
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("firl: error: " + message) and "past the cap" in err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firl.mdp
 from firl.mdp import (GRID_ACTIONS, FiniteMdp, build_gridworld,
                       modify_dynamics, reachable_states, validate)
 
@@ -138,6 +139,19 @@ def test_builder_argument_errors():
         build_gridworld(2, 2, init_state=4)
     with pytest.raises(ValueError, match="at least one cell"):
         build_gridworld(0, 3)
+
+
+def test_the_byte_cap_admits_a_table_of_exactly_its_size(monkeypatch):
+    # 2 x 1 grid, horizon 1: P is (2, 5, 2) and the step tables (1, 2, 5, 1),
+    # 160 and 80 bytes
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 160)
+    build_gridworld(2, 1, horizon=1)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 159)
+    with pytest.raises(ValueError, match="160 bytes, past the cap of 159"):
+        build_gridworld(2, 1, horizon=1)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 160)
+    with pytest.raises(ValueError, match="step tables"):
+        build_gridworld(2, 1, horizon=3)
 
 
 def test_remap_copies_replacement_rows():

@@ -67,7 +67,6 @@ def test_density_matching_builds_the_documented_defaults():
     assert sc.cfg.ratio_mode == "exact_table"
     assert sc.cfg.alpha == 1.0 and sc.cfg.reward_lr == 0.1
     assert sc.cfg.iterations == 300 and sc.cfg.eval_every == 25
-    assert sc.notes["shape"] == "gaussian"
     over = density_matching("uniform", iterations=7, reward_lr=0.2)
     assert over.cfg.iterations == 7 and over.cfg.reward_lr == 0.2
     with pytest.raises(ValueError, match="unknown density shape"):
@@ -98,7 +97,6 @@ def test_irl_scenario_freezes_the_training_recipe():
     assert sc.cfg.batch_size == 256 and sc.cfg.reward_lr == 0.05
     assert sc.cfg.iterations == 600 and sc.cfg.eval_every == 100
     assert sc.expert.states.shape == (4, mdp.horizon + 1)
-    assert sc.notes["expert_alpha"] == 0.3
     assert sc.notes["expert_marginal"].shape == (16,)
 
 
