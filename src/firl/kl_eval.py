@@ -15,12 +15,10 @@ H_E is the k-NN entropy of the expert cloud and L_E(s) its mean k-NN
 log-density over PROBES jittered points in cell s. The cloud's one-off
 cost is n + S * PROBES tree queries for n expert visits, spread over
 every core the process may use; each query's answer is independent of
-how the queries are split, so no value depends on the core count. The
-queries run on a worker thread started by the constructor, so a caller
-can train meanwhile; the first read of H_E or L_E blocks until they
-end (about 0.06 s for 10,000 visits on a 15x15 grid, 2 cores). The
-worker calls no public function of this package, which keeps a tracer
-with one call stack per process correct.
+how the queries are split, so no value depends on the core count. A
+CellCloud is a plain value, built in full by its constructor (about
+0.07 s for 10,000 visits on a 15x15 grid, 2 cores); trainer.run_firl
+builds it on a worker thread while it trains.
 
 The forward value is +inf when an expert visit sits on a state rho
 never reaches, as the exact divergence is. The reverse value inherits
@@ -39,7 +37,6 @@ visits, it reads -0.04 to -0.08 after iteration 0.
 """
 
 import os
-import threading
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -82,69 +79,33 @@ class CellCloud:
     entropy and cell_log_density (S,), the mean psi-corrected k-NN
     log-density of the cloud over PROBES jittered points per cell.
 
-    The constructor draws every jitter (cloud, tie-break, probes) on
-    the calling thread, then starts one worker thread that builds the
-    tree and runs the self-query and the probe query. The first read of
-    entropy or cell_log_density joins it and finishes the means there;
-    an exception raised on the worker re-raises at that read. join()
-    waits for the worker without raising, for a caller that must not
-    leave it running.
+    The constructor draws the cloud's jitter, its tie-break and the
+    probes, in that order, then builds the tree and runs the self-query
+    and the probe query. It calls no public function of this package,
+    so it may run off the main thread under a tracer that keeps one
+    call stack per process.
     """
 
     def __init__(self, mdp, states, seed=0):
         rng = np.random.default_rng(seed)   # a Generator passes through as is
         self.states = np.asarray(states, dtype=np.int64).ravel()
-        n = self.states.size
-        if n <= KNN_K:
-            raise ValueError("need more than k cloud points, got %d" % n)
-        pts = states_to_points(mdp, self.states, seed=rng)
-        pts += rng.uniform(-1e-10, 1e-10, size=pts.shape)
-        probes = states_to_points(mdp, np.repeat(np.arange(mdp.n_states), PROBES),
-                                  seed=rng)
-        self._distances = self._error = None
-        self._entropy = self._cell_log_density = None
-        # not a daemon: the process waits for it rather than killing it mid-query
-        self._worker = threading.Thread(target=self._query, args=(pts, probes))
-        self._worker.start()
-
-    def _query(self, pts, probes):
-        try:
-            # faster to build and query than the default balanced, compact
-            # tree, and the k-th distances are exact whatever its shape
-            tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-            self._distances = (_kth_distance(tree, pts, KNN_K + 1),   # skip self-match
-                               _kth_distance(tree, probes, KNN_K))
-        except Exception as exc:   # kept for the reader's thread
-            self._error = exc
-
-    def join(self):
-        """Wait for the tree queries; a failure stays for the next read."""
-        self._worker.join()
-
-    def _finish(self):
-        if self._entropy is not None:
-            return
-        self.join()
-        if self._error is not None:
-            raise self._error
-        rho, nu = self._distances
-        self._distances = None
         n, k = self.states.size, KNN_K
-        self._entropy = float(digamma(n) - digamma(k) + _LOG_DISC
-                              + 2.0 * np.mean(np.log(rho)))
+        if n <= k:
+            raise ValueError("need more than k cloud points, got %d" % n)
+        pts = _states_to_points(mdp, self.states, seed=rng)
+        pts += rng.uniform(-1e-10, 1e-10, size=pts.shape)
+        probes = _states_to_points(mdp, np.repeat(np.arange(mdp.n_states), PROBES),
+                                   seed=rng)
+        # faster to build and query than the default balanced, compact
+        # tree, and the k-th distances are exact whatever its shape
+        tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+        rho = _kth_distance(tree, pts, k + 1)   # skip self-match
+        nu = _kth_distance(tree, probes, k)
+        self.entropy = float(digamma(n) - digamma(k) + _LOG_DISC
+                             + 2.0 * np.mean(np.log(rho)))
         # a probe is not a cloud point, so its mass fraction is Beta(k, n - k + 1)
         log_density = digamma(k) - digamma(n + 1) - _LOG_DISC - 2.0 * np.log(nu)
-        self._cell_log_density = log_density.reshape(-1, PROBES).mean(axis=1)
-
-    @property
-    def entropy(self):
-        self._finish()
-        return self._entropy
-
-    @property
-    def cell_log_density(self):
-        self._finish()
-        return self._cell_log_density
+        self.cell_log_density = log_density.reshape(-1, PROBES).mean(axis=1)
 
 
 def _cell_density(cloud, density):
@@ -201,7 +162,7 @@ def policy_return(mdp, sol, gt_reward):
     return float(sol.marginals_t[1:].sum(axis=0) @ gt_reward)
 
 
-def states_to_points(mdp, states, seed=0):
+def _states_to_points(mdp, states, seed=0):
     """Map state indices to jittered 2-d coordinates for sample-based KL.
 
     Each state index becomes its cell-center coordinate plus uniform

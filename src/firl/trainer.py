@@ -7,6 +7,7 @@ and a potential-shaped prior bonus) and the optimizer.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,10 +215,11 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     (n, horizon + 1), which train mc or mixture on the discriminator
     ratio. Returns a TrainResult whose metrics rows follow
     METRIC_COLUMNS; the kNN KL columns are filled every eval_every
-    iterations and NaN between. Their expert cloud's tree queries run on
-    a worker thread while the loop trains, so the loop keeps each eval
+    iterations and NaN between. Their expert cloud is built on one
+    worker thread while the loop trains, so the loop keeps each eval
     iteration's marginal and the columns are filled after the last
-    iteration; the worker is joined on every exit. The run fails at the
+    iteration; a failed build raises there, and the worker has ended by
+    the time run_firl returns or raises. The run fails at the
     first gradient entry that is not finite or whose square can
     overflow, and at the first solve that leaves no mass on a state the
     expert occupies and the walk can reach.
@@ -239,20 +241,20 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     rng_batch, rng_expert, _, rng_mix = [
         np.random.default_rng(c) for c in ss.spawn(4)]
 
-    # fixed expert cloud for the sample-based KL columns; its tree
-    # queries run on a worker thread while the loop below trains
+    # fixed expert cloud for the sample-based KL columns: the states are
+    # drawn here, the cloud is built on a worker while the loop trains
     if rho_e is not None:
         eval_expert_states = sample_states(rho_e.values, EVAL_EXPERT_SAMPLES,
                                            rng_expert)
     else:
         eval_expert_states = expert_flat
-    expert_cloud = CellCloud(mdp, eval_expert_states, seed=rng_expert)
 
     opt = OptimizerState()
     metrics = []
     evaluated = []   # (row, marginal) of each eval iteration
     grad_cap = np.sqrt(np.finfo(float).max / model.n_params)
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        cloud = pool.submit(CellCloud, mdp, eval_expert_states, rng_expert)
         for it in range(cfg.iterations):
             sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model),
                                                        cfg.alpha))
@@ -281,9 +283,7 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
                 evaluated.append((row, sol.marginal_avg))
             opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
             model = apply_update(model, delta)
-    finally:
-        expert_cloud.join()
-    # the first read of the cloud, after the last iteration
+        expert_cloud = cloud.result()
     for row, marginal in evaluated:
         row["fkl_estimate"] = knn_kl(expert_cloud, marginal).value
         row["rkl_estimate"] = knn_kl(marginal, expert_cloud).value

@@ -2,7 +2,6 @@
 return."""
 
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from scipy.special import digamma
 import firl.kl_eval
 from firl.density_ratio import sample_states
 from firl.divergence import divergence_exact
-from firl.kl_eval import CellCloud, knn_kl, policy_return, states_to_points
+from firl.kl_eval import CellCloud, _states_to_points, knn_kl, policy_return
 from firl.mdp import FiniteMdp, build_gridworld
 from firl.scenarios import gaussian_density
 from firl.soft_solver import forward_marginals, soft_backward
@@ -181,7 +180,7 @@ def test_the_cloud_tree_shape_moves_no_value(side, sigma):
     assert np.array_equal(cloud.cell_log_density, cell_log_density)
 
 
-def test_a_failed_tree_build_re_raises_at_the_read(monkeypatch):
+def test_a_failed_tree_build_raises_at_construction(monkeypatch):
     class TreeFailure(Exception):
         pass
 
@@ -189,29 +188,8 @@ def test_a_failed_tree_build_re_raises_at_the_read(monkeypatch):
         raise TreeFailure("no tree")
 
     monkeypatch.setattr(firl.kl_eval, "cKDTree", failing_tree)
-    cloud = CellCloud(build_gridworld(2, 2, horizon=2), [0, 1, 2, 3, 0])
-    cloud.join()   # waits without raising
-    for read in (lambda: cloud.entropy, lambda: cloud.cell_log_density,
-                 lambda: knn_kl(cloud, np.full(4, 0.25))):
-        with pytest.raises(TreeFailure, match="no tree"):
-            read()
-
-
-def test_the_cloud_queries_on_one_worker_thread(monkeypatch):
-    # the tree work starts with the constructor and ends by the first read
-    before = threading.active_count()
-    started = []
-    original = firl.kl_eval._kth_distance
-
-    def recorded(*args, **kwargs):
-        started.append(threading.current_thread())
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(firl.kl_eval, "_kth_distance", recorded)
-    CellCloud(build_gridworld(3, 3, horizon=2), np.arange(9), seed=26).entropy
-    assert len(started) == 2 and started[0] is started[1]
-    assert started[0] is not threading.main_thread()
-    assert threading.active_count() == before
+    with pytest.raises(TreeFailure, match="no tree"):
+        CellCloud(build_gridworld(2, 2, horizon=2), [0, 1, 2, 3, 0])
 
 
 def test_cloud_fkl_is_inf_where_the_policy_never_goes():
@@ -258,14 +236,14 @@ def test_policy_return_shape_check():
 def test_states_to_points_jitter_stays_in_the_cell():
     mdp = build_gridworld(4, 4, horizon=2)
     states = np.arange(16)
-    pts = states_to_points(mdp, states, seed=7)
+    pts = _states_to_points(mdp, states, seed=7)
     assert np.all(np.abs(pts - mdp.coords) < 0.5)
 
 
 def test_states_to_points_accepts_a_generator():
     mdp = build_gridworld(2, 2, horizon=2)
-    a = states_to_points(mdp, [0, 1, 2], seed=np.random.default_rng(8))
-    b = states_to_points(mdp, [0, 1, 2], seed=np.random.default_rng(8))
+    a = _states_to_points(mdp, [0, 1, 2], seed=np.random.default_rng(8))
+    b = _states_to_points(mdp, [0, 1, 2], seed=np.random.default_rng(8))
     assert np.array_equal(a, b)
 
 
@@ -275,4 +253,4 @@ def test_states_to_points_equals_the_indexed_sum_bit_for_bit():
     states = np.random.default_rng(27).integers(0, 35, size=5000)
     want = mdp.coords[states].astype(float) + np.random.default_rng(28).uniform(
         -0.5, 0.5, size=(5000, 2))
-    assert np.array_equal(states_to_points(mdp, states, seed=28), want)
+    assert np.array_equal(_states_to_points(mdp, states, seed=28), want)

@@ -375,6 +375,28 @@ def test_every_public_firl_function_runs_on_the_main_thread(monkeypatch, route):
             if id(value) in wrapped and value is public[id(value)]:
                 monkeypatch.setattr(module, name, wrapped[id(value)])
     firl.trainer.run_firl(mdp, expert, cfg)
-    assert {"run_firl", "states_to_points", "knn_kl"} <= {name for name, _ in calls}
+    assert {"run_firl", "knn_kl"} <= {name for name, _ in calls}
     off = [name for name, thread in calls if thread is not threading.main_thread()]
     assert off == []
+
+
+def test_run_firl_builds_the_cloud_on_one_worker_thread(monkeypatch):
+    # the cloud's self-query and probe query run off the main thread, on
+    # one worker, and that worker has ended by the time run_firl returns
+    before = threading.active_count()
+    queried = []
+    original = firl.kl_eval._kth_distance
+
+    def recorded(*args, **kwargs):
+        queried.append(threading.current_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(firl.kl_eval, "_kth_distance", recorded)
+    mdp = build_gridworld(3, 3, horizon=4)
+    expert = np.random.default_rng(26).dirichlet(np.full(9, 3.0))
+    run_firl(mdp, expert, _small_cfg())
+    # the first call is check_expert_fit's cell-overlap check, on the caller
+    main, first, second = queried
+    assert main is threading.main_thread()
+    assert first is second and first is not threading.main_thread()
+    assert threading.active_count() == before
