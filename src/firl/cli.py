@@ -27,9 +27,9 @@ from .run_io import (SCHEMA_VERSION, ConfigError, emit_heatmap, fmt_float,
                      validate_config, write_csv, write_json, write_manifest,
                      write_metrics_csv, write_reward_json)
 from .scenarios import (density_matching, dynamics_transfer,
-                        irl_from_trajectories, percentile_weights,
-                        prior_reward_downstream, reward_recovery_check,
-                        run_scenario, task_prior)
+                        hard_exploration_task, irl_from_trajectories,
+                        percentile_weights, prior_reward_downstream,
+                        reward_recovery_check, run_scenario, task_prior)
 from .soft_solver import forward_marginals, soft_backward
 from .trainer import ESTIMATORS
 
@@ -246,6 +246,8 @@ def _run_prior(cfg, args):
     prior = task_prior(cfg["prior"] if "prior" in cfg else
                        read_reward_json(_resolve(cfg["prior_file"], args.config)))
     sweep = _given(cfg, ("lambda_grid", "alpha_grid", "horizon", "gamma"))
+    # the task grid the sweep solves meets the byte cap before the run directory
+    hard_exploration_task(**_given(cfg, ("horizon",)))
     with _emit(args, cfg) as run_dir:
         rows = prior_reward_downstream(prior, **sweep)
         write_csv(os.path.join(run_dir, "prior_heatmap.csv"),

@@ -11,8 +11,11 @@ forms and the logit box takes a one-sided state to +-LOGIT_CLIP.
 
 import numpy as np
 
-from .divergence import DENSITY_FLOOR, RATIO_CLIP_LO, RATIO_CLIP_HI, density_values
+from .divergence import density_values
 
+DENSITY_FLOOR = 1e-12
+RATIO_CLIP_LO = 1e-8
+RATIO_CLIP_HI = 1e8
 LOGIT_CLIP = 10.0
 _TINY = np.finfo(float).tiny
 

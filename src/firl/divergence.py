@@ -8,12 +8,6 @@ import numpy as np
 
 KINDS = ("fkl", "rkl", "js")
 
-# density_ratio.exact_ratio floors rho_theta before it forms a ratio;
-# every density_ratio producer clips its table into a safe positive range.
-DENSITY_FLOOR = 1e-12
-RATIO_CLIP_LO = 1e-8
-RATIO_CLIP_HI = 1e8
-
 
 class ExpertDensity:
     """Target state density rho_E over the MDP's states.

@@ -18,7 +18,7 @@ plus a central-difference oracle used only for verification.
 import numpy as np
 
 from .divergence import KINDS, density_values, divergence_exact, h_f
-from .mdp import FiniteMdp, reachable_states
+from .mdp import FiniteMdp, check_table_bytes, reachable_states
 from .reward_model import (apply_update, default_features, mlp_reward,
                            reward_jacobian, reward_vector, reward_vjp,
                            tabular_reward)
@@ -83,13 +83,16 @@ def _cov_grad(estimator, states, model, alpha, kind, ratio):
     """Sample covariance of the per-trajectory sums of h and of the
     reward jacobian over (n, T+1) state rows, skipping s_0. The
     diagnostics give the spread of the h sums; a wide spread means the
-    batch mixes states with very different expert/agent density ratios."""
+    batch mixes states with very different expert/agent density ratios.
+    Rows whose (n, S) visit counts would pass mdp.TABLE_BYTES_CAP are
+    refused before the counts form."""
     body = states[:, 1:]
     n, t_hor = body.shape
     if n < 2:
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
     h = h_f(kind, ratio)
     n_states = len(h)
+    check_table_bytes("visit counts (n, S)", (n, n_states))
     a = h.take(body).sum(axis=1)
     flat = (body + np.arange(0, n * n_states, n_states)[:, None]).ravel()
     b = reward_vjp(model, np.bincount(flat, minlength=n * n_states)

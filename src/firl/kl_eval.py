@@ -17,7 +17,7 @@ cost is n + S * PROBES tree queries for n expert visits, spread over
 every core the process may use; each query's answer is independent of
 how the queries are split, so no value depends on the core count. A
 CellCloud is a plain value, built in full by its constructor (about
-0.07 s for 10,000 visits on a 15x15 grid, 2 cores); trainer.run_firl
+0.05 s for 10,000 visits on a 15x15 grid, 2 cores); trainer.run_firl
 builds it on a worker thread while it trains.
 
 The forward value is +inf when an expert visit sits on a state rho

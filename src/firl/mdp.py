@@ -10,9 +10,10 @@ GRID_DELTAS = ((1, 0), (0, 1), (-1, 0), (0, -1), (0, 0))
 
 STOCHASTIC_TOL = 1e-12
 
-# The most bytes one float table may take: a gridworld's dense P (S, A, S)
-# and each (T, S, A K) step table of a solve. A training iteration holds P
-# and at most four step tables at once, so about 1.25 GiB (README).
+# The most bytes one float table may take: a gridworld's dense P (S, A, S),
+# each (T, S, A K) step table of a solve, and the sampled path's rollout
+# uniforms (2T+1, n) and visit counts (n, S). A training iteration holds
+# at most eight tables' worth at once, so 2 GiB (README).
 TABLE_BYTES_CAP = 2 ** 28
 
 
@@ -53,11 +54,11 @@ class FiniteMdp:
         self.coords = _read_only(coords)
         validate(self)
         self.succ, self.probs = _successor_tables(self.transitions)
-        _check_table_bytes("step tables (T, S, A, K)",
-                           (self.horizon,) + self.succ.shape)
+        check_table_bytes("step tables (T, S, A, K)",
+                          (self.horizon,) + self.succ.shape)
 
 
-def _check_table_bytes(what, shape):
+def check_table_bytes(what, shape):
     """ValueError if a float table of this shape would pass TABLE_BYTES_CAP;
     called before anything of that size is allocated."""
     size = 8 * math.prod(shape)
@@ -146,7 +147,7 @@ def build_gridworld(width, height, slip_prob=0.0, init_state=0, horizon=10):
     if not 0.0 <= slip_prob < 1.0:
         raise ValueError("slip_prob must lie in [0, 1)")
     n = width * height
-    _check_table_bytes("dense transitions (S, A, S)", (n, len(GRID_ACTIONS), n))
+    check_table_bytes("dense transitions (S, A, S)", (n, len(GRID_ACTIONS), n))
     if not 0 <= init_state < n:
         raise ValueError("init_state %d outside [0, %d)" % (init_state, n))
     states = np.arange(n)

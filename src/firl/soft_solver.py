@@ -20,6 +20,8 @@ beyond a hard cap. No (S, S) array is formed per step.
 
 import numpy as np
 
+from .mdp import check_table_bytes
+
 ENUMERATION_CAP = 2_000_000
 
 
@@ -191,9 +193,11 @@ def sample_trajectories(mdp, sol, n, seed):
     0, whose entry repeats its left neighbour's, is never drawn. With one
     successor per row (no slip) that draw always picks it and is skipped,
     its uniforms still generated. The walk fills time-major (T+1, n)
-    rows, transposed once at the end."""
+    rows, transposed once at the end. n whose uniforms would pass
+    mdp.TABLE_BYTES_CAP is refused before any draw."""
     if n < 1:
         raise ValueError("need at least one trajectory")
+    check_table_bytes("rollout uniforms (2T+1, n)", (2 * mdp.horizon + 1, n))
     u = np.random.default_rng(seed).random((2 * mdp.horizon + 1, n))
     n_a, n_k = mdp.n_actions, mdp.succ.shape[2]
     policy_cdf = np.ascontiguousarray(

@@ -18,7 +18,7 @@ from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
 from .kl_eval import KNN_K, CellCloud, cell_gaps, knn_kl, policy_return
-from .mdp import reachable_states
+from .mdp import check_table_bytes, reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
                           sample_trajectories, soft_backward)
@@ -148,7 +148,9 @@ def _seed_int(rng):
 def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode and estimator against expert form (the exact estimator needs a
-    density), mixture against (n, horizon + 1) trajectories, density
+    density), a sampling estimator's batch against the byte cap on its
+    rollout uniforms and visit counts (mixture pools twice the batch),
+    mixture against (n, horizon + 1) trajectories, density
     length, normalization (only rkl accepts an unnormalized energy), an
     rkl target's support, expert state indices, more than KNN_K points
     in the kNN expert cloud, and disjoint unit cells around mdp.coords,
@@ -164,6 +166,13 @@ def check_expert_fit(mdp, expert, cfg):
     if cfg.estimator == "exact" and form != "density":
         raise ValueError("exact estimator needs an expert density: expert "
                          "trajectories train mc or mixture")
+    if cfg.estimator != "exact":
+        # sample_trajectories and the covariance make these checks per call;
+        # here they refuse the batch before a run directory exists
+        rows = cfg.batch_size * (2 if cfg.estimator == "mixture" else 1)
+        check_table_bytes("rollout uniforms (2T+1, n)",
+                          (2 * mdp.horizon + 1, cfg.batch_size))
+        check_table_bytes("visit counts (n, S)", (rows, mdp.n_states))
     if cfg.estimator == "mixture":
         if form != "trajectories":
             raise ValueError("mixture estimator needs expert trajectories "

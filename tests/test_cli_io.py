@@ -545,18 +545,37 @@ def test_cli_refuses_a_key_that_appears_twice(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra, message", [
+@pytest.mark.parametrize("payload, message", [
     # used to raise numpy's "Unable to allocate 2.88 PiB" uncaught
-    ({"grid": [3000, 3000]}, "dense transitions (S, A, S)"),
+    (dict(_TINY_DENSITY, grid=[3000, 3000]), "dense transitions (S, A, S)"),
     # used to create the run directory, then loop in reachable_states
-    ({"grid": [2, 2], "horizon": 10 ** 12}, "step tables (T, S, A, K)"),
-], ids=["grid", "horizon"])
-def test_cli_refuses_a_table_past_the_byte_cap(tmp_path, capsys, extra, message):
-    cfg = _write_cfg(tmp_path, "big.json", dict(_TINY_DENSITY, **extra))
+    (dict(_TINY_DENSITY, grid=[2, 2], horizon=10 ** 12), "step tables (T, S, A, K)"),
+    # used to raise numpy's "Unable to allocate 94.6 TiB" uncaught
+    (dict(_TINY_IRL, pool_size=10 ** 12), "rollout uniforms (2T+1, n)"),
+    # used to create the run directory, then raise the same uncaught
+    (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], batch_size=10 ** 12)),
+     "rollout uniforms (2T+1, n)"),
+], ids=["grid", "horizon", "pool_size", "batch_size"])
+def test_cli_refuses_a_table_past_the_byte_cap(tmp_path, capsys, payload, message):
+    cfg = _write_cfg(tmp_path, "big.json", payload)
     out = tmp_path / "out"
     assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("firl: error: " + message) and "past the cap" in err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_prior_sweep_past_the_byte_cap(tmp_path, capsys):
+    # used to exit 1 only after creating the run directory
+    cfg = _write_cfg(tmp_path, "p.json", {
+        "schema_version": 1, "seed": 0, "type": "prior_downstream",
+        "prior": [0.0] * 36, "horizon": 10 ** 12,
+    })
+    out = tmp_path / "out"
+    assert cli_main(["scenario", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("firl: error: step tables (T, S, A, K)")
+    assert "past the cap" in err
     assert not out.exists()
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from firl.density_ratio import (LOGIT_CLIP, Discriminator, discriminator_fit,
-                                discriminator_ratio, exact_ratio, sample_states)
-from firl.divergence import RATIO_CLIP_HI
+from firl.density_ratio import (LOGIT_CLIP, RATIO_CLIP_HI, Discriminator,
+                                discriminator_fit, discriminator_ratio,
+                                exact_ratio, sample_states)
 
 
 def test_exact_ratio_table():

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firl.density_ratio import exact_ratio
-from firl.divergence import (KINDS, RATIO_CLIP_HI, RATIO_CLIP_LO,
-                             ExpertDensity, density_values, divergence_exact,
-                             h_f)
+from firl.density_ratio import RATIO_CLIP_HI, RATIO_CLIP_LO, exact_ratio
+from firl.divergence import (KINDS, ExpertDensity, density_values,
+                             divergence_exact, h_f)
 
 # generator formulas rewritten for complex arguments, kept local so the
 # consistency check shares no code with the module under test

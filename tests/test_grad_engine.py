@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import firl.mdp
 from firl.density_ratio import LOGIT_CLIP, exact_ratio
 from firl.divergence import KINDS, ExpertDensity, h_f
 from firl.grad_engine import (GradReport, analytic_grad_exact,
@@ -182,6 +183,18 @@ def test_mc_needs_at_least_two_trajectories():
     ratio = exact_ratio(rho_e, sol.marginal_avg)
     batch = sample_trajectories(mdp, sol, 1, seed=17)
     with pytest.raises(ValueError, match="at least 2 trajectories"):
+        analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+
+
+def test_the_covariance_admits_counts_of_exactly_the_byte_cap(monkeypatch):
+    # four rows on a 3 x 3 grid: the visit counts are (4, 9), 288 bytes
+    mdp, model, rho_e, sol = _instance(seed=16)
+    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    batch = sample_trajectories(mdp, sol, 4, seed=17)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 288)
+    analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 287)
+    with pytest.raises(ValueError, match="visit counts .* 288 bytes, past the cap"):
         analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import firl.mdp
 from firl.grad_engine import analytic_grad_exact, enumeration_grad
 from firl.mdp import FiniteMdp, build_gridworld, reachable_states
 from firl.reward_model import apply_update, reward_vector, tabular_reward
@@ -186,6 +187,17 @@ def test_enumeration_refuses_past_the_cap():
     sol = soft_backward(mdp, np.zeros(9), 1.0)
     with pytest.raises(ValueError, match="exceeds the cap"):
         enumerate_trajectories(mdp, sol)
+
+
+def test_sampling_admits_uniforms_of_exactly_the_byte_cap(monkeypatch):
+    # horizon 2, n = 4: the uniforms are (5, 4), 160 bytes
+    mdp = build_gridworld(2, 2, horizon=2)
+    sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(4), 1.0))
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 160)
+    sample_trajectories(mdp, sol, 4, seed=0)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 159)
+    with pytest.raises(ValueError, match="uniforms .* 160 bytes, past the cap of 159"):
+        sample_trajectories(mdp, sol, 4, seed=0)
 
 
 def test_sampling_matches_exact_marginals():

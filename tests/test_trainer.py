@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import firl.cli  # noqa: F401  (loads every firl module for the thread guard)
+import firl.kl_eval
+import firl.mdp
 import firl.trainer
 from firl.divergence import ExpertDensity, divergence_exact
 from firl.mdp import FiniteMdp, build_gridworld
@@ -400,3 +402,23 @@ def test_run_firl_builds_the_cloud_on_one_worker_thread(monkeypatch):
     assert main is threading.main_thread()
     assert first is second and first is not threading.main_thread()
     assert threading.active_count() == before
+
+
+def test_the_batch_meets_the_byte_cap_before_training(monkeypatch):
+    # 3 x 3, T = 4, batch 16: the uniforms are (9, 16), 1,152 bytes, and
+    # the visit counts (16, 9) for mc but (32, 9), 2,304 bytes, for the
+    # mixture pool of agent and resampled expert rows
+    mdp = build_gridworld(3, 3, horizon=4)
+    sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
+    expert = sample_trajectories(mdp, sol, 8, seed=3).states
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 2303)
+    mixture = _small_cfg(estimator="mixture", ratio_mode="discriminator",
+                         batch_size=16)
+    with pytest.raises(ValueError, match=r"visit counts \(n, S\) = \(32, 9\)"):
+        check_expert_fit(mdp, expert, mixture)
+    check_expert_fit(mdp, expert, _small_cfg(estimator="mc",
+                                             ratio_mode="discriminator",
+                                             batch_size=16))
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 1151)
+    with pytest.raises(ValueError, match=r"rollout uniforms \(2T\+1, n\)"):
+        check_expert_fit(mdp, expert, mixture)
