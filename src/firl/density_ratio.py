@@ -2,11 +2,11 @@
 
 Two routes, each returning one (S,) ratio table clipped into
 [RATIO_CLIP_LO, RATIO_CLIP_HI]: the exact table (known densities) and
-the closed-form optimum of the one-hot logistic discriminator over
-sampled states, whose odds are c_E / c_A. Its logits are log c_E -
-log c_A with an unseen state's frequency read as the smallest normal
-float, whose log (-708) lies far below any seen state's, so no infinity
-forms and the logit box takes a one-sided state to +-LOGIT_CLIP.
+the closed-form optimum of the one-hot logistic discriminator, whose
+odds are c_E / c_A. Its logits are log c_E - log c_A with an unseen
+state's frequency read as the smallest normal float, whose log (-708)
+lies far below any seen state's, so no infinity forms and the logit
+box takes a one-sided state to +-LOGIT_CLIP.
 """
 
 import numpy as np
@@ -39,25 +39,27 @@ class Discriminator:
         return self.weights.clip(-LOGIT_CLIP, LOGIT_CLIP)
 
 
-def _frequencies(states, n_states):
+def state_frequencies(states, n_states):
+    """Visit frequencies (n_states,) of a sample of state indices."""
     states = np.asarray(states, dtype=np.int64).ravel()
     if states.size == 0:
         raise ValueError("both sides need at least one state visit")
     return np.bincount(states, minlength=n_states) / states.size
 
 
-def discriminator_fit(expert_states, agent_states, n_states):
+def discriminator_fit(expert_states, agent_freq):
     """The optimal one-hot logistic discriminator, in closed form.
 
     The mean objective
         sum_s cE(s) log sigma(z_s) + cA(s) log(1 - sigma(z_s))
-    over the empirical state frequencies cE, cA separates by state, so
-    its maximizer is z_s = log cE(s) - log cA(s), i.e. sigma(z_s) =
+    over the expert's empirical state frequencies cE and the agent's
+    frequencies cA (sampled, or the exact marginal) separates by state,
+    so its maximizer is z_s = log cE(s) - log cA(s), i.e. sigma(z_s) =
     cE(s) / (cE(s) + cA(s)). Logits are boxed at +-LOGIT_CLIP, so a
     state seen by one side only saturates; one seen by neither gets 0.
     """
-    c_e = _frequencies(expert_states, n_states)
-    c_a = _frequencies(agent_states, n_states)
+    c_a = np.asarray(agent_freq, dtype=float)
+    c_e = state_frequencies(expert_states, len(c_a))
     z = np.log(np.maximum(c_e, _TINY)) - np.log(np.maximum(c_a, _TINY))
     return Discriminator(z.clip(-LOGIT_CLIP, LOGIT_CLIP))
 

@@ -9,7 +9,8 @@ evaluation routes live here:
   exact      pair occupancies contracted in two O(T S A K) sweeps over P's
              successor tables (K successors per state-action), no sampling
   mc         sample covariance over policy rollouts
-  mixture    sample covariance over pooled agent + resampled expert rollouts
+  mixture    covariance over an equal-weight pool of agent and demos; the
+             agent moments come from the same contractions, no sampling
   enumerate  brute-force expectation over every trajectory
 
 plus a central-difference oracle used only for verification.
@@ -79,14 +80,14 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
     return GradReport(grad, "exact", diagnostics=diag)
 
 
-def _cov_grad(estimator, states, model, alpha, kind, ratio):
-    """Sample covariance of the per-trajectory sums of h and of the
-    reward jacobian over (n, T+1) state rows, skipping s_0. The
-    diagnostics give the spread of the h sums; a wide spread means the
-    batch mixes states with very different expert/agent density ratios.
-    Rows whose (n, S) visit counts would pass mdp.TABLE_BYTES_CAP are
-    refused before the counts form."""
-    body = states[:, 1:]
+def analytic_grad_mc(batch, model, alpha, kind, ratio):
+    """Unbiased sample covariance over a batch of policy rollouts, (n, T+1)
+    state rows whose s_0 is skipped; ratio is a clipped per-state table
+    from density_ratio. The diagnostics give the spread of the h sums.
+    Counts past mdp.TABLE_BYTES_CAP are refused before they form, and
+    the flat visit index dies inside bincount's call, so at most two
+    (n, S)-sized tables are alive at once."""
+    body = batch.states[:, 1:]
     n, t_hor = body.shape
     if n < 2:
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
@@ -94,37 +95,41 @@ def _cov_grad(estimator, states, model, alpha, kind, ratio):
     n_states = len(h)
     check_table_bytes("visit counts (n, S)", (n, n_states))
     a = h.take(body).sum(axis=1)
-    flat = (body + np.arange(0, n * n_states, n_states)[:, None]).ravel()
-    b = reward_vjp(model, np.bincount(flat, minlength=n * n_states)
-                   .reshape(n, n_states))
+    offsets = np.arange(0, n * n_states, n_states)[:, None]
+    b = reward_vjp(model, np.bincount((body + offsets).ravel(),
+                                      minlength=n * n_states).reshape(n, n_states))
     a_mean = a.sum() / n   # ndarray.mean's arithmetic, without its wrapper
     grad = (a - a_mean) @ (b - b.sum(axis=0) / n) / (n - 1) / (alpha * t_hor)
     diag = {"mean_h": float(a_mean / t_hor),
             "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
-    return GradReport(grad, estimator, diagnostics=diag)
+    return GradReport(grad, "mc", diagnostics=diag)
 
 
-def analytic_grad_mc(batch, model, alpha, kind, ratio):
-    """Unbiased sample covariance over a batch of policy rollouts.
-
-    ratio is a per-state table from density_ratio, clipped there so a
-    stray state with vanishing estimated density cannot blow up a term.
-    """
-    return _cov_grad("mc", batch.states, model, alpha, kind, ratio)
-
-
-def analytic_grad_mixture(agent, expert, model, alpha, kind, ratio, seed=0):
-    """Covariance over agent rollouts pooled with resampled expert ones.
-
-    The expert batch is bootstrap-resampled to the agent batch size so
-    both sides enter the pool with equal weight.
-    """
-    if agent.states.shape[1] != expert.states.shape[1]:
-        raise ValueError("agent and expert horizons differ")
-    rng = np.random.default_rng(seed)
-    pick = rng.integers(0, expert.n, size=agent.n)
-    pooled = np.concatenate([agent.states, expert.states.take(pick, axis=0)])
-    return _cov_grad("mixture", pooled, model, alpha, kind, ratio)
+def analytic_grad_mixture(mdp, model, alpha, kind, ratio, expert, sol):
+    """Covariance over a pool weighing the agent and the demos equally,
+    E = (E_A + E_E) / 2, with a = sum_{t>=1} h(s_t) and b the visit
+    counts over 1..T: grad = reward_vjp(E[a b] - E[a] E[b]) / (alpha T).
+    The agent half is exact under sol (analytic_grad_exact's moments, no
+    rollouts); the demo half is plain means over their (n, T+1) rows,
+    which a bootstrap of them averages to. Like analytic_grad_exact, it
+    is the derivative only without slip and from a point start."""
+    body = expert.states[:, 1:]
+    n_e, t_hor = body.shape
+    if t_hor != mdp.horizon:
+        raise ValueError("expert horizon %d differs from the mdp's %d"
+                         % (t_hor, mdp.horizon))
+    h = h_f(kind, ratio)
+    rho = sol.marginal_avg
+    fwd, bwd = pairwise_marginals(mdp, sol, h)
+    a_e = h.take(body).sum(axis=1)
+    e_ab = (t_hor * h * rho + fwd + bwd + np.bincount(
+        body.ravel(), a_e.repeat(t_hor), minlength=len(h)) / n_e) / 2
+    e_a = (t_hor * (rho @ h) + a_e.sum() / n_e) / 2
+    e_b = (t_hor * rho + np.bincount(body.ravel(), minlength=len(h)) / n_e) / 2
+    grad = reward_vjp(model, e_ab - e_a * e_b) / (alpha * t_hor)
+    diag = {"mean_h": float(e_a / t_hor),
+            "h_min": float(h.min()), "h_max": float(h.max())}
+    return GradReport(grad, "mixture", diagnostics=diag)
 
 
 def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):

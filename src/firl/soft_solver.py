@@ -175,10 +175,6 @@ class TrajectoryBatch:
             raise ValueError("trajectory batch must be 2-d, shaped "
                              "(n, horizon + 1)")
 
-    @property
-    def n(self):
-        return self.states.shape[0]
-
 
 def sample_trajectories(mdp, sol, n, seed):
     """n rollouts of the solved policy, deterministic in seed; the 2T+1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density_ratio import (discriminator_fit, discriminator_ratio, exact_ratio,
-                            sample_states)
+                            sample_states, state_frequencies)
 from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
@@ -141,18 +141,13 @@ def _expert_form(expert):
     return "density", ExpertDensity(arr)
 
 
-def _seed_int(rng):
-    return int(rng.integers(0, 2 ** 63 - 1))
-
-
 def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode and estimator against expert form (the exact estimator needs a
-    density), a sampling estimator's batch against the byte cap on its
-    rollout uniforms and visit counts (mixture pools twice the batch),
-    mixture against (n, horizon + 1) trajectories, density
-    length, normalization (only rkl accepts an unnormalized energy), an
-    rkl target's support, expert state indices, more than KNN_K points
+    density), mc's batch against the byte cap on its rollout uniforms
+    and visit counts, mixture against (n, horizon + 1) trajectories,
+    density length, normalization (only rkl accepts an unnormalized
+    energy), an rkl target's support, expert state indices, more than KNN_K points
     in the kNN expert cloud, and disjoint unit cells around mdp.coords,
     on which the evaluation takes the agent's density as exact. Returns
     (rho_e, expert_flat, expert_data): the ExpertDensity or None, the
@@ -166,13 +161,12 @@ def check_expert_fit(mdp, expert, cfg):
     if cfg.estimator == "exact" and form != "density":
         raise ValueError("exact estimator needs an expert density: expert "
                          "trajectories train mc or mixture")
-    if cfg.estimator != "exact":
+    if cfg.estimator == "mc":
         # sample_trajectories and the covariance make these checks per call;
         # here they refuse the batch before a run directory exists
-        rows = cfg.batch_size * (2 if cfg.estimator == "mixture" else 1)
         check_table_bytes("rollout uniforms (2T+1, n)",
                           (2 * mdp.horizon + 1, cfg.batch_size))
-        check_table_bytes("visit counts (n, S)", (rows, mdp.n_states))
+        check_table_bytes("visit counts (n, S)", (cfg.batch_size, mdp.n_states))
     if cfg.estimator == "mixture":
         if form != "trajectories":
             raise ValueError("mixture estimator needs expert trajectories "
@@ -221,8 +215,8 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
 
     expert is a state density, which trains the exact estimator or mc on
     the exact_table ratio, or expert trajectories shaped
-    (n, horizon + 1), which train mc or mixture on the discriminator
-    ratio. Returns a TrainResult whose metrics rows follow
+    (n, horizon + 1), which train mc or mixture (no rollouts) on the
+    discriminator ratio. Returns a TrainResult whose metrics rows follow
     METRIC_COLUMNS; the kNN KL columns are filled every eval_every
     iterations and NaN between. Their expert cloud is built on one
     worker thread while the loop trains, so the loop keeps each eval
@@ -246,9 +240,7 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
         gt_reward = np.asarray(gt_reward, dtype=float)
 
     ss = np.random.SeedSequence(cfg.seed)
-    # four children keep rng_mix on the fourth stream; the third is unused
-    rng_batch, rng_expert, _, rng_mix = [
-        np.random.default_rng(c) for c in ss.spawn(4)]
+    rng_batch, rng_expert = [np.random.default_rng(c) for c in ss.spawn(2)]
 
     # fixed expert cloud for the sample-based KL columns: the states are
     # drawn here, the cloud is built on a worker while the loop trains
@@ -271,20 +263,21 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
             if cfg.estimator == "exact":
                 report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
                                              sol)
+            elif cfg.estimator == "mixture":
+                ratio = discriminator_ratio(discriminator_fit(expert_flat,
+                                                              sol.marginal_avg))
+                report = analytic_grad_mixture(mdp, model, cfg.alpha, cfg.kind,
+                                               ratio, expert_data, sol)
             else:
                 batch = sample_trajectories(mdp, sol, cfg.batch_size,
-                                            _seed_int(rng_batch))
+                                            int(rng_batch.integers(2 ** 63 - 1)))
                 if cfg.ratio_mode == "discriminator":
                     ratio = discriminator_ratio(discriminator_fit(
-                        expert_flat, batch.states[:, 1:].ravel(), mdp.n_states))
+                        expert_flat, state_frequencies(batch.states[:, 1:],
+                                                       mdp.n_states)))
                 else:
                     ratio = exact_ratio(rho_e, sol.marginal_avg)
-                if cfg.estimator == "mc":
-                    report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
-                else:
-                    report = analytic_grad_mixture(batch, expert_data, model,
-                                                   cfg.alpha, cfg.kind, ratio,
-                                                   seed=_seed_int(rng_mix))
+                report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
             _check_grad_scale(it, report.grad, grad_cap)
             row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report)
             metrics.append(row)

@@ -150,14 +150,14 @@ def test_criterion_06_density_matching_converges(gauss_runs):
 
 
 def test_criterion_07_discriminator_reaches_its_optimum():
-    from firl.density_ratio import discriminator_fit
+    from firl.density_ratio import discriminator_fit, state_frequencies
     rng = np.random.default_rng(0)
     n_states, n = 6, 4000
     rho_e = rng.dirichlet(np.full(n_states, 5.0))
     rho_a = rng.dirichlet(np.full(n_states, 5.0))
     e = rng.choice(n_states, size=n, p=rho_e)
     a = rng.choice(n_states, size=n, p=rho_a)
-    disc = discriminator_fit(e, a, n_states)
+    disc = discriminator_fit(e, state_frequencies(a, n_states))
     d = 1.0 / (1.0 + np.exp(-disc.state_logits()))
     c_e = np.bincount(e, minlength=n_states) / n
     c_a = np.bincount(a, minlength=n_states) / n

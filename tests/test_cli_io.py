@@ -4,7 +4,9 @@ CLI commands run in-process through cli_main so exit codes and stdout
 are asserted directly; every run writes under tmp_path via --out.
 """
 
+import collections
 import csv
+import functools
 import glob
 import json
 import math
@@ -14,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -365,7 +368,7 @@ def test_cli_a_failed_cloud_worker_leaves_a_failed_manifest(tmp_path, monkeypatc
     (dict(_TINY_DENSITY, train=dict(_TINY_DENSITY["train"], kind="js",
                                     reward_lr=1e10)), 1),
     (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], reward_lr=1e10,
-                                eval_every=1)), 2),
+                                eval_every=1)), 1),
 ], ids=["js-on-a-density", "mixture-on-demos"])
 def test_cli_fails_a_run_whose_policy_collapses(tmp_path, capsys, payload, it):
     # js stays finite and a run on demonstrations has no exact column, so
@@ -449,6 +452,60 @@ def test_importing_the_cli_loads_every_firl_module():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     subprocess.run([sys.executable, "-c", code] + modules, env=env, check=True)
+
+
+# the spans perfbench/run.py requires to record calls on its irl_demos
+# workload, named as it names them: module (without "firl.") and function
+_IRL_DEMOS_SPANS = ("mdp.build_gridworld", "scenarios.irl_from_trajectories",
+                    "soft_solver.soft_backward", "soft_solver.forward_marginals",
+                    "soft_solver.step_kernel", "kl_eval.knn_kl",
+                    "soft_solver.sample_trajectories",
+                    "density_ratio.discriminator_fit",
+                    "grad_engine.analytic_grad_mixture")
+
+
+def test_an_irl_scenario_calls_every_span_the_traced_benchmark_requires(
+        tmp_path, capsys, monkeypatch):
+    # a traced benchmark child fails when a required span records no call,
+    # so a tiny `firl scenario` irl run counts every public firl function
+    calls = collections.Counter()
+
+    def counted(span, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("firl.")]
+    public = {id(fn): (fn, counted("%s.%s" % (m.__name__[5:], name), fn))
+              for m in modules for name, fn in vars(m).items()
+              if isinstance(fn, types.FunctionType) and not name.startswith("_")
+              and fn.__module__ == m.__name__}
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if id(value) in public and value is public[id(value)][0]:
+                monkeypatch.setattr(module, name, public[id(value)][1])
+    cfg = _write_cfg(tmp_path, "irl.json", _TINY_IRL)
+    assert cli_main(["scenario", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert [span for span in _IRL_DEMOS_SPANS if calls[span] == 0] == []
+
+
+def test_mixture_runs_that_differ_only_in_batch_size_write_one_metrics_csv(
+        tmp_path, capsys):
+    # mixture draws no rollouts, so batch_size reaches nothing it computes
+    texts = []
+    for batch_size in (16, 64):
+        payload = dict(_TINY_IRL, train=dict(_TINY_IRL["train"],
+                                             batch_size=batch_size))
+        cfg = _write_cfg(tmp_path, "b%d.json" % batch_size, payload)
+        out = tmp_path / str(batch_size)
+        assert cli_main(["train", "--config", cfg, "--out", str(out)]) == 0
+        run_dir = capsys.readouterr().out.strip()
+        with open(os.path.join(run_dir, "metrics.csv")) as fh:
+            texts.append(fh.read())
+    assert texts[0] == texts[1]
 
 
 def test_cli_seed_flag_overrides_the_config(tmp_path, capsys):
@@ -553,7 +610,8 @@ def test_cli_refuses_a_key_that_appears_twice(tmp_path, capsys, text, key):
     # used to raise numpy's "Unable to allocate 94.6 TiB" uncaught
     (dict(_TINY_IRL, pool_size=10 ** 12), "rollout uniforms (2T+1, n)"),
     # used to create the run directory, then raise the same uncaught
-    (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], batch_size=10 ** 12)),
+    (dict(_TINY_IRL, train=dict(_TINY_IRL["train"], estimator="mc",
+                                batch_size=10 ** 12)),
      "rollout uniforms (2T+1, n)"),
 ], ids=["grid", "horizon", "pool_size", "batch_size"])
 def test_cli_refuses_a_table_past_the_byte_cap(tmp_path, capsys, payload, message):

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import firl.mdp
-from firl.density_ratio import LOGIT_CLIP, exact_ratio
+from firl.density_ratio import (LOGIT_CLIP, discriminator_fit,
+                                discriminator_ratio, exact_ratio)
 from firl.divergence import KINDS, ExpertDensity, h_f
 from firl.grad_engine import (GradReport, analytic_grad_exact,
                               analytic_grad_mc, analytic_grad_mixture,
                               enumeration_grad, fd_grad_oracle,
                               gradcheck_suite)
-from firl.mdp import build_gridworld
+from firl.mdp import FiniteMdp, build_gridworld
 from firl.reward_model import (apply_update, default_features, mlp_reward,
                                reward_vector, reward_vjp, tabular_reward)
 from firl.soft_solver import (TrajectoryBatch, forward_marginals,
@@ -199,15 +200,19 @@ def test_the_covariance_admits_counts_of_exactly_the_byte_cap(monkeypatch):
 
 
 def test_mixture_is_zero_when_both_sides_repeat_one_path():
-    mdp, model, rho_e, sol = _instance(seed=18)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
-    one = sample_trajectories(mdp, sol, 1, seed=19).states
-    batch = TrajectoryBatch(np.repeat(one, 6, axis=0))
-    report = analytic_grad_mixture(batch, batch, model, 1.0, "fkl", ratio)
-    assert np.array_equal(report.grad, np.zeros(9))
+    # one action around a 4-cycle: the agent walks a single path, and the
+    # demos repeat it, so the pool holds one path and no covariance
+    transitions = np.eye(4)[[1, 2, 3, 0]][:, None, :]
+    mdp = FiniteMdp(transitions, np.eye(4)[0], horizon=5)
+    model = apply_update(tabular_reward(4), np.array([0.3, -0.2, 0.5, 0.1]))
+    sol = forward_marginals(mdp, soft_backward(mdp, model.params, 1.0))
+    expert = TrajectoryBatch(np.tile([0, 1, 2, 3, 0, 1], (6, 1)))
+    ratio = np.exp(np.random.default_rng(18).uniform(-3.0, 3.0, 4))
+    report = analytic_grad_mixture(mdp, model, 1.0, "fkl", ratio, expert, sol)
+    assert np.abs(report.grad).max() < 1e-12
 
 
-def test_mixture_widens_the_h_sum_range_with_an_off_policy_expert():
+def test_mixture_pulls_the_reward_toward_an_off_policy_expert():
     # agent wanders from the start corner; expert demos hug the far corner
     mdp = build_gridworld(3, 3, horizon=6)
     model = tabular_reward(9)
@@ -215,23 +220,61 @@ def test_mixture_widens_the_h_sum_range_with_an_off_policy_expert():
     gt[8] = 2.0
     sol_a = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt, 0.3))
-    agent = sample_trajectories(mdp, sol_a, 128, seed=20)
     expert = sample_trajectories(mdp, sol_e, 32, seed=21)
-    ratio = exact_ratio(sol_e.marginal_avg, sol_a.marginal_avg)
-    mc = analytic_grad_mc(agent, model, 1.0, "fkl", ratio)
-    mix = analytic_grad_mixture(agent, expert, model, 1.0, "fkl", ratio, seed=22)
-    mc_range = mc.diagnostics["sum_h_max"] - mc.diagnostics["sum_h_min"]
-    mix_range = mix.diagnostics["sum_h_max"] - mix.diagnostics["sum_h_min"]
-    assert mix_range > mc_range
+    ratio = discriminator_ratio(discriminator_fit(expert.states[:, 1:],
+                                                  sol_a.marginal_avg))
+    grad = analytic_grad_mixture(mdp, model, 1.0, "fkl", ratio, expert,
+                                 sol_a).grad
+    # a descent step raises the reward most on the expert's corner
+    assert np.argmin(grad) == 8 and grad[8] < 0
 
 
 def test_mixture_rejects_mismatched_horizons():
     mdp, model, rho_e, sol = _instance(seed=23)
     ratio = exact_ratio(rho_e, sol.marginal_avg)
-    agent = sample_trajectories(mdp, sol, 8, seed=24)
-    short = TrajectoryBatch(agent.states[:, :-1])
-    with pytest.raises(ValueError, match="horizons differ"):
-        analytic_grad_mixture(agent, short, model, 1.0, "fkl", ratio)
+    short = TrajectoryBatch(sample_trajectories(mdp, sol, 8, seed=24).states[:, :-1])
+    with pytest.raises(ValueError, match="expert horizon 3 differs from the mdp's 4"):
+        analytic_grad_mixture(mdp, model, 1.0, "fkl", ratio, short, sol)
+
+
+def _sampled_pool_grad(mdp, sol, expert, model, alpha, kind, ratio, n, seed):
+    # the pool the mixture estimator once sampled: n agent rollouts and n
+    # bootstrap-resampled demos, and the pooled sample covariance, with
+    # the standard error of each entry from the per-row products
+    rng = np.random.default_rng(seed)
+    agent = sample_trajectories(mdp, sol, n, seed=int(rng.integers(2 ** 31)))
+    pick = rng.integers(0, len(expert.states), size=n)
+    body = np.concatenate([agent.states, expert.states[pick]])[:, 1:]
+    h = h_f(kind, ratio)
+    a = h[body].sum(axis=1)
+    counts = np.zeros((2 * n, mdp.n_states))
+    np.add.at(counts, (np.arange(2 * n)[:, None], body), 1.0)
+    b = reward_vjp(model, counts)
+    terms = (a - a.mean())[:, None] * (b - b.mean(axis=0)) / (alpha * mdp.horizon)
+    grad = terms.sum(axis=0) / (2 * n - 1)
+    # the two halves are independent samples of n rows each
+    stderr = np.sqrt((terms[:n].var(axis=0) + terms[n:].var(axis=0)) / (4 * n))
+    return grad, stderr
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mixture_is_the_large_n_limit_of_the_sampled_pool(kind):
+    mdp = build_gridworld(3, 3, horizon=5)
+    rng = np.random.default_rng(KINDS.index(kind) + 40)
+    model = apply_update(tabular_reward(9), rng.normal(0.0, 0.3, 9))
+    sol = forward_marginals(mdp, soft_backward(mdp, model.params, 0.8))
+    gt = np.zeros(9)
+    gt[8] = 1.5
+    sol_e = forward_marginals(mdp, soft_backward(mdp, gt, 0.5))
+    expert = sample_trajectories(mdp, sol_e, 16, seed=41)
+    ratio = discriminator_ratio(discriminator_fit(expert.states[:, 1:],
+                                                  sol.marginal_avg))
+    closed = analytic_grad_mixture(mdp, model, 0.8, kind, ratio, expert, sol).grad
+    sampled, stderr = _sampled_pool_grad(mdp, sol, expert, model, 0.8, kind,
+                                         ratio, 2 ** 16, seed=42)
+    assert np.all(np.abs(closed - sampled) <= 3 * stderr)
+    # and the limit is not trivially zero
+    assert np.linalg.norm(closed) > 10 * np.linalg.norm(stderr)
 
 
 def test_grad_report_rejects_non_finite_values():
@@ -275,17 +318,9 @@ def test_sampled_covariances_are_bit_for_bit_the_mean_formula(kind, reward):
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), 0.7))
         agent = sample_trajectories(mdp, sol, int(rng.integers(2, 300)),
                                     seed=int(rng.integers(2 ** 31)))
-        expert = TrajectoryBatch(rng.integers(0, mdp.n_states,
-                                              size=(int(rng.integers(1, 20)), 8)))
         ratio = np.exp(rng.uniform(-LOGIT_CLIP, LOGIT_CLIP, mdp.n_states))
         alpha = float(rng.uniform(0.2, 2.0))
-        mix_seed = int(rng.integers(2 ** 31))
-        pick = np.random.default_rng(mix_seed).integers(0, expert.n, size=agent.n)
-        pooled = np.vstack([agent.states, expert.states[pick]])
-        for report, states in (
-                (analytic_grad_mixture(agent, expert, model, alpha, kind, ratio,
-                                       seed=mix_seed), pooled),
-                (analytic_grad_mc(agent, model, alpha, kind, ratio), agent.states)):
-            grad, diag = _mean_formula_cov(states, model, alpha, kind, ratio)
-            assert np.array_equal(report.grad, grad)
-            assert report.diagnostics == diag
+        report = analytic_grad_mc(agent, model, alpha, kind, ratio)
+        grad, diag = _mean_formula_cov(agent.states, model, alpha, kind, ratio)
+        assert np.array_equal(report.grad, grad)
+        assert report.diagnostics == diag

@@ -206,7 +206,7 @@ def test_sampling_matches_exact_marginals():
     sol = forward_marginals(mdp, soft_backward(mdp, rng.normal(size=9), 1.0))
     batch = sample_trajectories(mdp, sol, 100_000, seed=6)
     for t in range(mdp.horizon + 1):
-        emp = np.bincount(batch.states[:, t], minlength=9) / batch.n
+        emp = np.bincount(batch.states[:, t], minlength=9) / len(batch.states)
         tv = 0.5 * np.abs(emp - sol.marginals_t[t]).sum()
         assert tv < 0.01
 
@@ -219,7 +219,7 @@ def test_sampling_is_seed_deterministic():
     c = sample_trajectories(mdp, sol, 50, seed=10)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
-    assert a.n == 50
+    assert a.states.shape == (50, 4)
 
 
 def _reference_sample(mdp, sol, n, seed):
