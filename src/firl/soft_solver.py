@@ -1,7 +1,8 @@
 """Exact finite-horizon soft (maximum-entropy) planning.
 
 Backward recursion gives the soft values and the Boltzmann policy, one
-max-shifted numpy log-sum-exp per step over action-major (A, S) rows.
+max-shifted numpy log-sum-exp per step over action-major (A, S) rows,
+with no scaling by alpha at alpha = 1.
 Every step reads P's successor tables (mdp.succ, mdp.probs; K per
 state-action pair), never the dense P: the solve gathers Q_t at the
 successors, the kernels pi_t(a|s) P(s'|s, a) push the state marginals,
@@ -13,9 +14,10 @@ finite or refused, is credited on the arrival state, so t = 0 earns
 none and time averages run over 1..T.
 
 pairwise_marginals contracts the exact gradient's pair occupancies in
-two O(T S A K) sweeps over the kernels, never building the dense
-tables; enumerate_trajectories, its brute-force cross-check, refuses
-beyond a hard cap. No (S, S) array is formed per step.
+two O(T S A K) sweeps over the kernels, each summed by one cumsum along
+time, never building the dense tables; enumerate_trajectories, its
+brute-force cross-check, refuses beyond a hard cap. No (S, S) array is
+formed per step.
 """
 
 import numpy as np
@@ -81,8 +83,9 @@ def soft_backward(mdp, reward, alpha=1.0):
     for fewer than 8 actions numpy adds them in the same order as a
     reduction along a state's row, so the results are bit for bit those
     of the state-major solve. With one successor per row (no slip) Q_t is
-    a plain gather, as probs is 1 there. The policy is returned
-    state-major, (T, S, A) and C-contiguous."""
+    a plain gather, as probs is 1 there. At alpha = 1 the division by
+    alpha and the product with it are skipped, which moves no bit. The
+    policy is returned state-major, (T, S, A) and C-contiguous."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     arrival, departure = _reward_tables(reward, mdp.horizon, mdp.n_states)
@@ -91,6 +94,7 @@ def soft_backward(mdp, reward, alpha=1.0):
     one_succ = mdp.succ.shape[2] == 1
     if one_succ:
         succ_t = np.ascontiguousarray(mdp.succ[..., 0].T)
+    scaled = alpha != 1
     soft_v = np.zeros((n_t + 1, n_s))
     pol = np.empty((n_t, n_a, n_s))
     totals = np.empty((n_t, n_s))
@@ -102,14 +106,16 @@ def soft_backward(mdp, reward, alpha=1.0):
             z = np.einsum("sak,sak->sa", mdp.probs, x[mdp.succ]).T
         if departure is not None:
             z += departure[t]
-        z /= alpha
+        if scaled:
+            z /= alpha
         top = np.maximum.reduce(z, axis=0)
         z -= top
         np.exp(z, out=pol[t])
         np.add.reduce(pol[t], axis=0, out=totals[t])
         v = np.log(totals[t], out=soft_v[t])
         v += top
-        v *= alpha
+        if scaled:
+            v *= alpha
     pol /= totals[:, None, :]
     return SoftSolution(np.ascontiguousarray(pol.transpose(0, 2, 1)), soft_v)
 
@@ -123,26 +129,24 @@ def step_kernel(mdp, sol):
     return weights.reshape(mdp.horizon, mdp.n_states, -1)
 
 
-def _push(succ, x, weights):
-    """Row vector x (S,) times one step's kernel, given as (S, A K)
-    successors and weights: the sums of x[s] times row s's weights at
-    their successors."""
-    return np.bincount(succ.ravel(), x.repeat(succ.shape[1]) * weights.ravel(),
-                       minlength=len(x))
-
-
 def forward_marginals(mdp, sol):
     """Fill sol.kernels (T, S, A K), sol.marginals_t (T+1, S) with
-    rho_0..rho_T and sol.marginal_avg with mean rho_1..rho_T; returns sol."""
-    succ = mdp.succ.reshape(mdp.n_states, -1)
+    rho_0..rho_T and sol.marginal_avg with mean rho_1..rho_T; returns sol.
+    A step pushes rho_t through K_t: one bincount over flat views of
+    succ and of the kernels."""
+    n_t, n_s = mdp.horizon, mdp.n_states
+    succ = mdp.succ.ravel()
+    width = len(succ) // n_s
     kernels = step_kernel(mdp, sol)
-    rho = np.zeros((mdp.horizon + 1, mdp.n_states))
+    flat = kernels.reshape(n_t, -1)
+    rho = np.zeros((n_t + 1, n_s))
     rho[0] = mdp.init_dist
-    for t in range(mdp.horizon):
-        rho[t + 1] = _push(succ, rho[t], kernels[t])
+    for t in range(n_t):
+        rho[t + 1] = np.bincount(succ, rho[t].repeat(width) * flat[t],
+                                 minlength=n_s)
     sol.marginals_t = rho
     sol.kernels = kernels
-    sol.marginal_avg = rho[1:].sum(axis=0) / mdp.horizon
+    sol.marginal_avg = rho[1:].sum(axis=0) / n_t
     return sol
 
 
@@ -150,19 +154,29 @@ def pairwise_marginals(mdp, sol, h):
     """h-contractions of the pair occupancies P_{t,t'}(i, j) = P(s_t = i,
     s_t' = j) over 1 <= t < t' <= T: returns fwd = sum h^T P_{t,t'} and
     bwd = sum P_{t,t'} h, each (S,), from a forward and a backward sweep.
+
+    The forward sweep pushes c <- (c + h rho_t) K_t for t = 1..T-1 and
+    the backward one gathers b <- K_t (h + b) for t = T-1..1. Row k of
+    each sweep's (T, S) stack holds its k-th step, c or rho_t b, and row
+    0 stays zero, so one cumsum along time adds the steps from 0.0 in
+    order, bit for bit a running +=; a reduce would add pairwise at S = 1.
     """
-    rho, kernels = sol.marginals_t, sol.kernels
-    succ = mdp.succ.reshape(mdp.n_states, -1)
-    c, b, fwd, bwd = np.zeros((4, mdp.n_states))
-    for t in range(1, mdp.horizon):
-        c = _push(succ, c + h * rho[t], kernels[t])
-        fwd += c
+    rho, n_t, n_s = sol.marginals_t, mdp.horizon, mdp.n_states
+    succ = mdp.succ.reshape(n_s, -1)
+    flat_succ, width = succ.ravel(), succ.shape[1]
+    flat = sol.kernels.reshape(n_t, -1)
+    hr = h * rho
+    c, b = steps = np.zeros((2, n_t, n_s))
+    for t in range(1, n_t):
+        c[t] = np.bincount(flat_succ, (c[t - 1] + hr[t]).repeat(width) * flat[t],
+                           minlength=n_s)
     # a matvec with ones sums the rows with less per-call overhead than
     # .sum(axis=1) at small S
-    ones = np.ones(succ.shape[1])
-    for t in range(mdp.horizon - 1, 0, -1):
-        b = (kernels[t] * (h + b)[succ]) @ ones
-        bwd += rho[t] * b
+    ones = np.ones(width)
+    for k in range(1, n_t):
+        b[k] = (sol.kernels[n_t - k] * (h + b[k - 1])[succ]) @ ones
+    b[1:] *= rho[n_t - 1:0:-1]
+    fwd, bwd = np.cumsum(steps, axis=1)[:, -1]
     return fwd, bwd
 
 

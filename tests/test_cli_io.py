@@ -455,19 +455,23 @@ def test_importing_the_cli_loads_every_firl_module():
 
 
 # the spans perfbench/run.py requires to record calls on its irl_demos
-# workload, named as it names them: module (without "firl.") and function
+# workload, and on gauss_exact and grid_large, named as it names them:
+# module (without "firl.") and function
 _IRL_DEMOS_SPANS = ("mdp.build_gridworld", "scenarios.irl_from_trajectories",
                     "soft_solver.soft_backward", "soft_solver.forward_marginals",
                     "soft_solver.step_kernel", "kl_eval.knn_kl",
                     "soft_solver.sample_trajectories",
                     "density_ratio.discriminator_fit",
                     "grad_engine.analytic_grad_mixture")
+_DENSITY_SPANS = ("mdp.build_gridworld", "scenarios.density_matching",
+                  "soft_solver.soft_backward", "soft_solver.forward_marginals",
+                  "soft_solver.step_kernel", "soft_solver.pairwise_marginals",
+                  "grad_engine.analytic_grad_exact", "kl_eval.knn_kl")
 
 
-def test_an_irl_scenario_calls_every_span_the_traced_benchmark_requires(
-        tmp_path, capsys, monkeypatch):
+def _count_public_calls(monkeypatch):
     # a traced benchmark child fails when a required span records no call,
-    # so a tiny `firl scenario` irl run counts every public firl function
+    # so these runs count every public firl function
     calls = collections.Counter()
 
     def counted(span, fn):
@@ -487,9 +491,24 @@ def test_an_irl_scenario_calls_every_span_the_traced_benchmark_requires(
         for name, value in list(vars(module).items()):
             if id(value) in public and value is public[id(value)][0]:
                 monkeypatch.setattr(module, name, public[id(value)][1])
+    return calls
+
+
+def test_an_irl_scenario_calls_every_span_the_traced_benchmark_requires(
+        tmp_path, capsys, monkeypatch):
+    calls = _count_public_calls(monkeypatch)
     cfg = _write_cfg(tmp_path, "irl.json", _TINY_IRL)
     assert cli_main(["scenario", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert [span for span in _IRL_DEMOS_SPANS if calls[span] == 0] == []
+
+
+def test_a_density_run_calls_every_span_the_traced_benchmark_requires(
+        tmp_path, capsys, monkeypatch):
+    # gauss_exact and grid_large train density_matching configs
+    calls = _count_public_calls(monkeypatch)
+    cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
+    assert cli_main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert [span for span in _DENSITY_SPANS if calls[span] == 0] == []
 
 
 def test_mixture_runs_that_differ_only_in_batch_size_write_one_metrics_csv(

@@ -429,6 +429,87 @@ def test_soft_backward_equals_the_state_major_solve(make, departs):
         assert sol.policy.flags.c_contiguous
 
 
+def _looped_solve(mdp, reward, alpha):
+    # soft_backward with both scalings by alpha run at every alpha
+    arrival, departure = (reward.arrival, reward.departure) \
+        if isinstance(reward, TimedReward) else (None, None)
+    succ_t = np.ascontiguousarray(mdp.succ[..., 0].T)
+    soft_v = np.zeros((mdp.horizon + 1, mdp.n_states))
+    pol = np.empty((mdp.horizon, mdp.n_actions, mdp.n_states))
+    totals = np.empty((mdp.horizon, mdp.n_states))
+    for t in range(mdp.horizon - 1, -1, -1):
+        x = (reward if arrival is None else arrival[t]) + soft_v[t + 1]
+        if mdp.succ.shape[2] == 1:
+            z = x.take(succ_t)
+        else:
+            z = np.einsum("sak,sak->sa", mdp.probs, x[mdp.succ]).T
+        if departure is not None:
+            z += departure[t]
+        z /= alpha
+        top = np.maximum.reduce(z, axis=0)
+        z -= top
+        np.exp(z, out=pol[t])
+        np.add.reduce(pol[t], axis=0, out=totals[t])
+        v = np.log(totals[t], out=soft_v[t])
+        v += top
+        v *= alpha
+    pol /= totals[:, None, :]
+    return soft_v, np.ascontiguousarray(pol.transpose(0, 2, 1))
+
+
+def _looped_push(succ, x, weights):
+    return np.bincount(succ.ravel(), x.repeat(succ.shape[1]) * weights.ravel(),
+                       minlength=len(x))
+
+
+def _looped_sweeps(mdp, kernels, h):
+    # the marginals and both pair sweeps with a call per step for every
+    # push and every running sum
+    succ = mdp.succ.reshape(mdp.n_states, -1)
+    rho = np.zeros((mdp.horizon + 1, mdp.n_states))
+    rho[0] = mdp.init_dist
+    for t in range(mdp.horizon):
+        rho[t + 1] = _looped_push(succ, rho[t], kernels[t])
+    c, b, fwd, bwd = np.zeros((4, mdp.n_states))
+    for t in range(1, mdp.horizon):
+        c = _looped_push(succ, c + h * rho[t], kernels[t])
+        fwd += c
+    ones = np.ones(succ.shape[1])
+    for t in range(mdp.horizon - 1, 0, -1):
+        b = (kernels[t] * (h + b)[succ]) @ ones
+        bwd += rho[t] * b
+    return rho, rho[1:].sum(axis=0) / mdp.horizon, fwd, bwd
+
+
+def _bits(a):
+    # compared as raw words, so -0.0 and 0.0 differ too
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 40])
+@pytest.mark.parametrize("grid", [(1, 1), (1, 5), (4, 3), (5, 5), (15, 15)])
+def test_the_solve_marginals_and_sweeps_equal_the_per_step_loops(grid, horizon):
+    # at S = 1 a reduce over time adds pairwise; the sums must not
+    rng = np.random.default_rng(20)
+    for slip in (0.0, 0.1, 1 / 3):
+        mdp = build_gridworld(*grid, slip_prob=slip, horizon=horizon)
+        shape = (horizon, mdp.n_states)
+        for alpha in (1.0, 0.5, 1e-3):
+            for reward in (rng.normal(size=mdp.n_states),
+                           TimedReward(rng.normal(size=shape),
+                                       rng.normal(size=shape))):
+                sol = forward_marginals(mdp, soft_backward(mdp, reward, alpha))
+                h = rng.normal(size=mdp.n_states)
+                got = (sol.soft_v, sol.policy, sol.marginals_t,
+                       sol.marginal_avg) + pairwise_marginals(mdp, sol, h)
+                soft_v, policy = _looped_solve(mdp, reward, alpha)
+                kernels = (policy[..., None] * mdp.probs).reshape(
+                    horizon, mdp.n_states, -1)
+                want = (soft_v, policy) + _looped_sweeps(mdp, kernels, h)
+                for g, w in zip(got, want):
+                    assert np.array_equal(_bits(g), _bits(w))
+
+
 def test_soft_backward_past_eight_actions_agrees_to_rounding():
     # from 8 terms on numpy sums a row pairwise, so only the last bits move
     mdp, rng = _random_mdp(7, 9, 6, seed=18)
