@@ -200,12 +200,12 @@ def _cmd_eval(args):
     sol = forward_marginals(sc.mdp, soft_backward(sc.mdp, reward_vector(model),
                                                   sc.cfg.alpha))
     with _emit(args, cfg) as run_dir:
-        rho_e = sc.expert if isinstance(sc.expert, np.ndarray) \
-            else sc.notes.get("expert_marginal")
         report = {"alpha": sc.cfg.alpha}
-        if rho_e is not None:
-            report["exact_fkl"] = divergence_exact("fkl", rho_e, sol.marginal_avg)
-            report["exact_rkl"] = divergence_exact("rkl", rho_e, sol.marginal_avg)
+        # only a density expert has an exact divergence, as in metrics.csv
+        if isinstance(sc.expert, np.ndarray):
+            for kind in ("fkl", "rkl"):
+                report["exact_" + kind] = divergence_exact(kind, sc.expert,
+                                                           sol.marginal_avg)
         if sc.gt_reward is not None:
             report["return"] = policy_return(sc.mdp, sol, sc.gt_reward)
         write_json(os.path.join(run_dir, "eval.json"), report)

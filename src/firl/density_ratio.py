@@ -1,12 +1,12 @@
 """Estimators for the expert/agent state density ratio u(s).
 
-Two routes, each returning one (S,) ratio table clipped into
-[RATIO_CLIP_LO, RATIO_CLIP_HI]: the exact table (known densities) and
-the closed-form optimum of the one-hot logistic discriminator, whose
-odds are c_E / c_A. Its logits are log c_E - log c_A with an unseen
-state's frequency read as the smallest normal float, whose log (-708)
-lies far below any seen state's, so no infinity forms and the logit
-box takes a one-sided state to +-LOGIT_CLIP.
+Two routes: the exact ratio table (known densities), clipped into
+[RATIO_CLIP_LO, RATIO_CLIP_HI], and the closed-form optimum of the
+one-hot logistic discriminator, returned as its (S,) logits
+log c_E - log c_A. An unseen state's frequency reads as the smallest
+normal float, whose log (-708) lies far below any seen state's, so no
+infinity forms and the box takes a one-sided state to +-LOGIT_CLIP.
+Their exp, the ratio c_E / c_A, stays inside the ratio clip range.
 """
 
 import numpy as np
@@ -29,16 +29,6 @@ def exact_ratio(rho_e, marginal_avg):
     return np.clip(p / q, RATIO_CLIP_LO, RATIO_CLIP_HI)
 
 
-class Discriminator:
-    """One-hot logistic classifier expert-vs-agent: one logit per state."""
-
-    def __init__(self, weights):
-        self.weights = np.asarray(weights, dtype=float)
-
-    def state_logits(self):
-        return self.weights.clip(-LOGIT_CLIP, LOGIT_CLIP)
-
-
 def state_frequencies(states, n_states):
     """Visit frequencies (n_states,) of a sample of state indices."""
     states = np.asarray(states, dtype=np.int64).ravel()
@@ -48,7 +38,7 @@ def state_frequencies(states, n_states):
 
 
 def discriminator_fit(expert_states, agent_freq):
-    """The optimal one-hot logistic discriminator, in closed form.
+    """Closed-form logits (S,) of the optimal one-hot logistic classifier.
 
     The mean objective
         sum_s cE(s) log sigma(z_s) + cA(s) log(1 - sigma(z_s))
@@ -61,13 +51,7 @@ def discriminator_fit(expert_states, agent_freq):
     c_a = np.asarray(agent_freq, dtype=float)
     c_e = state_frequencies(expert_states, len(c_a))
     z = np.log(np.maximum(c_e, _TINY)) - np.log(np.maximum(c_a, _TINY))
-    return Discriminator(z.clip(-LOGIT_CLIP, LOGIT_CLIP))
-
-
-def discriminator_ratio(disc):
-    """Per-state ratio cE / cA read off the discriminator's odds; the
-    logit box keeps it inside the ratio clip range."""
-    return np.exp(disc.state_logits())
+    return z.clip(-LOGIT_CLIP, LOGIT_CLIP)
 
 
 def sample_states(weights, n, rng):

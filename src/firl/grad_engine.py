@@ -9,11 +9,12 @@ evaluation routes live here:
   exact      pair occupancies contracted in two O(T S A K) sweeps over P's
              successor tables (K successors per state-action), no sampling
   mc         sample covariance over policy rollouts
-  mixture    covariance over an equal-weight pool of agent and demos; the
-             agent moments come from the same contractions, no sampling
+  mixture    covariance over an equal-weight pool of agent and demos; its
+             agent half is the exact route's moments, no sampling
   enumerate  brute-force expectation over every trajectory
 
-plus a central-difference oracle used only for verification.
+plus a central-difference oracle used only for verification. exact and
+mixture share the agent's moments and their final contraction.
 """
 
 import numpy as np
@@ -56,9 +57,28 @@ def _h_table(kind, rho_e, marginal_avg):
     return h
 
 
+def _agent_moments(mdp, sol, h):
+    """The agent's (E[a b], E[a], E[b]) under sol, with a = sum_{t>=1}
+    h(s_t) and b the visit counts over 1..T: E[a b] is the diagonal
+    t = t' plus the two pair contractions of pairwise_marginals."""
+    fwd, bwd = pairwise_marginals(mdp, sol, h)
+    t_hor, rho = mdp.horizon, sol.marginal_avg
+    return t_hor * h * rho + fwd + bwd, t_hor * (rho @ h), t_hor * rho
+
+
+def _covariance_report(model, alpha, t_hor, h, moments, estimator):
+    """grad = reward_vjp(E[a b] - E[a] E[b]) / (alpha T) from moments
+    (E[a b], E[a], E[b]), with the h diagnostics."""
+    e_ab, e_a, e_b = moments
+    grad = reward_vjp(model, e_ab - e_a * e_b) / (alpha * t_hor)
+    diag = {"mean_h": float(e_a / t_hor),
+            "h_min": float(h.min()), "h_max": float(h.max())}
+    return GradReport(grad, estimator, diagnostics=diag)
+
+
 def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
-    """Sampling-free covariance from the diagonal t = t' plus the two
-    pair contractions (t < t' and t > t') of pairwise_marginals.
+    """Sampling-free covariance from the agent's exact moments under
+    sol (_agent_moments).
 
     The covariance is exact, but it is the derivative of the divergence
     only when the transitions are deterministic and the start state is
@@ -69,15 +89,8 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
     sol, the forward solve for model at alpha.
     """
     h = _h_table(kind, rho_e, sol.marginal_avg)
-    fwd, bwd = pairwise_marginals(mdp, sol, h)
-    t_hor = mdp.horizon
-    w = t_hor * h * sol.marginal_avg + fwd + bwd
-    sum_h = float(t_hor * (sol.marginal_avg @ h))
-    sum_g = t_hor * reward_vjp(model, sol.marginal_avg)
-    grad = (reward_vjp(model, w) - sum_h * sum_g) / (alpha * t_hor)
-    diag = {"mean_h": float(sol.marginal_avg @ h),
-            "h_min": float(h.min()), "h_max": float(h.max())}
-    return GradReport(grad, "exact", diagnostics=diag)
+    return _covariance_report(model, alpha, mdp.horizon, h,
+                              _agent_moments(mdp, sol, h), "exact")
 
 
 def analytic_grad_mc(batch, model, alpha, kind, ratio):
@@ -109,27 +122,22 @@ def analytic_grad_mixture(mdp, model, alpha, kind, ratio, expert, sol):
     """Covariance over a pool weighing the agent and the demos equally,
     E = (E_A + E_E) / 2, with a = sum_{t>=1} h(s_t) and b the visit
     counts over 1..T: grad = reward_vjp(E[a b] - E[a] E[b]) / (alpha T).
-    The agent half is exact under sol (analytic_grad_exact's moments, no
-    rollouts); the demo half is plain means over their (n, T+1) rows,
-    which a bootstrap of them averages to. Like analytic_grad_exact, it
-    is the derivative only without slip and from a point start."""
+    The agent half is exact under sol (_agent_moments, no rollouts);
+    the demo half is plain means over their (n, T+1) rows, which a
+    bootstrap of them averages to. Like analytic_grad_exact, it is the
+    derivative only without slip and from a point start."""
     body = expert.states[:, 1:]
     n_e, t_hor = body.shape
     if t_hor != mdp.horizon:
         raise ValueError("expert horizon %d differs from the mdp's %d"
                          % (t_hor, mdp.horizon))
     h = h_f(kind, ratio)
-    rho = sol.marginal_avg
-    fwd, bwd = pairwise_marginals(mdp, sol, h)
+    visits = body.ravel()
     a_e = h.take(body).sum(axis=1)
-    e_ab = (t_hor * h * rho + fwd + bwd + np.bincount(
-        body.ravel(), a_e.repeat(t_hor), minlength=len(h)) / n_e) / 2
-    e_a = (t_hor * (rho @ h) + a_e.sum() / n_e) / 2
-    e_b = (t_hor * rho + np.bincount(body.ravel(), minlength=len(h)) / n_e) / 2
-    grad = reward_vjp(model, e_ab - e_a * e_b) / (alpha * t_hor)
-    diag = {"mean_h": float(e_a / t_hor),
-            "h_min": float(h.min()), "h_max": float(h.max())}
-    return GradReport(grad, "mixture", diagnostics=diag)
+    demo = (np.bincount(visits, a_e.repeat(t_hor), minlength=len(h)) / n_e,
+            a_e.sum() / n_e, np.bincount(visits, minlength=len(h)) / n_e)
+    pool = [(x + y) / 2 for x, y in zip(_agent_moments(mdp, sol, h), demo)]
+    return _covariance_report(model, alpha, t_hor, h, pool, "mixture")
 
 
 def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):

@@ -2,11 +2,12 @@
 Kulkarni & Verdu 2009) and expected return under a policy. Exact
 tabular divergences live in divergence.divergence_exact.
 
-knn_kl between two 2-d point clouds estimates both densities from
-samples. In training the agent's side is exact instead: its state
-marginal rho (S,) is known, and with unit cells around mdp.coords and
-uniform +-0.5 jitter its density is rho[s] on cell s. Only the expert
-side is estimated, from a CellCloud built once per run:
+knn_kl returns a plain float. Between two 2-d point clouds it
+estimates both densities from samples. In training the agent's side
+is exact instead: its state marginal rho (S,) is known, and with unit
+cells around mdp.coords and uniform +-0.5 jitter its density is rho[s]
+on cell s. Only the expert side is estimated, from a CellCloud built
+once per run:
 
   KL(expert || agent) = -H_E - mean_i log rho[s_i]
   KL(agent || expert) = sum over rho > 0 of rho (log rho - L_E)
@@ -46,11 +47,6 @@ KNN_K = 3
 PROBES = 400   # jittered probe points per cell for the expert log-density
 HALF_CELL = 0.5   # a visit is jittered uniformly over its unit cell
 _LOG_DISC = np.log(np.pi)   # log volume of the unit ball in 2-d
-
-
-class KlEstimate:
-    def __init__(self, value):
-        self.value = float(value)
 
 
 def _workers():
@@ -117,7 +113,7 @@ def _cell_density(cloud, density):
 
 
 def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
-    """KL(p || q) via k-th nearest neighbour distances.
+    """KL(p || q) via k-th nearest neighbour distances, as a float.
 
     Between two (n, d) sample arrays: d * mean(log nu_k / rho_k)
     + log(m / (n - 1)), Euclidean metric; a tiny seeded jitter breaks
@@ -128,13 +124,12 @@ def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
     if isinstance(samples_p, CellCloud):
         at = _cell_density(samples_p, samples_q)[samples_p.states]
         if np.any(at <= 0):
-            return KlEstimate(np.inf)   # a cloud point where q has no mass
-        return KlEstimate(-samples_p.entropy - np.mean(np.log(at)))
+            return float("inf")   # a cloud point where q has no mass
+        return float(-samples_p.entropy - np.mean(np.log(at)))
     if isinstance(samples_q, CellCloud):
         rho = _cell_density(samples_q, samples_p)
         on = rho > 0
-        return KlEstimate(rho[on] @ (np.log(rho[on])
-                                     - samples_q.cell_log_density[on]))
+        return float(rho[on] @ (np.log(rho[on]) - samples_q.cell_log_density[on]))
     x = np.asarray(samples_p, dtype=float)
     y = np.asarray(samples_q, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
@@ -150,8 +145,7 @@ def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
     y = y + rng.uniform(-1e-10, 1e-10, size=y.shape)
     rho = _kth_distance(cKDTree(x), x, k + 1)   # skip self-match
     nu = _kth_distance(cKDTree(y), x, k)
-    val = float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1.0)))
-    return KlEstimate(val)
+    return float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1.0)))
 
 
 def policy_return(mdp, sol, gt_reward):

@@ -14,8 +14,8 @@ finite or refused, is credited on the arrival state, so t = 0 earns
 none and time averages run over 1..T.
 
 pairwise_marginals contracts the exact gradient's pair occupancies in
-two O(T S A K) sweeps over the kernels, each summed by one cumsum along
-time, never building the dense tables; enumerate_trajectories, its
+two O(T S A K) sweeps over the kernels, each a running sum over time,
+never building the dense tables; enumerate_trajectories, its
 brute-force cross-check, refuses beyond a hard cap. No (S, S) array is
 formed per step.
 """
@@ -156,27 +156,26 @@ def pairwise_marginals(mdp, sol, h):
     bwd = sum P_{t,t'} h, each (S,), from a forward and a backward sweep.
 
     The forward sweep pushes c <- (c + h rho_t) K_t for t = 1..T-1 and
-    the backward one gathers b <- K_t (h + b) for t = T-1..1. Row k of
-    each sweep's (T, S) stack holds its k-th step, c or rho_t b, and row
-    0 stays zero, so one cumsum along time adds the steps from 0.0 in
-    order, bit for bit a running +=; a reduce would add pairwise at S = 1.
+    the backward one gathers b <- K_t (h + b) for t = T-1..1; fwd and bwd
+    are running sums of c and of rho_t b. Beside the (T+1, S) table
+    h rho, a sweep holds O(S A K) floats.
     """
     rho, n_t, n_s = sol.marginals_t, mdp.horizon, mdp.n_states
     succ = mdp.succ.reshape(n_s, -1)
     flat_succ, width = succ.ravel(), succ.shape[1]
     flat = sol.kernels.reshape(n_t, -1)
     hr = h * rho
-    c, b = steps = np.zeros((2, n_t, n_s))
+    c, b, fwd, bwd = np.zeros((4, n_s))
     for t in range(1, n_t):
-        c[t] = np.bincount(flat_succ, (c[t - 1] + hr[t]).repeat(width) * flat[t],
-                           minlength=n_s)
+        c = np.bincount(flat_succ, (c + hr[t]).repeat(width) * flat[t],
+                        minlength=n_s)
+        fwd += c
     # a matvec with ones sums the rows with less per-call overhead than
     # .sum(axis=1) at small S
     ones = np.ones(width)
-    for k in range(1, n_t):
-        b[k] = (sol.kernels[n_t - k] * (h + b[k - 1])[succ]) @ ones
-    b[1:] *= rho[n_t - 1:0:-1]
-    fwd, bwd = np.cumsum(steps, axis=1)[:, -1]
+    for t in range(n_t - 1, 0, -1):
+        b = (sol.kernels[t] * (h + b)[succ]) @ ones
+        bwd += rho[t] * b
     return fwd, bwd
 
 

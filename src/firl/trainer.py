@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density_ratio import (discriminator_fit, discriminator_ratio, exact_ratio,
-                            sample_states, state_frequencies)
+from .density_ratio import (discriminator_fit, exact_ratio, sample_states,
+                            state_frequencies)
 from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
@@ -264,15 +264,14 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
                 report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
                                              sol)
             elif cfg.estimator == "mixture":
-                ratio = discriminator_ratio(discriminator_fit(expert_flat,
-                                                              sol.marginal_avg))
+                ratio = np.exp(discriminator_fit(expert_flat, sol.marginal_avg))
                 report = analytic_grad_mixture(mdp, model, cfg.alpha, cfg.kind,
                                                ratio, expert_data, sol)
             else:
                 batch = sample_trajectories(mdp, sol, cfg.batch_size,
                                             int(rng_batch.integers(2 ** 63 - 1)))
                 if cfg.ratio_mode == "discriminator":
-                    ratio = discriminator_ratio(discriminator_fit(
+                    ratio = np.exp(discriminator_fit(
                         expert_flat, state_frequencies(batch.states[:, 1:],
                                                        mdp.n_states)))
                 else:
@@ -287,8 +286,8 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
             model = apply_update(model, delta)
         expert_cloud = cloud.result()
     for row, marginal in evaluated:
-        row["fkl_estimate"] = knn_kl(expert_cloud, marginal).value
-        row["rkl_estimate"] = knn_kl(marginal, expert_cloud).value
+        row["fkl_estimate"] = knn_kl(expert_cloud, marginal)
+        row["rkl_estimate"] = knn_kl(marginal, expert_cloud)
 
     return TrainResult(model, metrics, time.perf_counter() - t0)
 

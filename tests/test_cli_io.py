@@ -738,6 +738,24 @@ def test_cli_eval_scores_a_stored_reward(tmp_path, capsys):
     assert "return" not in report
 
 
+def test_cli_eval_of_an_irl_scenario_writes_no_exact_divergence(tmp_path, capsys):
+    # the scenario's soft-optimal expert marginal is not the demos the
+    # reward was trained on, and the demos have no exact density
+    cfg = _write_cfg(tmp_path, "i.json", _TINY_IRL)
+    cli_main(["train", "--config", cfg, "--out", str(tmp_path)])
+    run_dir = capsys.readouterr().out.strip()
+    path = _write_cfg(tmp_path, "e.json", {
+        "schema_version": 1, "seed": 0, "type": "eval",
+        "reward_file": os.path.join(run_dir, "reward.json"),
+        "scenario": _nested(_TINY_IRL),
+    })
+    assert cli_main(["eval", "--config", path, "--out", str(tmp_path)]) == 0
+    eval_dir = capsys.readouterr().out.strip()
+    report = json.load(open(os.path.join(eval_dir, "eval.json")))
+    assert set(report) == {"alpha", "return"}
+    assert np.isfinite(report["return"])
+
+
 @pytest.mark.parametrize("content", [
     '{"params": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
     '{"kind": "tabular", "params": [0.0], "clamp": 5}',

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from firl.density_ratio import (LOGIT_CLIP, RATIO_CLIP_HI, Discriminator,
-                                discriminator_fit, discriminator_ratio,
+from firl.density_ratio import (LOGIT_CLIP, RATIO_CLIP_HI, discriminator_fit,
                                 exact_ratio, sample_states, state_frequencies)
 
 
@@ -34,40 +33,40 @@ def test_discriminator_reaches_the_frequency_optimum():
     # state 0: expert mass 0.6, agent mass 0.2, optimum D = 0.75
     expert = np.array([0] * 6 + [1] * 4)
     agent = np.array([0] * 2 + [1] * 8)
-    disc = _fit(expert, agent, n_states=2)
-    d = 1.0 / (1.0 + np.exp(-disc.state_logits()))
+    z = _fit(expert, agent, n_states=2)
+    d = 1.0 / (1.0 + np.exp(-z))
     assert d[0] == pytest.approx(0.75, abs=1e-3)
     assert d[1] == pytest.approx(1.0 / 3.0, abs=1e-3)
     # a random count table with both sides on every state: the optimum
     # holds to rounding, not to an iteration tolerance
     rng = np.random.default_rng(6)
     counts_e, counts_a = rng.integers(1, 40, size=(2, 24))
-    disc = _fit(np.repeat(np.arange(24), counts_e),
-                np.repeat(np.arange(24), counts_a), n_states=24)
+    z = _fit(np.repeat(np.arange(24), counts_e),
+             np.repeat(np.arange(24), counts_a), n_states=24)
     c_e = counts_e / counts_e.sum()
     c_a = counts_a / counts_a.sum()
-    d = 1.0 / (1.0 + np.exp(-disc.state_logits()))
+    d = 1.0 / (1.0 + np.exp(-z))
     assert np.max(np.abs(d - c_e / (c_e + c_a))) < 1e-12
 
 
 def test_discriminator_on_identical_sides_gives_unit_ratio():
     states = np.array([0, 1, 2, 0, 1, 2, 2])
-    disc = _fit(states, states.copy(), n_states=3)
-    assert np.allclose(discriminator_ratio(disc), 1.0, atol=1e-3)
+    z = _fit(states, states.copy(), n_states=3)
+    assert np.allclose(np.exp(z), 1.0, atol=1e-3)
 
 
 def test_discriminator_saturates_on_disjoint_support():
-    disc = _fit(np.zeros(5, dtype=int), np.ones(5, dtype=int), n_states=2)
-    assert disc.weights[0] == pytest.approx(LOGIT_CLIP)
-    assert disc.weights[1] == pytest.approx(-LOGIT_CLIP)
-    ratios = discriminator_ratio(disc)[[0, 1]]
+    z = _fit(np.zeros(5, dtype=int), np.ones(5, dtype=int), n_states=2)
+    assert z[0] == pytest.approx(LOGIT_CLIP)
+    assert z[1] == pytest.approx(-LOGIT_CLIP)
+    ratios = np.exp(z)[[0, 1]]
     assert ratios[0] == pytest.approx(np.exp(LOGIT_CLIP))
     assert ratios[1] == pytest.approx(np.exp(-LOGIT_CLIP))
     # a rare agent state the expert never visits (11 of 5,120 agent
     # visits) sits exactly on the box, not short of it
     agent = np.array([0] * 11 + [1] * 5109)
     rare = _fit(np.ones(320, dtype=int), agent, n_states=2)
-    assert rare.weights[0] == -LOGIT_CLIP
+    assert rare[0] == -LOGIT_CLIP
 
 
 def test_discriminator_needs_both_sides():
@@ -75,14 +74,6 @@ def test_discriminator_needs_both_sides():
         discriminator_fit(np.array([], dtype=int), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="at least one state visit"):
         state_frequencies(np.array([], dtype=int), 2)
-
-
-def test_discriminator_ratio_inverts_the_logit():
-    disc = Discriminator(np.array([np.log(3.0), 0.0]))
-    assert discriminator_ratio(disc)[0] == pytest.approx(3.0)
-    # D = 0.75 corresponds to logit log 3 and ratio D / (1 - D) = 3
-    big = Discriminator(np.array([12.0]))
-    assert discriminator_ratio(big)[0] == pytest.approx(np.exp(10.0))
 
 
 def test_sample_states_follows_the_weights():
@@ -122,12 +113,11 @@ def test_discriminator_logits_are_bit_for_bit_the_errstate_log_difference():
                               p=weights / weights.sum())
             sides.append(rng.permutation(np.concatenate([pool, tail])))
         expert, agent = sides
-        z = _fit(expert, agent, n_states).weights
+        z = _fit(expert, agent, n_states)
         assert np.array_equal(z, _errstate_logits(expert, agent, n_states))
         assert (z[role == 0] == LOGIT_CLIP).all()
         assert (z[role == 1] == -LOGIT_CLIP).all()
         assert (z[role == 3] == 0.0).all()
-        assert np.array_equal(Discriminator(z).state_logits(), z)
 
 
 def _states_fit_logits(expert_states, agent_states, n_states):
@@ -146,5 +136,5 @@ def test_the_fit_on_sampled_frequencies_is_the_fit_on_the_states():
         expert = rng.integers(0, n_states, size=int(rng.integers(1, 500)))
         # the agent skips the upper states, so some logits hit the box
         agent = rng.integers(0, n_states // 2 + 1, size=int(rng.integers(1, 5000)))
-        z = discriminator_fit(expert, state_frequencies(agent, n_states)).weights
+        z = discriminator_fit(expert, state_frequencies(agent, n_states))
         assert np.array_equal(z, _states_fit_logits(expert, agent, n_states))

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import firl.mdp
-from firl.density_ratio import (LOGIT_CLIP, discriminator_fit,
-                                discriminator_ratio, exact_ratio)
+from firl.density_ratio import LOGIT_CLIP, discriminator_fit, exact_ratio
 from firl.divergence import KINDS, ExpertDensity, h_f
 from firl.grad_engine import (GradReport, analytic_grad_exact,
                               analytic_grad_mc, analytic_grad_mixture,
@@ -221,8 +220,7 @@ def test_mixture_pulls_the_reward_toward_an_off_policy_expert():
     sol_a = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt, 0.3))
     expert = sample_trajectories(mdp, sol_e, 32, seed=21)
-    ratio = discriminator_ratio(discriminator_fit(expert.states[:, 1:],
-                                                  sol_a.marginal_avg))
+    ratio = np.exp(discriminator_fit(expert.states[:, 1:], sol_a.marginal_avg))
     grad = analytic_grad_mixture(mdp, model, 1.0, "fkl", ratio, expert,
                                  sol_a).grad
     # a descent step raises the reward most on the expert's corner
@@ -267,8 +265,7 @@ def test_mixture_is_the_large_n_limit_of_the_sampled_pool(kind):
     gt[8] = 1.5
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt, 0.5))
     expert = sample_trajectories(mdp, sol_e, 16, seed=41)
-    ratio = discriminator_ratio(discriminator_fit(expert.states[:, 1:],
-                                                  sol.marginal_avg))
+    ratio = np.exp(discriminator_fit(expert.states[:, 1:], sol.marginal_avg))
     closed = analytic_grad_mixture(mdp, model, 0.8, kind, ratio, expert, sol).grad
     sampled, stderr = _sampled_pool_grad(mdp, sol, expert, model, 0.8, kind,
                                          ratio, 2 ** 16, seed=42)

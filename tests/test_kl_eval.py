@@ -30,7 +30,7 @@ def test_knn_near_zero_on_identical_distributions():
     x = rng.normal(size=(2000, 2))
     y = rng.normal(size=(2000, 2))
     est = knn_kl(x, y, k=3, seed=1)
-    assert abs(est.value) < 0.05
+    assert abs(est) < 0.05
 
 
 def test_knn_recovers_a_known_gaussian_kl():
@@ -39,14 +39,14 @@ def test_knn_recovers_a_known_gaussian_kl():
     x = rng.normal(size=(4000, 2))
     y = rng.normal(size=(4000, 2)) + np.array([1.0, 0.0])
     est = knn_kl(x, y, k=3, seed=3)
-    assert est.value == pytest.approx(0.5, abs=0.1)
+    assert est == pytest.approx(0.5, abs=0.1)
 
 
 def test_knn_is_seed_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(200, 2))
     y = rng.normal(size=(200, 2))
-    assert knn_kl(x, y, seed=5).value == knn_kl(x, y, seed=5).value
+    assert knn_kl(x, y, seed=5) == knn_kl(x, y, seed=5)
 
 
 def test_knn_sample_count_guards():
@@ -64,11 +64,11 @@ def test_two_array_knn_keeps_its_values_bit_for_bit():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(300, 2))
     y = rng.normal(size=(250, 2)) + np.array([0.5, 0.0])
-    assert knn_kl(x, y, seed=12).value == 0.13790980911169365
-    assert knn_kl(y, x, k=5, seed=13).value == 0.14227363302322718
+    assert knn_kl(x, y, seed=12) == 0.13790980911169365
+    assert knn_kl(y, x, k=5, seed=13) == 0.14227363302322718
     # exact repeats, separated only by the 1e-10 tie-break jitter
     stacked = np.repeat(np.arange(6.0), 20).reshape(-1, 2)
-    assert knn_kl(stacked, x, seed=14).value == 48.302304152497776
+    assert knn_kl(stacked, x, seed=14) == 48.302304152497776
 
 
 # --------------------------------------------------- expert cloud vs exact side
@@ -94,7 +94,7 @@ def test_cloud_fkl_tracks_the_exact_divergence_on_a_gaussian(near, seed):
     # within +-0.041 over seeds 0..49 in both cases (exact 0.634, 0.611)
     rho_e, q, cloud = _gaussian_case(1.0, near, seed)
     want = divergence_exact("fkl", rho_e, q)
-    assert abs(knn_kl(cloud, q).value - want) < 0.05
+    assert abs(knn_kl(cloud, q) - want) < 0.05
 
 
 @pytest.mark.parametrize("near", [False, True])
@@ -105,7 +105,7 @@ def test_cloud_rkl_tracks_the_exact_divergence_without_tiny_mass_cells(near, see
     # Cells of tiny expert mass bias it low (see the kl_eval docstring).
     rho_e, q, cloud = _gaussian_case(2.0, near, seed)
     want = divergence_exact("rkl", rho_e, q)
-    assert abs(knn_kl(q, cloud).value - want) < 0.05
+    assert abs(knn_kl(q, cloud) - want) < 0.05
 
 
 def test_cell_cloud_is_seed_deterministic():
@@ -129,8 +129,8 @@ def test_tree_queries_on_one_core_give_the_same_bits(monkeypatch):
     def results():
         cloud = CellCloud(mdp, states, seed=22)
         return (cloud.entropy, cloud.cell_log_density,
-                knn_kl(cloud, q).value, knn_kl(q, cloud).value,
-                knn_kl(x, y, seed=23).value)
+                knn_kl(cloud, q), knn_kl(q, cloud),
+                knn_kl(x, y, seed=23))
 
     spread = results()
     monkeypatch.setattr(firl.kl_eval, "_workers", lambda: 1)
@@ -198,10 +198,21 @@ def test_cloud_fkl_is_inf_where_the_policy_never_goes():
     q = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0)).marginal_avg
     assert q[8] == 0.0
     cloud = CellCloud(mdp, [0, 1, 3, 0, 1, 3, 8], seed=18)
-    assert knn_kl(cloud, q).value == np.inf
-    assert np.isfinite(knn_kl(q, cloud).value)
+    assert knn_kl(cloud, q) == np.inf
+    assert np.isfinite(knn_kl(q, cloud))
     reached = CellCloud(mdp, [0, 1, 3, 0, 1, 3, 1], seed=18)
-    assert np.isfinite(knn_kl(reached, q).value)
+    assert np.isfinite(knn_kl(reached, q))
+
+
+def test_knn_kl_returns_a_float_on_every_branch():
+    mdp = build_gridworld(3, 3, init_state=0, horizon=1)
+    q = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0)).marginal_avg
+    cloud = CellCloud(mdp, [0, 1, 3, 0, 1, 3, 8], seed=18)
+    rng = np.random.default_rng(24)
+    values = (knn_kl(cloud, q), knn_kl(q, cloud),
+              knn_kl(rng.normal(size=(20, 2)), rng.normal(size=(20, 2))))
+    assert values[0] == np.inf
+    assert all(type(v) is float for v in values)
 
 
 def test_cell_cloud_guards():

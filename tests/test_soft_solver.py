@@ -510,6 +510,24 @@ def test_the_solve_marginals_and_sweeps_equal_the_per_step_loops(grid, horizon):
                     assert np.array_equal(_bits(g), _bits(w))
 
 
+@pytest.mark.parametrize("slip", [0.0, 0.1])
+def test_the_pair_sweeps_hold_less_than_three_marginal_tables(slip):
+    # h rho is one (T+1, S) table; beside it the sweeps keep running sums
+    # and per-step rows, not a (T, S) table of steps each
+    mdp = build_gridworld(15, 15, slip_prob=slip, horizon=40)
+    rng = np.random.default_rng(21)
+    sol = forward_marginals(mdp, soft_backward(mdp, rng.normal(size=mdp.n_states),
+                                               1.0))
+    h = rng.normal(size=mdp.n_states)
+    tracemalloc.start()
+    try:
+        pairwise_marginals(mdp, sol, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * (mdp.horizon + 1) * mdp.n_states
+
+
 def test_soft_backward_past_eight_actions_agrees_to_rounding():
     # from 8 terms on numpy sums a row pairwise, so only the last bits move
     mdp, rng = _random_mdp(7, 9, 6, seed=18)
