@@ -13,13 +13,16 @@ once per run:
   KL(agent || expert) = sum over rho > 0 of rho (log rho - L_E)
 
 H_E is the k-NN entropy of the expert cloud and L_E(s) its mean k-NN
-log-density over PROBES jittered points in cell s. The cloud's one-off
-cost is n + S * PROBES tree queries for n expert visits, spread over
-every core the process may use; each query's answer is independent of
-how the queries are split, so no value depends on the core count. A
-CellCloud is a plain value, built in full by its constructor (about
-0.05 s for 10,000 visits on a 15x15 grid, 2 cores); trainer.run_firl
-builds it on a worker thread while it trains.
+log-density over clip(2 v_s, PROBES_MIN, PROBES) jittered points in
+cell s, which the cloud visits v_s times: a cell of few visits has a
+noisy L_E whatever its probe count, so it gets few probes. The cloud's
+one-off cost is n + sum_s clip(2 v_s, 32, 400) <= 3n + 32 S tree
+queries for n expert visits, spread over every core the process may
+use; each query's answer is independent of how the queries are split,
+so no value depends on the core count. A CellCloud is a plain value,
+built in full by its constructor (about 0.03 s for 10,000 visits on a
+15x15 grid, 2 cores); trainer.run_firl builds it on a worker thread
+while it trains.
 
 The forward value is +inf when an expert visit sits on a state rho
 never reaches, as the exact divergence is. The reverse value inherits
@@ -43,8 +46,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from .mdp import _check_table_bytes
+
 KNN_K = 3
-PROBES = 400   # jittered probe points per cell for the expert log-density
+PROBES = 400   # most jittered probe points per cell for the expert log-density
+PROBES_MIN = 32   # fewest; between the two, a cell gets two per visit
 HALF_CELL = 0.5   # a visit is jittered uniformly over its unit cell
 _LOG_DISC = np.log(np.pi)   # log volume of the unit ball in 2-d
 
@@ -73,13 +79,16 @@ class CellCloud:
     """The jittered cloud of visits to mdp's unit cells, one per state
     in states, built from one cKDTree. Keeps states, the cloud's k-NN
     entropy and cell_log_density (S,), the mean psi-corrected k-NN
-    log-density of the cloud over PROBES jittered points per cell.
+    log-density of the cloud over the jittered probes of each cell:
+    two per visit to the cell, at least PROBES_MIN and at most PROBES,
+    so n + sum_s clip(2 v_s, 32, 400) <= 3n + 32 S tree queries in all.
 
-    The constructor draws the cloud's jitter, its tie-break and the
-    probes, in that order, then builds the tree and runs the self-query
-    and the probe query. It calls no public function of this package,
-    so it may run off the main thread under a tracer that keeps one
-    call stack per process.
+    The constructor checks the probe table against mdp.TABLE_BYTES_CAP,
+    draws the cloud's jitter, its tie-break and the probes, in that
+    order, then builds the tree and runs the self-query and the probe
+    query. It calls no public function of this package, so it may run
+    off the main thread under a tracer that keeps one call stack per
+    process.
     """
 
     def __init__(self, mdp, states, seed=0):
@@ -88,10 +97,13 @@ class CellCloud:
         n, k = self.states.size, KNN_K
         if n <= k:
             raise ValueError("need more than k cloud points, got %d" % n)
+        per_cell = np.clip(2 * np.bincount(self.states, minlength=mdp.n_states),
+                           PROBES_MIN, PROBES)
+        _check_table_bytes("kNN probe points (m, 2)", (int(per_cell.sum()), 2))
         pts = _states_to_points(mdp, self.states, seed=rng)
         pts += rng.uniform(-1e-10, 1e-10, size=pts.shape)
-        probes = _states_to_points(mdp, np.repeat(np.arange(mdp.n_states), PROBES),
-                                   seed=rng)
+        cells = np.repeat(np.arange(mdp.n_states), per_cell)
+        probes = _states_to_points(mdp, cells, seed=rng)
         # faster to build and query than the default balanced, compact
         # tree, and the k-th distances are exact whatever its shape
         tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
@@ -101,7 +113,8 @@ class CellCloud:
                              + 2.0 * np.mean(np.log(rho)))
         # a probe is not a cloud point, so its mass fraction is Beta(k, n - k + 1)
         log_density = digamma(k) - digamma(n + 1) - _LOG_DISC - 2.0 * np.log(nu)
-        self.cell_log_density = log_density.reshape(-1, PROBES).mean(axis=1)
+        self.cell_log_density = (np.bincount(cells, log_density, minlength=mdp.n_states)
+                                 / per_cell)
 
 
 def _cell_density(cloud, density):

@@ -11,9 +11,10 @@ GRID_DELTAS = ((1, 0), (0, 1), (-1, 0), (0, -1), (0, 0))
 STOCHASTIC_TOL = 1e-12
 
 # The most bytes one float table may take: a gridworld's dense P (S, A, S),
-# each (T, S, A K) step table of a solve, and the sampled path's rollout
-# uniforms (2T+1, n) and visit counts (n, S). A training iteration holds
-# at most eight tables' worth at once, so 2 GiB (README).
+# each (T, S, A K) step table of a solve, the sampled path's rollout
+# uniforms (2T+1, n) and visit counts (n, S), and the kNN cloud's probe
+# points (m, 2). A training iteration holds at most eight tables' worth
+# at once, so 2 GiB (README).
 TABLE_BYTES_CAP = 2 ** 28
 
 
@@ -61,6 +62,13 @@ class FiniteMdp:
 def check_table_bytes(what, shape):
     """ValueError if a float table of this shape would pass TABLE_BYTES_CAP;
     called before anything of that size is allocated."""
+    _check_table_bytes(what, shape)
+
+
+def _check_table_bytes(what, shape):
+    # check_table_bytes under a private name, which tracers that wrap
+    # public functions leave alone: kl_eval.CellCloud calls it from a
+    # worker thread
     size = 8 * math.prod(shape)
     if size > TABLE_BYTES_CAP:
         raise ValueError("%s = %r would take %d bytes, past the cap of %d"

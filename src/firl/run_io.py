@@ -1,6 +1,7 @@
 """Run artifacts: JSON configs checked key by key against CONFIG_KEYS,
 deterministic output directories, and CSV/JSON emission with
-round-trip-exact floats.
+round-trip-exact floats; JSON output is strict, with null for a
+non-finite float.
 
 An unknown key, a key repeated within one object and a non-finite
 number are refused, integers are strict, and each refusal names its
@@ -88,18 +89,28 @@ def read_reward_json(path):
 
 
 def write_json(path, payload):
+    """Write payload as strict JSON: every non-finite float becomes null,
+    and allow_nan=False makes one that slips past raise."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
 
 def _jsonable(obj):
+    """obj with numpy arrays and scalars as Python values and each
+    non-finite float as None."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating, np.bool_)):
-        return obj.item()
-    raise TypeError("cannot serialize %r" % type(obj))
+        obj = obj.tolist()
+    elif isinstance(obj, (np.integer, np.floating, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _number(x):

@@ -17,7 +17,8 @@ from .density_ratio import (discriminator_fit, exact_ratio, sample_states,
 from .divergence import KINDS, ExpertDensity, divergence_exact
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
-from .kl_eval import KNN_K, CellCloud, cell_gaps, knn_kl, policy_return
+from .kl_eval import (KNN_K, PROBES, PROBES_MIN, CellCloud, cell_gaps, knn_kl,
+                      policy_return)
 from .mdp import check_table_bytes, reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
@@ -145,7 +146,7 @@ def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode and estimator against expert form (the exact estimator needs a
     density), mc's batch against the byte cap on its rollout uniforms
-    and visit counts, mixture against (n, horizon + 1) trajectories,
+    and visit counts, the kNN cloud's probes against it, mixture against (n, horizon + 1) trajectories,
     density length, normalization (only rkl accepts an unnormalized
     energy), an rkl target's support, expert state indices, more than KNN_K points
     in the kNN expert cloud, and disjoint unit cells around mdp.coords,
@@ -199,6 +200,12 @@ def check_expert_fit(mdp, expert, cfg):
         if expert_flat.size <= KNN_K:
             raise ValueError("knn_kl needs more than %d points: the expert cloud "
                              "holds %d" % (KNN_K, expert_flat.size))
+    # CellCloud checks its exact probe count; this bound on it refuses the
+    # table before a run directory exists
+    n_cloud = EVAL_EXPERT_SAMPLES if rho_e is not None else expert_flat.size
+    check_table_bytes("kNN probe points (m, 2)",
+                      (min(PROBES * mdp.n_states,
+                           2 * n_cloud + PROBES_MIN * mdp.n_states), 2))
     # O(S log S): each centre's nearest other centre in the max norm
     gap = cell_gaps(mdp.coords)
     if gap.min() < 1.0:

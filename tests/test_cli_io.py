@@ -789,6 +789,36 @@ def test_cli_scenario_summarizes_an_irl_run(tmp_path, capsys):
     assert np.isfinite(summary["expert_demo_return"])
 
 
+def _strict_json(path):
+    """The file parsed by a reader that refuses NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError("non-standard JSON token %s in %s" % (token, path))
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def test_cli_writes_strict_json_with_null_for_non_finite_values(tmp_path, capsys):
+    # an IRL run has no exact divergences, and from corner 0 in one step
+    # a zero reward misses state 8, on which the uniform target has mass
+    cfg = _write_cfg(tmp_path, "i.json", _TINY_IRL)
+    assert cli_main(["scenario", "--config", cfg, "--out", str(tmp_path)]) == 0
+    run_dir = capsys.readouterr().out.strip()
+    final = _strict_json(os.path.join(run_dir, "summary.json"))["final"]
+    assert final["exact_fkl"] is None and final["lf_exact"] is None
+    assert np.isfinite(final["return"])
+    reward = run_io.write_reward_json(str(tmp_path / "zero.json"), tabular_reward(9))
+    path = _write_cfg(tmp_path, "e.json", {
+        "schema_version": 1, "seed": 0, "type": "eval", "reward_file": reward,
+        "scenario": _nested(dict(_TINY_DENSITY, horizon=1)),
+    })
+    assert cli_main(["eval", "--config", path, "--out", str(tmp_path)]) == 0
+    eval_dir = capsys.readouterr().out.strip()
+    report = _strict_json(os.path.join(eval_dir, "eval.json"))
+    assert report["exact_fkl"] is None and np.isfinite(report["exact_rkl"])
+    for name in ("summary.json", "manifest.json"):
+        _strict_json(os.path.join(run_dir, name))
+
+
 def test_cli_scenario_runs_the_prior_sweep(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "p.json", {
         "schema_version": 1, "seed": 0, "type": "prior_downstream",

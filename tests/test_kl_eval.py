@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 import firl.kl_eval
+import firl.mdp
 from firl.density_ratio import sample_states
 from firl.divergence import divergence_exact
 from firl.kl_eval import CellCloud, _states_to_points, knn_kl, policy_return
@@ -159,12 +160,14 @@ def _default_tree_cloud(mdp, states, seed):
     tree = cKDTree(pts)
     rho = tree.query(pts, k=[k + 1])[0][:, 0]
     entropy = float(digamma(n) - digamma(k) + log_disc + 2.0 * np.mean(np.log(rho)))
-    cells = np.repeat(np.arange(mdp.n_states), 400)
+    per_cell = np.clip(2 * np.bincount(states, minlength=mdp.n_states), 32, 400)
+    cells = np.repeat(np.arange(mdp.n_states), per_cell)
     probes = mdp.coords[cells].astype(float) + rng.uniform(-0.5, 0.5,
                                                            size=(cells.size, 2))
     nu = tree.query(probes, k=[k])[0][:, 0]
     log_density = digamma(k) - digamma(n + 1) - log_disc - 2.0 * np.log(nu)
-    return entropy, log_density.reshape(mdp.n_states, 400).mean(axis=1)
+    sums = np.bincount(cells, log_density, minlength=mdp.n_states)
+    return entropy, sums / per_cell
 
 
 @pytest.mark.parametrize("side, sigma", [(5, 1.0), (15, 3.0)])
@@ -178,6 +181,65 @@ def test_the_cloud_tree_shape_moves_no_value(side, sigma):
     cloud = CellCloud(mdp, states, seed=25)
     assert np.array_equal(cloud.entropy, entropy)
     assert np.array_equal(cloud.cell_log_density, cell_log_density)
+
+
+def _probe_case():
+    """A 4x4 cloud whose cells hold 0 to 250 visits, on both sides of
+    the probe counts' floor and cap."""
+    mdp = build_gridworld(4, 4, horizon=2)
+    visits = np.array([0, 3, 16, 17, 150, 200, 201, 250, 1, 0, 5, 40, 60, 90, 120, 7])
+    states = np.random.default_rng(31).permutation(np.repeat(np.arange(16), visits))
+    return mdp, visits, states
+
+
+def test_each_cell_gets_two_probes_per_visit_between_the_floor_and_the_cap(
+        monkeypatch):
+    mdp, visits, states = _probe_case()
+    drawn = []
+    original = firl.kl_eval._states_to_points
+
+    def recorded(mdp, states, seed=0):
+        drawn.append(np.array(states))
+        return original(mdp, states, seed=seed)
+
+    monkeypatch.setattr(firl.kl_eval, "_states_to_points", recorded)
+    cloud = CellCloud(mdp, states, seed=32)
+    visited, cells = drawn
+    assert np.array_equal(visited, states)
+    assert np.array_equal(cells, np.repeat(np.arange(16), np.clip(2 * visits, 32, 400)))
+    assert np.array_equal(np.bincount(cells)[[0, 1, 3, 4, 7]], [32, 32, 34, 300, 400])
+    # the cloud's own draws come first, so its entropy keeps the bits it
+    # had with 400 probes in every cell
+    assert cloud.entropy == 2.1690230970034055
+
+
+def test_the_cloud_queries_at_most_three_per_visit_and_the_floor_per_cell(
+        monkeypatch):
+    # 30x30, 10,000 visits: n + 400 S would be 370,000 queries
+    mdp = build_gridworld(30, 30, init_state=0, horizon=1)
+    rho_e = gaussian_density(mdp, (15.0, 15.0), 5.0)
+    states = sample_states(rho_e, 10000, np.random.default_rng(33))
+    sizes = []
+    original = firl.kl_eval._kth_distance
+
+    def recorded(tree, queries, k, p=2.0):
+        sizes.append(len(queries))
+        return original(tree, queries, k, p=p)
+
+    monkeypatch.setattr(firl.kl_eval, "_kth_distance", recorded)
+    CellCloud(mdp, states, seed=34)
+    assert sizes[0] == 10000
+    assert sum(sizes) <= 3 * 10000 + 32 * 900
+
+
+def test_the_cloud_checks_its_probe_table_against_the_byte_cap(monkeypatch):
+    mdp, visits, states = _probe_case()
+    m = int(np.clip(2 * visits, 32, 400).sum())
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 16 * m - 1)
+    with pytest.raises(ValueError, match=r"kNN probe points \(m, 2\) = \(%d, 2\)" % m):
+        CellCloud(mdp, states, seed=32)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 16 * m)
+    CellCloud(mdp, states, seed=32)
 
 
 def test_a_failed_tree_build_raises_at_construction(monkeypatch):

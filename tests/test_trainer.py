@@ -404,22 +404,43 @@ def test_run_firl_builds_the_cloud_on_one_worker_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("expert_kind", ["density", "demos"])
+def test_the_knn_probes_meet_the_byte_cap_before_training(monkeypatch, expert_kind):
+    # 3 x 3: the probes are at most min(400 S, 2 n + 32 S) rows of 2 floats,
+    # min(3600, 20288) for the 10,000 visits drawn from a density and
+    # min(3600, 336) for 8 demos of 3 visits
+    mdp = build_gridworld(3, 3, horizon=3)
+    if expert_kind == "density":
+        expert, cfg, rows = np.full(9, 1 / 9), _small_cfg(), 3600
+    else:
+        sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
+        expert = sample_trajectories(mdp, sol, 8, seed=3).states
+        cfg, rows = _small_cfg(estimator="mixture", ratio_mode="discriminator"), 336
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 16 * rows - 1)
+    with pytest.raises(ValueError, match=r"kNN probe points \(m, 2\) = \(%d, 2\)"
+                       % rows):
+        check_expert_fit(mdp, expert, cfg)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 16 * rows)
+    check_expert_fit(mdp, expert, cfg)
+
+
 def test_the_batch_meets_the_byte_cap_before_training(monkeypatch):
-    # 3 x 3, T = 3, batch 16: mc's uniforms are (7, 16), 896 bytes, and its
-    # visit counts (16, 9), 1,152 bytes; mixture draws no batch, so
-    # batch_size allocates nothing there
+    # 3 x 3, T = 3, batch 1,024: mc's uniforms are (7, 1024), 57,344 bytes,
+    # and its visit counts (1024, 9), 73,728 bytes, both past the kNN
+    # probes' bound of (2 * 24 + 32 * 9, 2), 5,376 bytes; mixture draws
+    # no batch, so batch_size allocates nothing there
     mdp = build_gridworld(3, 3, horizon=3)
     sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
     expert = sample_trajectories(mdp, sol, 8, seed=3).states
-    mc = _small_cfg(estimator="mc", ratio_mode="discriminator", batch_size=16)
-    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 1151)
-    with pytest.raises(ValueError, match=r"visit counts \(n, S\) = \(16, 9\)"):
+    mc = _small_cfg(estimator="mc", ratio_mode="discriminator", batch_size=1024)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 73727)
+    with pytest.raises(ValueError, match=r"visit counts \(n, S\) = \(1024, 9\)"):
         check_expert_fit(mdp, expert, mc)
-    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 1152)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 73728)
     check_expert_fit(mdp, expert, mc)
-    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 895)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 57343)
     with pytest.raises(ValueError, match=r"rollout uniforms \(2T\+1, n\)"):
         check_expert_fit(mdp, expert, mc)
     check_expert_fit(mdp, expert, _small_cfg(estimator="mixture",
                                              ratio_mode="discriminator",
-                                             batch_size=16))
+                                             batch_size=1024))
