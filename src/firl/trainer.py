@@ -146,10 +146,11 @@ def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode and estimator against expert form (the exact estimator needs a
     density), mc's batch against the byte cap on its rollout uniforms
-    and visit counts, the kNN cloud's probes against it, mixture against (n, horizon + 1) trajectories,
+    and visit counts, mixture against (n, horizon + 1) trajectories,
     density length, normalization (only rkl accepts an unnormalized
     energy), an rkl target's support, expert state indices, more than KNN_K points
-    in the kNN expert cloud, and disjoint unit cells around mdp.coords,
+    in the kNN expert cloud, the bound on its probes against the byte
+    cap, and disjoint unit cells around mdp.coords,
     on which the evaluation takes the agent's density as exact. Returns
     (rho_e, expert_flat, expert_data): the ExpertDensity or None, the
     visits after s_0 or None, the classified input."""
