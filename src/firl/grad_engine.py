@@ -11,10 +11,13 @@ evaluation routes live here:
   mc         sample covariance over policy rollouts
   mixture    covariance over an equal-weight pool of agent and demos; its
              agent half is the exact route's moments, no sampling
-  enumerate  brute-force expectation over every trajectory
+  enumerate  brute-force expectation over every trajectory, its moments
+             the path-weighted visit counts
 
 plus a central-difference oracle used only for verification. exact and
-mixture share the agent's moments and their final contraction.
+mixture share the agent's moments; exact, mixture and enumerate share
+the final contraction. Every route works in state space and makes one
+reward_vjp call on an (S,) vector at the end.
 """
 
 import numpy as np
@@ -22,8 +25,7 @@ import numpy as np
 from .divergence import KINDS, density_values, divergence_exact, h_f
 from .mdp import FiniteMdp, check_table_bytes, reachable_states
 from .reward_model import (apply_update, default_features, mlp_reward,
-                           reward_jacobian, reward_vector, reward_vjp,
-                           tabular_reward)
+                           reward_vector, reward_vjp, tabular_reward)
 from .soft_solver import (enumerate_trajectories, forward_marginals,
                           pairwise_marginals, soft_backward)
 
@@ -96,9 +98,11 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
 def analytic_grad_mc(batch, model, alpha, kind, ratio):
     """Unbiased sample covariance over a batch of policy rollouts, (n, T+1)
     state rows whose s_0 is skipped; ratio is a clipped per-state table
-    from density_ratio. The diagnostics give the spread of the h sums.
-    Counts past mdp.TABLE_BYTES_CAP are refused before they form, and
-    the flat visit index dies inside bincount's call, so at most two
+    from density_ratio. The centred h sums are contracted with the
+    centred (n, S) visit counts first, and reward_vjp maps the (S,)
+    result. The diagnostics give the spread of the h sums. Counts past
+    mdp.TABLE_BYTES_CAP are refused before they form, and the flat
+    visit index dies inside bincount's call, so at most two
     (n, S)-sized tables are alive at once."""
     body = batch.states[:, 1:]
     n, t_hor = body.shape
@@ -109,10 +113,11 @@ def analytic_grad_mc(batch, model, alpha, kind, ratio):
     check_table_bytes("visit counts (n, S)", (n, n_states))
     a = h.take(body).sum(axis=1)
     offsets = np.arange(0, n * n_states, n_states)[:, None]
-    b = reward_vjp(model, np.bincount((body + offsets).ravel(),
-                                      minlength=n * n_states).reshape(n, n_states))
+    b = np.bincount((body + offsets).ravel(),
+                    minlength=n * n_states).reshape(n, n_states)
     a_mean = a.sum() / n   # ndarray.mean's arithmetic, without its wrapper
-    grad = (a - a_mean) @ (b - b.sum(axis=0) / n) / (n - 1) / (alpha * t_hor)
+    cov = (a - a_mean) @ (b - b.sum(axis=0) / n)
+    grad = reward_vjp(model, cov) / (n - 1) / (alpha * t_hor)
     diag = {"mean_h": float(a_mean / t_hor),
             "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
     return GradReport(grad, "mc", diagnostics=diag)
@@ -165,18 +170,19 @@ def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):
 
 def enumeration_grad(mdp, model, alpha, kind, rho_e, sol):
     """Exact covariance by summing over every trajectory explicitly,
-    under sol, the forward solve for model at alpha."""
+    under sol, the forward solve for model at alpha. E[a b] and E[b]
+    are the path-weighted visit counts, independent of the pair sweeps
+    that _agent_moments runs, and finish as the exact route does."""
     h = _h_table(kind, rho_e, sol.marginal_avg)
-    g = reward_jacobian(model)
     paths, probs = enumerate_trajectories(mdp, sol)
     body = paths[:, 1:]
-    a = h[body].sum(axis=1)
-    b = g[body].sum(axis=1) if body.size else np.zeros((len(paths), g.shape[1]))
-    e_ab = (probs * a) @ b
-    e_a = probs @ a
-    e_b = probs @ b
-    grad = (e_ab - e_a * e_b) / (alpha * mdp.horizon)
-    return GradReport(grad, "enumerate")
+    t_hor = body.shape[1]
+    a = h.take(body).sum(axis=1)
+    visits = body.ravel()
+    moments = (np.bincount(visits, (probs * a).repeat(t_hor), minlength=len(h)),
+               probs @ a,
+               np.bincount(visits, probs.repeat(t_hor), minlength=len(h)))
+    return _covariance_report(model, alpha, t_hor, h, moments, "enumerate")
 
 
 def _random_instance(rng, index):

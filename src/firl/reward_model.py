@@ -1,9 +1,11 @@
-"""Parameterized state rewards r_theta(s) with exact parameter gradients.
+"""Parameterized state rewards r_theta(s) and their parameter gradients.
 
 Two kinds: a tabular value per state, and a small two-hidden-layer tanh
-network on per-state features with hand-derived backpropagation. tanh
-keeps the finite-difference checks valid everywhere, which
-piecewise-linear activations would not.
+network on per-state features. Gradients leave as vector-Jacobian
+products (reward_vjp): the identity for a tabular reward, one
+hand-derived backward pass for the network. tanh keeps the
+finite-difference checks valid everywhere, which piecewise-linear
+activations would not.
 """
 
 import numpy as np
@@ -108,33 +110,21 @@ def reward_vector(model):
     return _mlp_forward(model)[2]
 
 
-def reward_jacobian(model):
-    """d r_theta(s) / d theta for every state, shape (S, n_params)."""
-    if model.kind == "tabular":
-        return np.eye(len(model.params))
-    x = model.features
-    w1, b1, w2, b2, w3, b3 = _mlp_unpack(model)
-    a1, a2, _ = _mlp_forward(model)
-    d2 = (1.0 - a2 * a2) * w3            # (S, h2)
-    d1 = (d2 @ w2.T) * (1.0 - a1 * a1)   # (S, h1)
-    s = x.shape[0]
-    return np.concatenate([
-        np.einsum("sf,sh->sfh", x, d1).reshape(s, -1),
-        d1,
-        np.einsum("sg,sh->sgh", a1, d2).reshape(s, -1),
-        d2,
-        a2,
-        np.ones((s, 1)),
-    ], axis=1)
-
-
 def reward_vjp(model, x):
-    """x @ reward_jacobian(model) for x (S,) or (n, S). A tabular reward's
-    jacobian is the identity, so x comes back as floats and no (S, S)
-    array is formed."""
+    """x @ d r_theta / d theta for an (S,) cotangent x, by
+    backpropagation through the net: no (S, n_params) table forms. A
+    tabular reward's derivative is the identity, so x comes back as
+    floats."""
+    x = np.asarray(x, dtype=float)
     if model.kind == "tabular":
-        return np.asarray(x, dtype=float)
-    return x @ reward_jacobian(model)
+        return x
+    _, _, w2, _, w3, _ = _mlp_unpack(model)
+    a1, a2, _ = _mlp_forward(model)
+    d2 = x[:, None] * (1.0 - a2 * a2) * w3   # (S, h2)
+    d1 = (d2 @ w2.T) * (1.0 - a1 * a1)       # (S, h1)
+    return np.concatenate([(model.features.T @ d1).ravel(), d1.sum(axis=0),
+                           (a1.T @ d2).ravel(), d2.sum(axis=0),
+                           x @ a2, [x.sum()]])
 
 
 def apply_update(model, delta):

@@ -76,6 +76,21 @@ def test_exact_contraction_equals_enumeration(kind, slip):
     assert np.linalg.norm(ga - ge) < 1e-10
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("slip", [0.0, 0.2])
+def test_exact_contraction_equals_enumeration_on_an_mlp_reward(kind, slip):
+    rng = np.random.default_rng(9)
+    mdp = build_gridworld(3, 3, slip_prob=slip, horizon=4)
+    model = mlp_reward(default_features(mdp), seed=5)
+    model = apply_update(model, rng.normal(0, 0.3, model.n_params))
+    rho_e = rng.dirichlet(np.full(mdp.n_states, 2.0))
+    sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), 0.8))
+    ga = analytic_grad_exact(mdp, model, 0.8, kind, rho_e=rho_e, sol=sol).grad
+    ge = enumeration_grad(mdp, model, 0.8, kind, rho_e, sol=sol).grad
+    assert np.linalg.norm(ge) > 1e-3
+    assert np.linalg.norm(ga - ge) < 1e-10
+
+
 def test_exact_gradient_matches_the_fd_oracle():
     mdp, model, rho_e, sol = _instance(seed=7)
     ga = analytic_grad_exact(mdp, model, 1.0, "fkl", rho_e=rho_e, sol=sol).grad
@@ -238,7 +253,9 @@ def test_mixture_rejects_mismatched_horizons():
 def _sampled_pool_grad(mdp, sol, expert, model, alpha, kind, ratio, n, seed):
     # the pool the mixture estimator once sampled: n agent rollouts and n
     # bootstrap-resampled demos, and the pooled sample covariance, with
-    # the standard error of each entry from the per-row products
+    # the standard error of each entry from the per-row products. The
+    # rows are contracted in state space before reward_vjp, so the
+    # standard error is per state: per parameter for a tabular reward
     rng = np.random.default_rng(seed)
     agent = sample_trajectories(mdp, sol, n, seed=int(rng.integers(2 ** 31)))
     pick = rng.integers(0, len(expert.states), size=n)
@@ -247,9 +264,9 @@ def _sampled_pool_grad(mdp, sol, expert, model, alpha, kind, ratio, n, seed):
     a = h[body].sum(axis=1)
     counts = np.zeros((2 * n, mdp.n_states))
     np.add.at(counts, (np.arange(2 * n)[:, None], body), 1.0)
-    b = reward_vjp(model, counts)
-    terms = (a - a.mean())[:, None] * (b - b.mean(axis=0)) / (alpha * mdp.horizon)
-    grad = terms.sum(axis=0) / (2 * n - 1)
+    terms = (a - a.mean())[:, None] * (counts - counts.mean(axis=0))
+    terms /= alpha * mdp.horizon
+    grad = reward_vjp(model, terms.sum(axis=0) / (2 * n - 1))
     # the two halves are independent samples of n rows each
     stderr = np.sqrt((terms[:n].var(axis=0) + terms[n:].var(axis=0)) / (4 * n))
     return grad, stderr
@@ -287,16 +304,17 @@ def test_exact_report_diagnostics():
 
 
 def _mean_formula_cov(states, model, alpha, kind, ratio):
-    # the covariance as first written, with fancy indexing and .mean():
-    # the estimator must stay this arithmetic, bit for bit
+    # the covariance as first written, with fancy indexing and .mean(),
+    # contracted in state space before reward_vjp: the estimator must
+    # stay this arithmetic, bit for bit
     body = states[:, 1:]
     n, t_hor = body.shape
     h = h_f(kind, ratio)
     a = h[body].sum(axis=1)
     flat = (body + np.arange(n)[:, None] * len(h)).ravel()
-    b = reward_vjp(model, np.bincount(flat, minlength=n * len(h))
-                   .reshape(n, len(h)))
-    grad = (a - a.mean()) @ (b - b.mean(axis=0)) / (n - 1) / (alpha * t_hor)
+    b = np.bincount(flat, minlength=n * len(h)).reshape(n, len(h))
+    grad = (reward_vjp(model, (a - a.mean()) @ (b - b.mean(axis=0)))
+            / (n - 1) / (alpha * t_hor))
     return grad, {"mean_h": float(a.mean() / t_hor),
                   "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
 

@@ -1,54 +1,84 @@
-"""Reward parameterizations and their exact parameter jacobians."""
+"""Reward parameterizations and their vector-Jacobian products."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from firl.mdp import build_gridworld
 from firl.reward_model import (RewardModel, apply_update, default_features,
-                               mlp_reward, reward_from_dict, reward_jacobian,
-                               reward_to_dict, reward_vector, reward_vjp,
-                               tabular_reward)
+                               mlp_reward, reward_from_dict, reward_to_dict,
+                               reward_vector, reward_vjp, tabular_reward)
 
 
-def _fd_jacobian(model, eps=1e-6):
-    jac = np.zeros((len(reward_vector(model)), model.n_params))
+def _fd_vjp(model, x, eps=1e-6):
+    # central difference of x . r_theta along each parameter
+    grad = np.zeros(model.n_params)
     for i in range(model.n_params):
         step = np.zeros(model.n_params)
         step[i] = eps
         up = reward_vector(apply_update(model, step))
         dn = reward_vector(apply_update(model, -step))
-        jac[:, i] = (up - dn) / (2 * eps)
-    return jac
+        grad[i] = x @ (up - dn) / (2 * eps)
+    return grad
 
 
 def _grid_features():
     return default_features(build_gridworld(4, 3, horizon=2))
 
 
-def test_tabular_jacobian_is_identity():
-    model = tabular_reward(5)
-    assert np.array_equal(reward_jacobian(model), np.eye(5))
+def _perturbed(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tabular":
+        model = tabular_reward(12)
+    else:
+        model = mlp_reward(_grid_features(), hidden=(5, 4), seed=seed)
+    return apply_update(model, rng.normal(0, 0.4, model.n_params))
 
 
-def test_vjp_is_the_product_with_the_jacobian():
+def test_tabular_vjp_returns_the_cotangent_as_floats():
+    # the identity derivative: no (S, S) table, and integer counts in
+    x = np.array([0, 3, 1, 2, 5])
+    got = reward_vjp(tabular_reward(5), x)
+    assert got.dtype == float
+    assert np.array_equal(got, x)
+    assert np.abs(got - _fd_vjp(tabular_reward(5), x)).max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+def test_vjp_matches_a_central_difference(kind):
     rng = np.random.default_rng(1)
-    tab = apply_update(tabular_reward(12), rng.normal(size=12))
-    mlp = mlp_reward(_grid_features(), hidden=(5, 4), seed=2)
-    for model in (tab, mlp):
-        for x in (rng.normal(size=12), rng.integers(0, 5, size=(3, 12))):
-            got = reward_vjp(model, x)
-            assert got.dtype == float
-            assert np.array_equal(got, x @ reward_jacobian(model))
+    model = _perturbed(kind, seed=2)
+    for x in (rng.normal(size=12), rng.integers(0, 5, size=12)):
+        got = reward_vjp(model, x)
+        fd = _fd_vjp(model, x)
+        assert got.dtype == float and got.shape == (model.n_params,)
+        assert np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-7
 
 
-def test_mlp_jacobian_matches_finite_differences():
-    model = mlp_reward(_grid_features(), hidden=(5, 4), seed=3)
-    model = apply_update(model, np.random.default_rng(0).normal(0, 0.4,
-                                                                model.n_params))
-    jac = reward_jacobian(model)
-    fd = _fd_jacobian(model)
-    denom = max(np.abs(fd).max(), 1e-12)
-    assert np.abs(jac - fd).max() / denom < 1e-5
+def test_mlp_vjp_of_a_unit_cotangent_is_one_state_gradient():
+    # each e_s picks one row of the derivative: the gradient of r_theta(s)
+    model = _perturbed("mlp", seed=3)
+    for s in range(12):
+        x = np.zeros(12)
+        x[s] = 1.0
+        fd = _fd_vjp(model, x)
+        assert np.abs(reward_vjp(model, x) - fd).max() / np.abs(fd).max() < 1e-7
+
+
+def test_mlp_vjp_never_forms_the_dense_derivative():
+    # a default (64, 64) net on a 30 x 30 grid has 4,481 params: the
+    # (S, n_params) table alone would take 31 MB, the backward pass a
+    # few (S, 64) activations
+    model = mlp_reward(default_features(build_gridworld(30, 30, horizon=2)))
+    x = np.random.default_rng(4).normal(size=900)
+    tracemalloc.start()
+    try:
+        reward_vjp(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_mlp_default_hidden_is_64_64():
