@@ -37,12 +37,11 @@ def _perturbed(kind, seed):
 
 
 def test_tabular_vjp_returns_the_cotangent_as_floats():
-    # the identity derivative: no (S, S) table, and integer counts in
+    # the identity derivative, exactly: no (S, S) table, integer counts in
     x = np.array([0, 3, 1, 2, 5])
     got = reward_vjp(tabular_reward(5), x)
     assert got.dtype == float
     assert np.array_equal(got, x)
-    assert np.abs(got - _fd_vjp(tabular_reward(5), x)).max() < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["tabular", "mlp"])
