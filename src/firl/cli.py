@@ -31,7 +31,7 @@ from .scenarios import (density_matching, dynamics_transfer,
                         percentile_weights, prior_reward_downstream,
                         reward_recovery_check, run_scenario, task_prior)
 from .soft_solver import forward_marginals, soft_backward
-from .trainer import ESTIMATORS
+from .trainer import ESTIMATORS, expert_form
 
 GRADCHECK_TOL = 1e-4
 
@@ -202,7 +202,7 @@ def _cmd_eval(args):
     with _emit(args, cfg) as run_dir:
         report = {"alpha": sc.cfg.alpha}
         # only a density expert has an exact divergence, as in metrics.csv
-        if isinstance(sc.expert, np.ndarray):
+        if expert_form(sc.expert)[0] == "density":
             for kind in ("fkl", "rkl"):
                 report["exact_" + kind] = divergence_exact(kind, sc.expert,
                                                            sol.marginal_avg)

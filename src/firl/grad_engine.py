@@ -16,8 +16,9 @@ evaluation routes live here:
 
 plus a central-difference oracle used only for verification. exact and
 mixture share the agent's moments; exact, mixture and enumerate share
-the final contraction. Every route works in state space and makes one
-reward_vjp call on an (S,) vector at the end.
+the final contraction. Every route works in state space, makes one
+reward_vjp call on an (S,) vector at the end and returns the
+(n_params,) float gradient, refusing one with a non-finite entry.
 """
 
 import numpy as np
@@ -32,15 +33,12 @@ from .soft_solver import (enumerate_trajectories, forward_marginals,
 FD_PARAM_CAP = 256
 
 
-class GradReport:
-    """grad (n_params,) and diagnostics; estimator names the route in the
-    error a non-finite gradient raises."""
-
-    def __init__(self, grad, estimator, diagnostics=None):
-        self.grad = np.asarray(grad, dtype=float)
-        if not np.isfinite(self.grad).all():
-            raise ValueError("%s produced a non-finite gradient" % estimator)
-        self.diagnostics = diagnostics or {}
+def _finite(grad, route):
+    """grad, refused when an entry is not finite; route names the
+    estimator in the error."""
+    if not np.isfinite(grad).all():
+        raise ValueError("%s produced a non-finite gradient" % route)
+    return grad
 
 
 def _h_table(kind, rho_e, marginal_avg):
@@ -68,14 +66,11 @@ def _agent_moments(mdp, sol, h):
     return t_hor * h * rho + fwd + bwd, t_hor * (rho @ h), t_hor * rho
 
 
-def _covariance_report(model, alpha, t_hor, h, moments, estimator):
+def _covariance_grad(model, alpha, t_hor, moments, route):
     """grad = reward_vjp(E[a b] - E[a] E[b]) / (alpha T) from moments
-    (E[a b], E[a], E[b]), with the h diagnostics."""
+    (E[a b], E[a], E[b])."""
     e_ab, e_a, e_b = moments
-    grad = reward_vjp(model, e_ab - e_a * e_b) / (alpha * t_hor)
-    diag = {"mean_h": float(e_a / t_hor),
-            "h_min": float(h.min()), "h_max": float(h.max())}
-    return GradReport(grad, estimator, diagnostics=diag)
+    return _finite(reward_vjp(model, e_ab - e_a * e_b) / (alpha * t_hor), route)
 
 
 def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
@@ -91,8 +86,8 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
     sol, the forward solve for model at alpha.
     """
     h = _h_table(kind, rho_e, sol.marginal_avg)
-    return _covariance_report(model, alpha, mdp.horizon, h,
-                              _agent_moments(mdp, sol, h), "exact")
+    return _covariance_grad(model, alpha, mdp.horizon,
+                            _agent_moments(mdp, sol, h), "exact")
 
 
 def analytic_grad_mc(batch, model, alpha, kind, ratio):
@@ -100,11 +95,10 @@ def analytic_grad_mc(batch, model, alpha, kind, ratio):
     state rows whose s_0 is skipped; ratio is a clipped per-state table
     from density_ratio. The centred h sums are contracted with the
     centred (n, S) visit counts first, and reward_vjp maps the (S,)
-    result. The diagnostics give the spread of the h sums. Counts past
-    mdp.TABLE_BYTES_CAP are refused before they form, and the flat
-    visit index dies inside bincount's call, so at most two
-    (n, S)-sized tables are alive at once."""
-    body = batch.states[:, 1:]
+    result. Counts past mdp.TABLE_BYTES_CAP are refused before they
+    form, and the flat visit index dies inside bincount's call, so at
+    most two (n, S)-sized tables are alive at once."""
+    body = batch[:, 1:]
     n, t_hor = body.shape
     if n < 2:
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
@@ -117,10 +111,7 @@ def analytic_grad_mc(batch, model, alpha, kind, ratio):
                     minlength=n * n_states).reshape(n, n_states)
     a_mean = a.sum() / n   # ndarray.mean's arithmetic, without its wrapper
     cov = (a - a_mean) @ (b - b.sum(axis=0) / n)
-    grad = reward_vjp(model, cov) / (n - 1) / (alpha * t_hor)
-    diag = {"mean_h": float(a_mean / t_hor),
-            "sum_h_min": float(a.min()), "sum_h_max": float(a.max())}
-    return GradReport(grad, "mc", diagnostics=diag)
+    return _finite(reward_vjp(model, cov) / (n - 1) / (alpha * t_hor), "mc")
 
 
 def analytic_grad_mixture(mdp, model, alpha, kind, ratio, expert, sol):
@@ -131,7 +122,7 @@ def analytic_grad_mixture(mdp, model, alpha, kind, ratio, expert, sol):
     the demo half is plain means over their (n, T+1) rows, which a
     bootstrap of them averages to. Like analytic_grad_exact, it is the
     derivative only without slip and from a point start."""
-    body = expert.states[:, 1:]
+    body = expert[:, 1:]
     n_e, t_hor = body.shape
     if t_hor != mdp.horizon:
         raise ValueError("expert horizon %d differs from the mdp's %d"
@@ -142,7 +133,7 @@ def analytic_grad_mixture(mdp, model, alpha, kind, ratio, expert, sol):
     demo = (np.bincount(visits, a_e.repeat(t_hor), minlength=len(h)) / n_e,
             a_e.sum() / n_e, np.bincount(visits, minlength=len(h)) / n_e)
     pool = [(x + y) / 2 for x, y in zip(_agent_moments(mdp, sol, h), demo)]
-    return _covariance_report(model, alpha, t_hor, h, pool, "mixture")
+    return _covariance_grad(model, alpha, t_hor, pool, "mixture")
 
 
 def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):
@@ -165,7 +156,7 @@ def fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=1e-5):
         step[i] = eps
         grad[i] = (loss(apply_update(model, step))
                    - loss(apply_update(model, -step))) / (2 * eps)
-    return GradReport(grad, "fd_oracle")
+    return _finite(grad, "fd_oracle")
 
 
 def enumeration_grad(mdp, model, alpha, kind, rho_e, sol):
@@ -182,7 +173,7 @@ def enumeration_grad(mdp, model, alpha, kind, rho_e, sol):
     moments = (np.bincount(visits, (probs * a).repeat(t_hor), minlength=len(h)),
                probs @ a,
                np.bincount(visits, probs.repeat(t_hor), minlength=len(h)))
-    return _covariance_report(model, alpha, t_hor, h, moments, "enumerate")
+    return _covariance_grad(model, alpha, t_hor, moments, "enumerate")
 
 
 def _random_instance(rng, index):
@@ -230,8 +221,8 @@ def gradcheck_suite(n_instances=20, seed=0, eps=1e-5):
         mdp, rho_e, model, alpha = _random_instance(rng, i)
         kind = KINDS[i % len(KINDS)]
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), alpha))
-        ga = analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol).grad
-        gf = fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=eps).grad
+        ga = analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol)
+        gf = fd_grad_oracle(mdp, model, alpha, kind, rho_e, eps=eps)
         rel = float(np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12))
         records.append({
             "instance": i,

@@ -13,8 +13,7 @@ import numpy as np
 from .kl_eval import policy_return
 from .mdp import build_gridworld
 from .reward_model import reward_vector
-from .soft_solver import (TrajectoryBatch, forward_marginals,
-                          sample_trajectories, soft_backward)
+from .soft_solver import forward_marginals, sample_trajectories, soft_backward
 from .trainer import (TrainConfig, check_expert_fit, run_firl,
                       shaped_prior_reward)
 
@@ -119,9 +118,9 @@ def irl_from_trajectories(mdp, n_expert_traj, gt_reward, seed=0,
         raise ValueError("pool_size must cover n_expert_traj")
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt_reward, expert_alpha))
     pool = sample_trajectories(mdp, sol_e, pool_size, seed)
-    returns = gt_reward[pool.states[:, 1:]].sum(axis=1)
+    returns = gt_reward[pool[:, 1:]].sum(axis=1)
     top = np.argsort(-returns, kind="stable")[:n_expert_traj]
-    expert = TrajectoryBatch(pool.states[top])
+    expert = pool[top]
     cfg = TrainConfig(seed=seed, kind="fkl", alpha=0.5,
                       iterations=600, reward_lr=0.05, estimator="mixture",
                       batch_size=256, ratio_mode="discriminator",

@@ -179,16 +179,6 @@ def pairwise_marginals(mdp, sol, h):
     return fwd, bwd
 
 
-class TrajectoryBatch:
-    """states (n, T+1) int64 rows s_0..s_T."""
-
-    def __init__(self, states):
-        self.states = np.asarray(states, dtype=np.int64)
-        if self.states.ndim != 2:
-            raise ValueError("trajectory batch must be 2-d, shaped "
-                             "(n, horizon + 1)")
-
-
 def sample_trajectories(mdp, sol, n, seed):
     """n rollouts of the solved policy, deterministic in seed; the 2T+1
     uniform blocks come from one call in the same stream. The CDFs are
@@ -202,7 +192,8 @@ def sample_trajectories(mdp, sol, n, seed):
     0, whose entry repeats its left neighbour's, is never drawn. With one
     successor per row (no slip) that draw always picks it and is skipped,
     its uniforms still generated. The walk fills time-major (T+1, n)
-    rows, transposed once at the end. n whose uniforms would pass
+    rows, transposed once at the end into the returned (n, T+1) int64
+    C-contiguous rows s_0..s_T. n whose uniforms would pass
     mdp.TABLE_BYTES_CAP is refused before any draw."""
     if n < 1:
         raise ValueError("need at least one trajectory")
@@ -226,7 +217,7 @@ def sample_trajectories(mdp, sol, n, seed):
             c = step_cdf.take(row, axis=1)
             row = row * n_k + (c[:-1] <= u[2 * t + 2] * c[-1]).sum(axis=0)
         states[t + 1] = succ.take(row)
-    return TrajectoryBatch(np.ascontiguousarray(states.T))
+    return np.ascontiguousarray(states.T)
 
 
 def enumerate_trajectories(mdp, sol):

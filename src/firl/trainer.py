@@ -21,8 +21,8 @@ from .kl_eval import (KNN_K, PROBES, PROBES_MIN, CellCloud, cell_gaps, knn_kl,
                       policy_return)
 from .mdp import check_table_bytes, reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
-from .soft_solver import (TimedReward, TrajectoryBatch, forward_marginals,
-                          sample_trajectories, soft_backward)
+from .soft_solver import (TimedReward, forward_marginals, sample_trajectories,
+                          soft_backward)
 
 ESTIMATORS = ("exact", "mc", "mixture")
 RATIO_MODES = ("exact_table", "discriminator")
@@ -128,17 +128,18 @@ class TrainResult:
         self.wall_clock = wall_clock
 
 
-def _expert_form(expert):
+def expert_form(expert):
     """Classify the expert input: ('density', ExpertDensity; a float vector
-    is taken as normalized) or ('trajectories', batch; an int array is
-    taken as (n, horizon + 1) state rows)."""
+    is taken as normalized) or ('trajectories', int64 rows; an int array
+    must be 2-d, (n, horizon + 1) state rows)."""
     if isinstance(expert, ExpertDensity):
         return "density", expert
-    if isinstance(expert, TrajectoryBatch):
-        return "trajectories", expert
     arr = np.asarray(expert)
     if arr.dtype.kind in "iu":
-        return "trajectories", TrajectoryBatch(arr)
+        if arr.ndim != 2:
+            raise ValueError("trajectory batch must be 2-d, shaped "
+                             "(n, horizon + 1)")
+        return "trajectories", arr.astype(np.int64, copy=False)
     return "density", ExpertDensity(arr)
 
 
@@ -155,7 +156,7 @@ def check_expert_fit(mdp, expert, cfg):
     (rho_e, expert_flat, expert_data): the ExpertDensity or None, the
     visits after s_0 or None, the classified input."""
     cfg.validate()
-    form, expert_data = _expert_form(expert)
+    form, expert_data = expert_form(expert)
     if cfg.ratio_mode == "exact_table" and form != "density":
         raise ValueError("exact_table ratio mode needs an expert density")
     if cfg.ratio_mode == "discriminator" and form == "density":
@@ -173,9 +174,9 @@ def check_expert_fit(mdp, expert, cfg):
         if form != "trajectories":
             raise ValueError("mixture estimator needs expert trajectories "
                              "shaped (n, horizon + 1)")
-        if expert_data.states.shape[1] != mdp.horizon + 1:
+        if expert_data.shape[1] != mdp.horizon + 1:
             raise ValueError("expert trajectories have horizon %d, mdp has %d"
-                             % (expert_data.states.shape[1] - 1, mdp.horizon))
+                             % (expert_data.shape[1] - 1, mdp.horizon))
     rho_e = expert_flat = None
     if form == "density":
         rho_e = expert_data
@@ -192,12 +193,11 @@ def check_expert_fit(mdp, expert, cfg):
                                  "state: state %d is reachable in 1..%d steps "
                                  "but has zero density" % (empty[0], mdp.horizon))
     else:
-        states = expert_data.states
-        outside = states[(states < 0) | (states >= mdp.n_states)]
+        outside = expert_data[(expert_data < 0) | (expert_data >= mdp.n_states)]
         if outside.size:
             raise ValueError("expert state index %d is outside 0..%d"
                              % (outside[0], mdp.n_states - 1))
-        expert_flat = states[:, 1:].ravel()
+        expert_flat = expert_data[:, 1:].ravel()
         if expert_flat.size <= KNN_K:
             raise ValueError("knn_kl needs more than %d points: the expert cloud "
                              "holds %d" % (KNN_K, expert_flat.size))
@@ -269,28 +269,28 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
                                                        cfg.alpha))
             _check_collapse(it, mdp, sol, occupied)
             if cfg.estimator == "exact":
-                report = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
-                                             sol)
+                grad = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
+                                           sol)
             elif cfg.estimator == "mixture":
                 ratio = np.exp(discriminator_fit(expert_flat, sol.marginal_avg))
-                report = analytic_grad_mixture(mdp, model, cfg.alpha, cfg.kind,
-                                               ratio, expert_data, sol)
+                grad = analytic_grad_mixture(mdp, model, cfg.alpha, cfg.kind,
+                                             ratio, expert_data, sol)
             else:
                 batch = sample_trajectories(mdp, sol, cfg.batch_size,
                                             int(rng_batch.integers(2 ** 63 - 1)))
                 if cfg.ratio_mode == "discriminator":
                     ratio = np.exp(discriminator_fit(
-                        expert_flat, state_frequencies(batch.states[:, 1:],
+                        expert_flat, state_frequencies(batch[:, 1:],
                                                        mdp.n_states)))
                 else:
                     ratio = exact_ratio(rho_e, sol.marginal_avg)
-                report = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
-            _check_grad_scale(it, report.grad, grad_cap)
-            row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report)
+                grad = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
+            _check_grad_scale(it, grad, grad_cap)
+            row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, grad)
             metrics.append(row)
             if it % cfg.eval_every == 0:
                 evaluated.append((row, sol.marginal_avg))
-            opt, delta = optimizer_step(opt, report.grad, cfg.reward_lr)
+            opt, delta = optimizer_step(opt, grad, cfg.reward_lr)
             model = apply_update(model, delta)
         expert_cloud = cloud.result()
     for row, marginal in evaluated:
@@ -324,11 +324,11 @@ def _check_collapse(it, mdp, sol, occupied):
                          "the target" % (it, lost[0], mdp.horizon))
 
 
-def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, report):
+def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, grad):
     row = {c: float("nan") for c in METRIC_COLUMNS}
     row["iteration"] = it
     # what np.linalg.norm computes for a 1-d float vector
-    row["grad_norm"] = float(np.sqrt(report.grad @ report.grad))
+    row["grad_norm"] = float(np.sqrt(grad @ grad))
     if rho_e is not None and rho_e.normalized:
         exact = {kind: divergence_exact(kind, rho_e, sol.marginal_avg)
                  for kind in {"fkl", "rkl", cfg.kind}}

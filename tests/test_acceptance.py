@@ -92,8 +92,8 @@ def test_criterion_02_contraction_equals_trajectory_enumeration():
         mdp, model, rho_e, sol = _instance(seed=seed, slip=slip, alpha=0.8)
         for kind in KINDS:
             ga = analytic_grad_exact(mdp, model, 0.8, kind,
-                                     rho_e=rho_e, sol=sol).grad
-            ge = enumeration_grad(mdp, model, 0.8, kind, rho_e, sol=sol).grad
+                                     rho_e=rho_e, sol=sol)
+            ge = enumeration_grad(mdp, model, 0.8, kind, rho_e, sol=sol)
             worst = max(worst, float(np.linalg.norm(ga - ge)))
     _report(2, worst < 1e-10,
             "max deviation %.3g < 1e-10 over 9 instance/kind pairs" % worst)
@@ -104,7 +104,7 @@ def test_criterion_03_gradient_vanishes_at_the_matched_density():
     matched = ExpertDensity(sol.marginal_avg)
     worst = max(float(np.linalg.norm(
         analytic_grad_exact(mdp, model, 1.0, kind,
-                            rho_e=matched, sol=sol).grad))
+                            rho_e=matched, sol=sol)))
         for kind in KINDS)
     _report(3, worst < 1e-9, "max gradient norm %.3g < 1e-9" % worst)
 
@@ -112,12 +112,12 @@ def test_criterion_03_gradient_vanishes_at_the_matched_density():
 def test_criterion_04_rkl_gradient_ignores_density_scale():
     mdp, model, rho_e, sol = _instance(seed=5)
     base = analytic_grad_exact(mdp, model, 1.0, "rkl",
-                               rho_e=rho_e, sol=sol).grad
+                               rho_e=rho_e, sol=sol)
     worst = max(float(np.max(np.abs(
         analytic_grad_exact(
             mdp, model, 1.0, "rkl",
             rho_e=ExpertDensity(c * rho_e, normalized=False),
-            sol=sol).grad - base)))
+            sol=sol) - base)))
         for c in (0.1, 2.0, 10.0))
     _report(4, worst < 1e-12,
             "max deviation %.3g < 1e-12 for scales 0.1, 2, 10" % worst)

@@ -8,6 +8,7 @@ import collections
 import csv
 import functools
 import glob
+import importlib.util
 import json
 import math
 import os
@@ -454,19 +455,21 @@ def test_importing_the_cli_loads_every_firl_module():
     subprocess.run([sys.executable, "-c", code] + modules, env=env, check=True)
 
 
-# the spans perfbench/run.py requires to record calls on its irl_demos
-# workload, and on gauss_exact and grid_large, named as it names them:
-# module (without "firl.") and function
-_IRL_DEMOS_SPANS = ("mdp.build_gridworld", "scenarios.irl_from_trajectories",
-                    "soft_solver.soft_backward", "soft_solver.forward_marginals",
-                    "soft_solver.step_kernel", "kl_eval.knn_kl",
-                    "soft_solver.sample_trajectories",
-                    "density_ratio.discriminator_fit",
-                    "grad_engine.analytic_grad_mixture")
-_DENSITY_SPANS = ("mdp.build_gridworld", "scenarios.density_matching",
-                  "soft_solver.soft_backward", "soft_solver.forward_marginals",
-                  "soft_solver.step_kernel", "soft_solver.pairwise_marginals",
-                  "grad_engine.analytic_grad_exact", "kl_eval.knn_kl")
+def _benchmark_workloads():
+    # perfbench/run.py, loaded by path, names the spans its traced children
+    # require to record calls: module (without "firl.") and function
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.WORKLOADS
+
+
+_WORKLOADS = _benchmark_workloads()
+_IRL_DEMOS_SPANS = _WORKLOADS["irl_demos"]["spans"]
+_DENSITY_SPANS = sorted(set(_WORKLOADS["gauss_exact"]["spans"])
+                        | set(_WORKLOADS["grid_large"]["spans"]))
 
 
 def _count_public_calls(monkeypatch):

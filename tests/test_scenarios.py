@@ -96,7 +96,7 @@ def test_irl_scenario_freezes_the_training_recipe():
     assert sc.cfg.ratio_mode == "discriminator"
     assert sc.cfg.batch_size == 256 and sc.cfg.reward_lr == 0.05
     assert sc.cfg.iterations == 600 and sc.cfg.eval_every == 100
-    assert sc.expert.states.shape == (4, mdp.horizon + 1)
+    assert sc.expert.shape == (4, mdp.horizon + 1)
     assert sc.notes["expert_marginal"].shape == (16,)
 
 
@@ -105,8 +105,8 @@ def test_irl_demonstrations_are_the_best_of_the_pool():
     sc = irl_from_trajectories(mdp, 4, gt, seed=seed, pool_size=50)
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt, 0.3))
     pool = sample_trajectories(mdp, sol_e, 50, seed)
-    returns = np.sort(gt[pool.states[:, 1:]].sum(axis=1))[::-1]
-    demo_returns = gt[sc.expert.states[:, 1:]].sum(axis=1)
+    returns = np.sort(gt[pool[:, 1:]].sum(axis=1))[::-1]
+    demo_returns = gt[sc.expert[:, 1:]].sum(axis=1)
     assert np.array_equal(np.sort(demo_returns)[::-1], returns[:4])
     assert sc.notes["expert_demo_return"] == pytest.approx(demo_returns.mean())
 

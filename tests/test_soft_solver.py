@@ -10,10 +10,9 @@ import firl.mdp
 from firl.grad_engine import analytic_grad_exact, enumeration_grad
 from firl.mdp import FiniteMdp, build_gridworld, reachable_states
 from firl.reward_model import apply_update, reward_vector, tabular_reward
-from firl.soft_solver import (SoftSolution, TimedReward, TrajectoryBatch,
-                              enumerate_trajectories, forward_marginals,
-                              pairwise_marginals, sample_trajectories,
-                              soft_backward, step_kernel)
+from firl.soft_solver import (SoftSolution, TimedReward, enumerate_trajectories,
+                              forward_marginals, pairwise_marginals,
+                              sample_trajectories, soft_backward, step_kernel)
 from firl.trainer import TrainConfig, run_firl
 
 
@@ -206,7 +205,7 @@ def test_sampling_matches_exact_marginals():
     sol = forward_marginals(mdp, soft_backward(mdp, rng.normal(size=9), 1.0))
     batch = sample_trajectories(mdp, sol, 100_000, seed=6)
     for t in range(mdp.horizon + 1):
-        emp = np.bincount(batch.states[:, t], minlength=9) / len(batch.states)
+        emp = np.bincount(batch[:, t], minlength=9) / len(batch)
         tv = 0.5 * np.abs(emp - sol.marginals_t[t]).sum()
         assert tv < 0.01
 
@@ -217,9 +216,9 @@ def test_sampling_is_seed_deterministic():
     a = sample_trajectories(mdp, sol, 50, seed=9)
     b = sample_trajectories(mdp, sol, 50, seed=9)
     c = sample_trajectories(mdp, sol, 50, seed=10)
-    assert np.array_equal(a.states, b.states)
-    assert not np.array_equal(a.states, c.states)
-    assert a.states.shape == (50, 4)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (50, 4) and a.dtype == np.int64
 
 
 def _reference_sample(mdp, sol, n, seed):
@@ -250,8 +249,7 @@ def test_sampling_equals_the_per_step_cumsum_draws(slip, n):
         r = np.random.default_rng(seed).normal(size=mdp.n_states)
         sol = soft_backward(mdp, r, 0.7)
         batch = sample_trajectories(mdp, sol, n, seed=100 + seed)
-        assert np.array_equal(batch.states,
-                              _reference_sample(mdp, sol, n, 100 + seed))
+        assert np.array_equal(batch, _reference_sample(mdp, sol, n, 100 + seed))
 
 
 @pytest.mark.parametrize("n", [1, 256])
@@ -260,9 +258,8 @@ def test_sampling_on_a_dense_p_equals_the_per_step_cumsum_draws(n):
     for seed in range(5):
         sol = soft_backward(mdp, rng.normal(size=mdp.n_states), 0.7)
         batch = sample_trajectories(mdp, sol, n, seed=200 + seed)
-        assert np.array_equal(batch.states,
-                              _reference_sample(mdp, sol, n, 200 + seed))
-        assert batch.states.flags.c_contiguous
+        assert np.array_equal(batch, _reference_sample(mdp, sol, n, 200 + seed))
+        assert batch.flags.c_contiguous
 
 
 def _random_sparse_mdp(n_s, n_a, horizon, seed):
@@ -287,8 +284,7 @@ def test_sampling_on_random_mdps_equals_the_per_step_cumsum_draws(make, n_a, n):
         sol = soft_backward(mdp, rng.normal(size=mdp.n_states),
                             rng.uniform(0.2, 2.0))
         batch = sample_trajectories(mdp, sol, n, seed=300 + seed)
-        assert np.array_equal(batch.states,
-                              _reference_sample(mdp, sol, n, 300 + seed))
+        assert np.array_equal(batch, _reference_sample(mdp, sol, n, 300 + seed))
 
 
 def test_sampling_never_draws_an_action_whose_probability_underflowed():
@@ -311,12 +307,11 @@ def test_sampling_never_draws_an_action_whose_probability_underflowed():
     sol = SoftSolution(policy, np.zeros((horizon + 1, n_s)))
     for seed in range(5):
         batch = sample_trajectories(mdp, sol, 256, seed=400 + seed)
-        s = batch.states[:, :-1]
-        a = (batch.states[:, 1:] - s) % n_s
+        s = batch[:, :-1]
+        a = (batch[:, 1:] - s) % n_s
         assert (policy[np.arange(horizon), s, a] > 0).all()
         assert (s == 0).any()
-        assert np.array_equal(batch.states,
-                              _reference_sample(mdp, sol, 256, 400 + seed))
+        assert np.array_equal(batch, _reference_sample(mdp, sol, 256, 400 + seed))
 
 
 def _reference_solve(mdp, timed, alpha):
@@ -568,7 +563,7 @@ def test_every_per_iteration_layer_runs_without_the_dense_p(slip):
     sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), 0.7))
     assert np.isfinite(np.concatenate(pairwise_marginals(mdp, sol, rho_e))).all()
     for grad in (analytic_grad_exact, enumeration_grad):
-        assert np.isfinite(grad(mdp, model, 0.7, "fkl", rho_e, sol).grad).all()
+        assert np.isfinite(grad(mdp, model, 0.7, "fkl", rho_e, sol)).all()
     demos = sample_trajectories(mdp, sol, 8, seed=14)
     assert reachable_states(mdp).all()    # every cell is within 4 moves of 0
     for expert, estimator, ratio_mode in ((rho_e, "exact", "exact_table"),
@@ -604,8 +599,6 @@ def test_timed_reward_shape_checks():
         soft_backward(mdp, TimedReward(np.zeros((5, 3))), 1.0)
 
 
-def test_trajectory_batch_validation():
-    with pytest.raises(ValueError, match="2-d"):
-        TrajectoryBatch(np.zeros(4, dtype=np.int64))
+def test_soft_backward_refuses_a_non_positive_alpha():
     with pytest.raises(ValueError, match="alpha"):
         soft_backward(_chain(), np.zeros(3), alpha=0.0)

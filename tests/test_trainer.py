@@ -191,7 +191,7 @@ def test_run_is_bitwise_deterministic():
     gt = np.zeros(9)
     gt[8] = 1.0
     expert_sol = forward_marginals(mdp, soft_backward(mdp, gt, 0.5))
-    demos = sample_trajectories(mdp, expert_sol, 20, seed=1).states
+    demos = sample_trajectories(mdp, expert_sol, 20, seed=1)
 
     def go():
         cfg = _small_cfg(estimator="mixture", ratio_mode="discriminator",
@@ -272,7 +272,7 @@ def test_expert_input_and_mode_mismatches_are_rejected():
     mdp = build_gridworld(2, 2, horizon=3)
     rho_e = _uniform_marginal(mdp).marginal_avg
     sol = _uniform_marginal(mdp)
-    demos = sample_trajectories(mdp, sol, 8, seed=2).states
+    demos = sample_trajectories(mdp, sol, 8, seed=2)
     with pytest.raises(ValueError, match="needs an expert density"):
         run_firl(mdp, demos, _small_cfg())
     with pytest.raises(ValueError, match="needs expert state samples"):
@@ -331,10 +331,18 @@ def test_only_rkl_accepts_an_unnormalized_energy():
     assert isinstance(rho, ExpertDensity) and rho.normalized
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 4, 3)], ids=["1-d", "3-d"])
+def test_check_expert_fit_refuses_an_int_expert_that_is_not_2_d(shape):
+    mdp = build_gridworld(2, 2, horizon=3)
+    cfg = _small_cfg(estimator="mixture", ratio_mode="discriminator")
+    with pytest.raises(ValueError, match="must be 2-d, shaped"):
+        check_expert_fit(mdp, np.zeros(shape, dtype=np.int64), cfg)
+
+
 def test_flat_expert_states_drive_the_sampled_ratio_modes():
     mdp = build_gridworld(3, 3, horizon=4)
     sol = _uniform_marginal(mdp)
-    demos = sample_trajectories(mdp, sol, 30, seed=3).states
+    demos = sample_trajectories(mdp, sol, 30, seed=3)
     cfg = _small_cfg(estimator="mc", ratio_mode="discriminator", batch_size=32,
                      iterations=2)
     result = run_firl(mdp, demos, cfg)
@@ -354,7 +362,7 @@ def test_every_public_firl_function_runs_on_the_main_thread(monkeypatch, route):
         gt = np.zeros(9)
         gt[8] = 1.0
         sol = forward_marginals(mdp, soft_backward(mdp, gt, 0.5))
-        expert = sample_trajectories(mdp, sol, 20, seed=1).states
+        expert = sample_trajectories(mdp, sol, 20, seed=1)
         cfg = _small_cfg(estimator="mixture", ratio_mode="discriminator",
                          batch_size=32)
     modules = [m for name, m in sorted(sys.modules.items())
@@ -414,7 +422,7 @@ def test_the_knn_probes_meet_the_byte_cap_before_training(monkeypatch, expert_ki
         expert, cfg, rows = np.full(9, 1 / 9), _small_cfg(), 3600
     else:
         sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
-        expert = sample_trajectories(mdp, sol, 8, seed=3).states
+        expert = sample_trajectories(mdp, sol, 8, seed=3)
         cfg, rows = _small_cfg(estimator="mixture", ratio_mode="discriminator"), 336
     monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 16 * rows - 1)
     with pytest.raises(ValueError, match=r"kNN probe points \(m, 2\) = \(%d, 2\)"
@@ -431,7 +439,7 @@ def test_the_batch_meets_the_byte_cap_before_training(monkeypatch):
     # no batch, so batch_size allocates nothing there
     mdp = build_gridworld(3, 3, horizon=3)
     sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
-    expert = sample_trajectories(mdp, sol, 8, seed=3).states
+    expert = sample_trajectories(mdp, sol, 8, seed=3)
     mc = _small_cfg(estimator="mc", ratio_mode="discriminator", batch_size=1024)
     monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 73727)
     with pytest.raises(ValueError, match=r"visit counts \(n, S\) = \(1024, 9\)"):
