@@ -8,7 +8,7 @@ Run:  python3 demos/gradient_crosscheck.py
 
 import numpy as np
 
-from firl.density_ratio import exact_ratio
+from firl.divergence import h_table
 from firl.grad_engine import (analytic_grad_exact, analytic_grad_mc,
                               enumeration_grad, fd_grad_oracle)
 from firl.mdp import build_gridworld
@@ -32,11 +32,11 @@ def main():
     print("|exact - finite diff| = %.2e" % np.linalg.norm(exact - fd))
     print()
 
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    h = h_table("fkl", rho_e, sol.marginal_avg)
     print("Monte Carlo estimator vs the exact gradient:")
     for n in (200, 2000, 20000):
         batch = sample_trajectories(mdp, sol, n, seed=0)
-        mc = analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+        mc = analytic_grad_mc(batch, model, 1.0, h)
         rel = np.linalg.norm(mc - exact) / np.linalg.norm(exact)
         print("  %6d trajectories  rel error %.4f" % (n, rel))
 

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .divergence import KINDS, divergence_exact
+from .divergence import divergence_exact
 from .grad_engine import gradcheck_suite
 from .kl_eval import policy_return
 from .mdp import GRID_ACTIONS, build_gridworld, modify_dynamics
@@ -31,7 +31,7 @@ from .scenarios import (density_matching, dynamics_transfer,
                         percentile_weights, prior_reward_downstream,
                         reward_recovery_check, run_scenario, task_prior)
 from .soft_solver import forward_marginals, soft_backward
-from .trainer import ESTIMATORS, expert_form
+from .trainer import expert_form
 
 GRADCHECK_TOL = 1e-4
 
@@ -44,14 +44,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_common(p, training=True):
+def _add_common(p):
     p.add_argument("--config", required=True, help="JSON run config")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--out", default=None, help="output root directory")
-    if training:
-        p.add_argument("--estimator", choices=ESTIMATORS)
-        p.add_argument("--divergence", choices=KINDS)
 
 
 def _build_parser():
@@ -68,7 +65,7 @@ def _build_parser():
     p.add_argument("--instances", type=int, default=20)
 
     p = sub.add_parser("eval", help="evaluate a stored reward on a scenario")
-    _add_common(p, training=False)
+    _add_common(p)
 
     p = sub.add_parser("scenario", help="run a scenario with its evaluation suite")
     _add_common(p)
@@ -79,19 +76,10 @@ def _build_parser():
 
 
 def _load(args, config_type=None):
-    """Read and check the config, apply the overrides, check its type."""
+    """Read and check the config, apply --seed, check its type."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    overrides = {k: v for k, v in (("estimator", getattr(args, "estimator", None)),
-                                   ("kind", getattr(args, "divergence", None))) if v}
-    if overrides:
-        if cfg["type"] == "prior_downstream":
-            raise ConfigError("--estimator and --divergence do not apply to "
-                              "a prior_downstream config")
-        # a transfer config trains its nested scenario
-        trained = cfg["scenario"] if cfg["type"] == "transfer" else cfg
-        trained.setdefault("train", {}).update(overrides)
     if config_type is not None and cfg["type"] != config_type:
         raise ConfigError("%s needs a config of type %r"
                           % (args.command, config_type))

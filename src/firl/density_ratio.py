@@ -1,32 +1,17 @@
-"""Estimators for the expert/agent state density ratio u(s).
-
-Two routes: the exact ratio table (known densities), clipped into
-[RATIO_CLIP_LO, RATIO_CLIP_HI], and the closed-form optimum of the
-one-hot logistic discriminator, returned as its (S,) logits
-log c_E - log c_A. An unseen state's frequency reads as the smallest
-normal float, whose log (-708) lies far below any seen state's, so no
-infinity forms and the box takes a one-sided state to +-LOGIT_CLIP.
-Their exp, the ratio c_E / c_A, stays inside the ratio clip range.
+"""The density ratio of expert demonstrations: the closed-form optimum
+of the one-hot logistic discriminator, returned as its (S,) logits
+log c_E - log c_A, the state frequencies it is fitted on, and a
+categorical state sampler. An unseen state's frequency reads as the
+smallest normal float, whose log (-708) lies far below any seen
+state's, so no infinity forms and the box takes a one-sided state to
++-LOGIT_CLIP. A known density needs no estimate: divergence.h_table
+weighs its states directly.
 """
 
 import numpy as np
 
-from .divergence import density_values
-
-DENSITY_FLOOR = 1e-12
-RATIO_CLIP_LO = 1e-8
-RATIO_CLIP_HI = 1e8
 LOGIT_CLIP = 10.0
 _TINY = np.finfo(float).tiny
-
-
-def exact_ratio(rho_e, marginal_avg):
-    """u(s) = rho_E(s) / max(rho_theta(s), DENSITY_FLOOR), clipped."""
-    p = density_values(rho_e)
-    q = np.maximum(np.asarray(marginal_avg, dtype=float), DENSITY_FLOOR)
-    if p.shape != q.shape:
-        raise ValueError("density shapes differ: %r vs %r" % (p.shape, q.shape))
-    return np.clip(p / q, RATIO_CLIP_LO, RATIO_CLIP_HI)
 
 
 def state_frequencies(states, n_states):

@@ -1,5 +1,6 @@
-"""The h transform of the f-divergence generators, the expert density,
-and exact divergence values.
+"""The h transform of the f-divergence generators, the one density-ratio
+rule for a known expert density (h_table), the expert density, and
+exact divergence values.
 
 Natural logarithms throughout; divergences are in nats.
 """
@@ -63,6 +64,24 @@ def h_f(kind, u):
         if kind == "rkl":
             return 1.0 - np.log(u)
         return -np.log1p(u)
+
+
+def h_table(kind, rho_e, marginal_avg):
+    """h_f(u) per state, u = rho_E / rho_theta, with zero weight where the
+    policy never goes: no floor and no clip. Every gradient route on a
+    density expert weighs its states by this table."""
+    p = density_values(rho_e, require_normalized=kind != "rkl")
+    q = np.asarray(marginal_avg, dtype=float)
+    visited = q > 0
+    u = p / np.where(visited, q, 1.0)
+    with np.errstate(divide="ignore"):
+        h = h_f(kind, u)
+    h = np.where(visited, h, 0.0)
+    if not np.all(np.isfinite(h)):
+        bad = int(np.nonzero(~np.isfinite(h))[0][0])
+        raise ValueError("h_%s is not finite at state %d: the policy visits a "
+                         "state with zero expert density" % (kind, bad))
+    return h
 
 
 def divergence_exact(kind, rho_e, rho):

@@ -16,14 +16,16 @@ evaluation routes live here:
 
 plus a central-difference oracle used only for verification. exact and
 mixture share the agent's moments; exact, mixture and enumerate share
-the final contraction. Every route works in state space, makes one
-reward_vjp call on an (S,) vector at the end and returns the
+the final contraction. exact and enumerate weigh the states by
+divergence.h_table against the solve's marginal; mc and mixture take
+that (S,) weight h from the caller. Every route works in state space,
+makes one reward_vjp call on an (S,) vector at the end and returns the
 (n_params,) float gradient, refusing one with a non-finite entry.
 """
 
 import numpy as np
 
-from .divergence import KINDS, density_values, divergence_exact, h_f
+from .divergence import KINDS, divergence_exact, h_table
 from .mdp import FiniteMdp, check_table_bytes, reachable_states
 from .reward_model import (apply_update, default_features, mlp_reward,
                            reward_vector, reward_vjp, tabular_reward)
@@ -39,22 +41,6 @@ def _finite(grad, route):
     if not np.isfinite(grad).all():
         raise ValueError("%s produced a non-finite gradient" % route)
     return grad
-
-
-def _h_table(kind, rho_e, marginal_avg):
-    """h_f(u) per state, with zero weight where the policy never goes."""
-    p = density_values(rho_e, require_normalized=kind != "rkl")
-    q = np.asarray(marginal_avg, dtype=float)
-    visited = q > 0
-    u = p / np.where(visited, q, 1.0)
-    with np.errstate(divide="ignore"):
-        h = h_f(kind, u)
-    h = np.where(visited, h, 0.0)
-    if not np.all(np.isfinite(h)):
-        bad = int(np.nonzero(~np.isfinite(h))[0][0])
-        raise ValueError("h_%s is not finite at state %d: the policy visits a "
-                         "state with zero expert density" % (kind, bad))
-    return h
 
 
 def _agent_moments(mdp, sol, h):
@@ -85,15 +71,16 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
     h is formed from the expert density rho_e against the marginal of
     sol, the forward solve for model at alpha.
     """
-    h = _h_table(kind, rho_e, sol.marginal_avg)
+    h = h_table(kind, rho_e, sol.marginal_avg)
     return _covariance_grad(model, alpha, mdp.horizon,
                             _agent_moments(mdp, sol, h), "exact")
 
 
-def analytic_grad_mc(batch, model, alpha, kind, ratio):
+def analytic_grad_mc(batch, model, alpha, h):
     """Unbiased sample covariance over a batch of policy rollouts, (n, T+1)
-    state rows whose s_0 is skipped; ratio is a clipped per-state table
-    from density_ratio. The centred h sums are contracted with the
+    state rows whose s_0 is skipped, weighed per state by the (S,) h:
+    divergence.h_table on a density expert, h_f of the discriminator's
+    ratio on demonstrations. The centred h sums are contracted with the
     centred (n, S) visit counts first, and reward_vjp maps the (S,)
     result. Counts past mdp.TABLE_BYTES_CAP are refused before they
     form, and the flat visit index dies inside bincount's call, so at
@@ -102,7 +89,6 @@ def analytic_grad_mc(batch, model, alpha, kind, ratio):
     n, t_hor = body.shape
     if n < 2:
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
-    h = h_f(kind, ratio)
     n_states = len(h)
     check_table_bytes("visit counts (n, S)", (n, n_states))
     a = h.take(body).sum(axis=1)
@@ -114,10 +100,11 @@ def analytic_grad_mc(batch, model, alpha, kind, ratio):
     return _finite(reward_vjp(model, cov) / (n - 1) / (alpha * t_hor), "mc")
 
 
-def analytic_grad_mixture(mdp, model, alpha, kind, ratio, expert, sol):
+def analytic_grad_mixture(mdp, model, alpha, h, expert, sol):
     """Covariance over a pool weighing the agent and the demos equally,
-    E = (E_A + E_E) / 2, with a = sum_{t>=1} h(s_t) and b the visit
-    counts over 1..T: grad = reward_vjp(E[a b] - E[a] E[b]) / (alpha T).
+    E = (E_A + E_E) / 2, with a = sum_{t>=1} h(s_t) for the (S,) weight h
+    (h_f of the discriminator's ratio) and b the visit counts over 1..T:
+    grad = reward_vjp(E[a b] - E[a] E[b]) / (alpha T).
     The agent half is exact under sol (_agent_moments, no rollouts);
     the demo half is plain means over their (n, T+1) rows, which a
     bootstrap of them averages to. Like analytic_grad_exact, it is the
@@ -127,7 +114,6 @@ def analytic_grad_mixture(mdp, model, alpha, kind, ratio, expert, sol):
     if t_hor != mdp.horizon:
         raise ValueError("expert horizon %d differs from the mdp's %d"
                          % (t_hor, mdp.horizon))
-    h = h_f(kind, ratio)
     visits = body.ravel()
     a_e = h.take(body).sum(axis=1)
     demo = (np.bincount(visits, a_e.repeat(t_hor), minlength=len(h)) / n_e,
@@ -164,7 +150,7 @@ def enumeration_grad(mdp, model, alpha, kind, rho_e, sol):
     under sol, the forward solve for model at alpha. E[a b] and E[b]
     are the path-weighted visit counts, independent of the pair sweeps
     that _agent_moments runs, and finish as the exact route does."""
-    h = _h_table(kind, rho_e, sol.marginal_avg)
+    h = h_table(kind, rho_e, sol.marginal_avg)
     paths, probs = enumerate_trajectories(mdp, sol)
     body = paths[:, 1:]
     t_hor = body.shape[1]

@@ -12,10 +12,11 @@ STOCHASTIC_TOL = 1e-12
 
 # The most bytes one float table may take: a gridworld's dense P (S, A, S),
 # each (T, S, A K) step table of a solve, the sampled path's rollout
-# uniforms (2T+1, n) and visit counts (n, S), and the kNN cloud's probe
-# points (m, 2). At its worst, an mc sampling step with the kNN cloud
-# building on its worker, a run holds 13.1 tables' worth at once, so
-# 3.3 GiB (README).
+# uniforms (2T+1, n), its per-step policy and successor CDF gathers (A, n)
+# and (K, n), and visit counts (n, S), and the kNN cloud's probe points
+# (m, 2). At its worst, an mc sampling step with the kNN cloud building
+# on its worker, a run holds 11.8 tables' worth at once, so 2.9 GiB
+# (README).
 TABLE_BYTES_CAP = 2 ** 28
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density_ratio import (discriminator_fit, exact_ratio, sample_states,
-                            state_frequencies)
-from .divergence import KINDS, ExpertDensity, divergence_exact
+from .density_ratio import discriminator_fit, sample_states, state_frequencies
+from .divergence import KINDS, ExpertDensity, divergence_exact, h_f, h_table
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
 from .kl_eval import (KNN_K, PROBES, PROBES_MIN, CellCloud, cell_gaps, knn_kl,
@@ -146,15 +145,16 @@ def expert_form(expert):
 def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode and estimator against expert form (the exact estimator needs a
-    density), mc's batch against the byte cap on its rollout uniforms
-    and visit counts, mixture against (n, horizon + 1) trajectories,
-    density length, normalization (only rkl accepts an unnormalized
-    energy), an rkl target's support, expert state indices, more than KNN_K points
-    in the kNN expert cloud, the bound on its probes against the byte
-    cap, and disjoint unit cells around mdp.coords,
-    on which the evaluation takes the agent's density as exact. Returns
-    (rho_e, expert_flat, expert_data): the ExpertDensity or None, the
-    visits after s_0 or None, the classified input."""
+    density), mc's batch against the byte cap on its rollout uniforms,
+    the sampler's per-step gathers and the visit counts, mixture against
+    (n, horizon + 1) trajectories, density length, normalization (only
+    rkl accepts an unnormalized energy), an rkl target's support, expert
+    state indices, more than KNN_K points in the kNN expert cloud, the
+    bound on its probes against the byte cap, and disjoint unit cells
+    around mdp.coords, on which the evaluation takes the agent's density
+    as exact. Returns (rho_e, expert_flat, expert_data): the
+    ExpertDensity or None, the visits after s_0 or None, the classified
+    input."""
     cfg.validate()
     form, expert_data = expert_form(expert)
     if cfg.ratio_mode == "exact_table" and form != "density":
@@ -169,6 +169,11 @@ def check_expert_fit(mdp, expert, cfg):
         # here they refuse the batch before a run directory exists
         check_table_bytes("rollout uniforms (2T+1, n)",
                           (2 * mdp.horizon + 1, cfg.batch_size))
+        check_table_bytes("policy CDF gather (A, n)",
+                          (mdp.n_actions, cfg.batch_size))
+        if mdp.succ.shape[2] > 1:
+            check_table_bytes("step CDF gather (K, n)",
+                              (mdp.succ.shape[2], cfg.batch_size))
         check_table_bytes("visit counts (n, S)", (cfg.batch_size, mdp.n_states))
     if cfg.estimator == "mixture":
         if form != "trajectories":
@@ -221,11 +226,12 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     """Minimize the chosen f-divergence to the expert state density,
     starting from a zero tabular reward.
 
-    expert is a state density, which trains the exact estimator or mc on
-    the exact_table ratio, or expert trajectories shaped
-    (n, horizon + 1), which train mc or mixture (no rollouts) on the
-    discriminator ratio. Returns a TrainResult whose metrics rows follow
-    METRIC_COLUMNS; the kNN KL columns are filled every eval_every
+    expert is a state density, which trains the exact estimator or mc,
+    each weighing the states by divergence.h_table, or expert
+    trajectories shaped (n, horizon + 1), which train mc or mixture (no
+    rollouts) on h_f of the discriminator's ratio; the expert's form,
+    not ratio_mode, picks the rule. Returns a TrainResult whose metrics
+    rows follow METRIC_COLUMNS; the kNN KL columns are filled every eval_every
     iterations and NaN between. Their expert cloud is built on one
     worker thread while the loop trains, so the loop keeps each eval
     iteration's marginal and the columns are filled after the last
@@ -272,19 +278,20 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
                 grad = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
                                            sol)
             elif cfg.estimator == "mixture":
-                ratio = np.exp(discriminator_fit(expert_flat, sol.marginal_avg))
-                grad = analytic_grad_mixture(mdp, model, cfg.alpha, cfg.kind,
-                                             ratio, expert_data, sol)
+                h = h_f(cfg.kind, np.exp(discriminator_fit(expert_flat,
+                                                           sol.marginal_avg)))
+                grad = analytic_grad_mixture(mdp, model, cfg.alpha, h,
+                                             expert_data, sol)
             else:
                 batch = sample_trajectories(mdp, sol, cfg.batch_size,
                                             int(rng_batch.integers(2 ** 63 - 1)))
-                if cfg.ratio_mode == "discriminator":
-                    ratio = np.exp(discriminator_fit(
+                if rho_e is None:
+                    h = h_f(cfg.kind, np.exp(discriminator_fit(
                         expert_flat, state_frequencies(batch[:, 1:],
-                                                       mdp.n_states)))
+                                                       mdp.n_states))))
                 else:
-                    ratio = exact_ratio(rho_e, sol.marginal_avg)
-                grad = analytic_grad_mc(batch, model, cfg.alpha, cfg.kind, ratio)
+                    h = h_table(cfg.kind, rho_e, sol.marginal_avg)
+                grad = analytic_grad_mc(batch, model, cfg.alpha, h)
             _check_grad_scale(it, grad, grad_cap)
             row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, grad)
             metrics.append(row)

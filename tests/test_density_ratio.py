@@ -1,32 +1,16 @@
-"""Ratio estimators: exact table and discriminator."""
+"""The discriminator's ratio estimate and the state sampler."""
 
 import numpy as np
 import pytest
 
-from firl.density_ratio import (LOGIT_CLIP, RATIO_CLIP_HI, discriminator_fit,
-                                exact_ratio, sample_states, state_frequencies)
+from firl.density_ratio import (LOGIT_CLIP, discriminator_fit, sample_states,
+                                state_frequencies)
 
 
 def _fit(expert_states, agent_states, n_states):
     # the fit on sampled agent states: their frequencies are its agent side
     return discriminator_fit(expert_states,
                              state_frequencies(agent_states, n_states))
-
-
-def test_exact_ratio_table():
-    u = exact_ratio([0.5, 0.5], [0.25, 0.75])
-    assert u == pytest.approx([2.0, 2.0 / 3.0])
-    assert u[[1, 0, 0]] == pytest.approx([2.0 / 3.0, 2.0, 2.0])
-
-
-def test_exact_ratio_floors_the_denominator():
-    u = exact_ratio([0.5, 0.5 - 1e-6, 1e-6], [0.5, 0.5, 1e-15])
-    assert u[0] == pytest.approx(1.0)
-    assert u[2] == pytest.approx(1e-6 / 1e-12)
-
-
-def test_exact_ratio_clips_unvisited_states():
-    assert exact_ratio([0.5, 0.5], [1.0, 0.0])[1] == RATIO_CLIP_HI
 
 
 def test_discriminator_reaches_the_frequency_optimum():

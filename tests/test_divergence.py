@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firl.density_ratio import RATIO_CLIP_HI, RATIO_CLIP_LO, exact_ratio
 from firl.divergence import (KINDS, ExpertDensity, density_values,
                              divergence_exact, h_f)
 
@@ -57,14 +56,6 @@ def test_h_handles_zero_ratio_without_clipping():
     assert h_f("fkl", 0.0) == 0.0
     assert h_f("js", 0.0) == 0.0
     assert h_f("rkl", 0.0) == np.inf
-
-
-def test_h_clip_bounds_the_argument():
-    # the ratio producers clip before h sees the table
-    lo = h_f("rkl", exact_ratio([0.0, 1.0], [0.5, 0.5])[0])
-    assert lo == pytest.approx(1.0 - np.log(RATIO_CLIP_LO))
-    hi = h_f("fkl", exact_ratio([1.0, 0.0], [0.0, 1.0])[0])
-    assert hi == -RATIO_CLIP_HI
 
 
 def test_h_rejects_negative_ratios():

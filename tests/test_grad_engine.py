@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 import firl.mdp
-from firl.density_ratio import LOGIT_CLIP, discriminator_fit, exact_ratio
-from firl.divergence import KINDS, ExpertDensity, h_f
+from firl.density_ratio import LOGIT_CLIP, discriminator_fit
+from firl.divergence import KINDS, ExpertDensity, h_f, h_table
 from firl.grad_engine import (analytic_grad_exact, analytic_grad_mc,
                               analytic_grad_mixture, enumeration_grad,
                               fd_grad_oracle, gradcheck_suite)
 from firl.mdp import FiniteMdp, build_gridworld
 from firl.reward_model import (apply_update, default_features, mlp_reward,
                                reward_vector, reward_vjp, tabular_reward)
+from firl.scenarios import density_matching
 from firl.soft_solver import forward_marginals, sample_trajectories, soft_backward
 
 
@@ -115,10 +116,10 @@ def test_tabular_gradients_never_form_the_identity_jacobian():
     # products with its jacobian are the vectors themselves
     mdp, model, rho_e, sol = _instance(seed=3, grid=(40, 40), horizon=6)
     batch = sample_trajectories(mdp, sol, 32, seed=4)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    h = h_table("fkl", rho_e, sol.marginal_avg)
     for grad in (lambda: analytic_grad_exact(mdp, model, 1.0, "fkl",
                                              rho_e=rho_e, sol=sol),
-                 lambda: analytic_grad_mc(batch, model, 1.0, "fkl", ratio)):
+                 lambda: analytic_grad_mc(batch, model, 1.0, h)):
         tracemalloc.start()
         try:
             grad()
@@ -164,50 +165,68 @@ def test_symmetric_problem_gives_a_symmetric_gradient():
     assert g[0] == pytest.approx(g[2], abs=1e-14)
 
 
-def test_mc_estimates_the_exact_gradient():
+def _fkl_case():
     mdp, model, rho_e, sol = _instance(seed=10)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
-    ga = analytic_grad_exact(mdp, model, 1.0, "fkl", rho_e=rho_e, sol=sol)
-    batch = sample_trajectories(mdp, sol, 50_000, seed=11)
-    grad = analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+    return mdp, model, rho_e, sol, "fkl", 50_000, 11
+
+
+def _thin_tailed_rkl_case():
+    # a config the CLI accepts; under the zero reward 7 visited states
+    # have u < 1e-8, the least 5.2e-16, so h_rkl = 1 - log u is large
+    # there, and any clip of u biases mc by more than rollouts can shrink
+    sc = density_matching("gaussian", grid=(7, 7), horizon=10, sigma=0.5,
+                          kind="rkl", estimator="mc")
+    model = tabular_reward(sc.mdp.n_states)
+    sol = forward_marginals(sc.mdp, soft_backward(sc.mdp, model.params, 1.0))
+    return sc.mdp, model, sc.expert, sol, "rkl", 20_000, 0
+
+
+@pytest.mark.parametrize("case", [_fkl_case, _thin_tailed_rkl_case],
+                         ids=["fkl", "thin-tailed-rkl"])
+def test_mc_estimates_the_exact_gradient(case):
+    mdp, model, rho_e, sol, kind, n, seed = case()
+    ga = analytic_grad_exact(mdp, model, 1.0, kind, rho_e=rho_e, sol=sol)
+    batch = sample_trajectories(mdp, sol, n, seed=seed)
+    grad = analytic_grad_mc(batch, model, 1.0,
+                            h_table(kind, rho_e, sol.marginal_avg))
     assert np.linalg.norm(grad - ga) / np.linalg.norm(ga) < 0.05
 
 
 def test_mc_is_exactly_zero_under_a_constant_ratio():
     # constant h sums make the covariance vanish identically
     mdp, model, _, sol = _instance(seed=12)
-    ratio = exact_ratio(np.full(9, 1.0 / 9.0), np.full(9, 1.0 / 9.0))
+    h = h_table("fkl", np.full(9, 1.0 / 9.0), np.full(9, 1.0 / 9.0))
     batch = sample_trajectories(mdp, sol, 64, seed=13)
-    grad = analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+    grad = analytic_grad_mc(batch, model, 1.0, h)
     assert np.array_equal(grad, np.zeros(9))
 
 
 def test_mc_is_exactly_zero_on_identical_trajectories():
     mdp, model, rho_e, sol = _instance(seed=14)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    h = h_table("fkl", rho_e, sol.marginal_avg)
     one = sample_trajectories(mdp, sol, 1, seed=15)
-    grad = analytic_grad_mc(np.repeat(one, 8, axis=0), model, 1.0, "fkl", ratio)
+    grad = analytic_grad_mc(np.repeat(one, 8, axis=0), model, 1.0, h)
     assert np.array_equal(grad, np.zeros(9))
 
 
 def test_mc_needs_at_least_two_trajectories():
     mdp, model, rho_e, sol = _instance(seed=16)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    h = h_table("fkl", rho_e, sol.marginal_avg)
     batch = sample_trajectories(mdp, sol, 1, seed=17)
     with pytest.raises(ValueError, match="at least 2 trajectories"):
-        analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+        analytic_grad_mc(batch, model, 1.0, h)
 
 
 def test_the_covariance_admits_counts_of_exactly_the_byte_cap(monkeypatch):
     # four rows on a 3 x 3 grid: the visit counts are (4, 9), 288 bytes
     mdp, model, rho_e, sol = _instance(seed=16)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    h = h_table("fkl", rho_e, sol.marginal_avg)
     batch = sample_trajectories(mdp, sol, 4, seed=17)
     monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 288)
-    analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+    analytic_grad_mc(batch, model, 1.0, h)
     monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 287)
     with pytest.raises(ValueError, match="visit counts .* 288 bytes, past the cap"):
-        analytic_grad_mc(batch, model, 1.0, "fkl", ratio)
+        analytic_grad_mc(batch, model, 1.0, h)
 
 
 def test_mixture_is_zero_when_both_sides_repeat_one_path():
@@ -218,8 +237,8 @@ def test_mixture_is_zero_when_both_sides_repeat_one_path():
     model = apply_update(tabular_reward(4), np.array([0.3, -0.2, 0.5, 0.1]))
     sol = forward_marginals(mdp, soft_backward(mdp, model.params, 1.0))
     expert = np.tile([0, 1, 2, 3, 0, 1], (6, 1))
-    ratio = np.exp(np.random.default_rng(18).uniform(-3.0, 3.0, 4))
-    grad = analytic_grad_mixture(mdp, model, 1.0, "fkl", ratio, expert, sol)
+    h = h_f("fkl", np.exp(np.random.default_rng(18).uniform(-3.0, 3.0, 4)))
+    grad = analytic_grad_mixture(mdp, model, 1.0, h, expert, sol)
     assert np.abs(grad).max() < 1e-12
 
 
@@ -232,18 +251,18 @@ def test_mixture_pulls_the_reward_toward_an_off_policy_expert():
     sol_a = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0))
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt, 0.3))
     expert = sample_trajectories(mdp, sol_e, 32, seed=21)
-    ratio = np.exp(discriminator_fit(expert[:, 1:], sol_a.marginal_avg))
-    grad = analytic_grad_mixture(mdp, model, 1.0, "fkl", ratio, expert, sol_a)
+    h = h_f("fkl", np.exp(discriminator_fit(expert[:, 1:], sol_a.marginal_avg)))
+    grad = analytic_grad_mixture(mdp, model, 1.0, h, expert, sol_a)
     # a descent step raises the reward most on the expert's corner
     assert np.argmin(grad) == 8 and grad[8] < 0
 
 
 def test_mixture_rejects_mismatched_horizons():
     mdp, model, rho_e, sol = _instance(seed=23)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
+    h = h_table("fkl", rho_e, sol.marginal_avg)
     short = sample_trajectories(mdp, sol, 8, seed=24)[:, :-1]
     with pytest.raises(ValueError, match="expert horizon 3 differs from the mdp's 4"):
-        analytic_grad_mixture(mdp, model, 1.0, "fkl", ratio, short, sol)
+        analytic_grad_mixture(mdp, model, 1.0, h, short, sol)
 
 
 def _sampled_pool_grad(mdp, sol, expert, model, alpha, kind, ratio, n, seed):
@@ -279,7 +298,8 @@ def test_mixture_is_the_large_n_limit_of_the_sampled_pool(kind):
     sol_e = forward_marginals(mdp, soft_backward(mdp, gt, 0.5))
     expert = sample_trajectories(mdp, sol_e, 16, seed=41)
     ratio = np.exp(discriminator_fit(expert[:, 1:], sol.marginal_avg))
-    closed = analytic_grad_mixture(mdp, model, 0.8, kind, ratio, expert, sol)
+    closed = analytic_grad_mixture(mdp, model, 0.8, h_f(kind, ratio), expert,
+                                   sol)
     sampled, stderr = _sampled_pool_grad(mdp, sol, expert, model, 0.8, kind,
                                          ratio, 2 ** 16, seed=42)
     assert np.all(np.abs(closed - sampled) <= 3 * stderr)
@@ -288,24 +308,23 @@ def test_mixture_is_the_large_n_limit_of_the_sampled_pool(kind):
 
 
 def test_a_route_refuses_a_non_finite_gradient():
-    # a zero ratio on a visited state makes h_rkl infinite there, and
-    # inf - inf in the centring is the nan the route refuses
+    # h_rkl at a zero ratio is infinite; on a visited state inf - inf in
+    # the centring is the nan the route refuses
     mdp, model, rho_e, sol = _instance(seed=35)
     batch = sample_trajectories(mdp, sol, 8, seed=36)
-    ratio = exact_ratio(rho_e, sol.marginal_avg)
-    ratio[batch[0, 1]] = 0.0
+    h = h_table("rkl", rho_e, sol.marginal_avg)
+    h[batch[0, 1]] = np.inf
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="mc produced a non-finite gradient"):
-        analytic_grad_mc(batch, model, 1.0, "rkl", ratio)
+        analytic_grad_mc(batch, model, 1.0, h)
 
 
-def _mean_formula_cov(states, model, alpha, kind, ratio):
+def _mean_formula_cov(states, model, alpha, h):
     # the covariance as first written, with fancy indexing and .mean(),
     # contracted in state space before reward_vjp: the estimator must
     # stay this arithmetic, bit for bit
     body = states[:, 1:]
     n, t_hor = body.shape
-    h = h_f(kind, ratio)
     a = h[body].sum(axis=1)
     flat = (body + np.arange(n)[:, None] * len(h)).ravel()
     b = np.bincount(flat, minlength=n * len(h)).reshape(n, len(h))
@@ -327,7 +346,7 @@ def test_sampled_covariances_are_bit_for_bit_the_mean_formula(kind, reward):
         sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model), 0.7))
         agent = sample_trajectories(mdp, sol, int(rng.integers(2, 300)),
                                     seed=int(rng.integers(2 ** 31)))
-        ratio = np.exp(rng.uniform(-LOGIT_CLIP, LOGIT_CLIP, mdp.n_states))
+        h = h_f(kind, np.exp(rng.uniform(-LOGIT_CLIP, LOGIT_CLIP, mdp.n_states)))
         alpha = float(rng.uniform(0.2, 2.0))
-        assert np.array_equal(analytic_grad_mc(agent, model, alpha, kind, ratio),
-                              _mean_formula_cov(agent, model, alpha, kind, ratio))
+        assert np.array_equal(analytic_grad_mc(agent, model, alpha, h),
+                              _mean_formula_cov(agent, model, alpha, h))

@@ -13,7 +13,7 @@ from firl.reward_model import apply_update, reward_vector, tabular_reward
 from firl.soft_solver import (SoftSolution, TimedReward, enumerate_trajectories,
                               forward_marginals, pairwise_marginals,
                               sample_trajectories, soft_backward, step_kernel)
-from firl.trainer import TrainConfig, run_firl
+from firl.trainer import TrainConfig, check_expert_fit, run_firl
 
 
 def _two_arm_bandit():
@@ -197,6 +197,30 @@ def test_sampling_admits_uniforms_of_exactly_the_byte_cap(monkeypatch):
     monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", 159)
     with pytest.raises(ValueError, match="uniforms .* 160 bytes, past the cap of 159"):
         sample_trajectories(mdp, sol, 4, seed=0)
+
+
+@pytest.mark.parametrize("transitions, message", [
+    (np.eye(2)[np.arange(400).reshape(2, 200) % 2],
+     r"policy CDF gather \(A, n\) = \(200, 4\) would take 6400 bytes"),
+    (np.full((8, 1, 8), 1 / 8),
+     r"step CDF gather \(K, n\) = \(8, 4\) would take 256 bytes"),
+], ids=["policy", "step"])
+def test_sampling_checks_its_per_step_gathers_against_the_byte_cap(
+        monkeypatch, transitions, message):
+    # T = 1, n = 4: the uniforms are (3, 4), 96 bytes, below either gather,
+    # 200 actions' or 8 successors' worth of rows
+    mdp = FiniteMdp(transitions, np.eye(len(transitions))[0], horizon=1)
+    sol = forward_marginals(mdp, soft_backward(mdp, np.zeros(mdp.n_states), 1.0))
+    gather = max(mdp.n_actions, mdp.succ.shape[2]) * 4 * 8
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", gather)
+    sample_trajectories(mdp, sol, 4, seed=0)
+    monkeypatch.setattr(firl.mdp, "TABLE_BYTES_CAP", gather - 1)
+    with pytest.raises(ValueError, match=message):
+        sample_trajectories(mdp, sol, 4, seed=0)
+    # check_expert_fit refuses mc's batch on the same shape before training
+    cfg = TrainConfig(seed=0, estimator="mc", batch_size=4)
+    with pytest.raises(ValueError, match=message):
+        check_expert_fit(mdp, np.full(mdp.n_states, 1 / mdp.n_states), cfg)
 
 
 def test_sampling_matches_exact_marginals():
