@@ -16,13 +16,22 @@ H_E is the k-NN entropy of the expert cloud and L_E(s) its mean k-NN
 log-density over clip(2 v_s, PROBES_MIN, PROBES) jittered points in
 cell s, which the cloud visits v_s times: a cell of few visits has a
 noisy L_E whatever its probe count, so it gets few probes. The cloud's
-one-off cost is n + sum_s clip(2 v_s, 32, 400) <= 3n + 32 S tree
-queries for n expert visits, spread over every core the process may
-use; each query's answer is independent of how the queries are split,
-so no value depends on the core count. A CellCloud is a plain value,
+one-off cost is n + sum_s clip(2 v_s, 32, 400) <= 3n + 32 S k-th
+neighbour queries for n expert visits. A CellCloud is a plain value,
 built in full by its constructor (about 0.02 s for 10,000 visits on a
 15x15 grid, 2 cores); trainer.run_firl builds it on a worker thread
 while it trains.
+
+Each k-th neighbour search takes the exact distances, and the
+estimators need nothing else of it. Up to DIRECT_PAIRS = 2^20
+query-point pairs it compares every pair, CHUNK_PAIRS = 2^16 at a time;
+past that it builds a scipy cKDTree, imported on first use, and splits
+the queries over every core the process may use. Both give the same
+bits, so no value depends on the route or the core count. A 320-visit
+demo cloud stays under the bound, so its run imports no scipy;
+trainer.check_expert_fit loads the tree on the calling thread when a
+cloud will pass it. The digamma terms are cephes' integer psi, bit for
+bit scipy.special.digamma.
 
 The forward value is +inf when an expert visit sits on a state rho
 never reaches, as the exact divergence is. The reverse value inherits
@@ -40,11 +49,10 @@ falls from 0.0015 to 0.0003; on irl_traj16, whose cloud is 320 demo
 visits, it reads -0.04 to -0.08 after iteration 0.
 """
 
+import math
 import os
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .mdp import _check_table_bytes
 
@@ -53,6 +61,31 @@ PROBES = 400   # most jittered probe points per cell for the expert log-density
 PROBES_MIN = 32   # fewest; between the two, a cell gets two per visit
 HALF_CELL = 0.5   # a visit is jittered uniformly over its unit cell
 _LOG_DISC = np.log(np.pi)   # log volume of the unit ball in 2-d
+DIRECT_PAIRS = 2 ** 20   # most query-point pairs searched without the tree
+CHUNK_PAIRS = 2 ** 16    # most pairs in one table of the direct search
+
+_EULER = 0.57721566490153286061
+# cephes' asymptotic coefficients for psi, highest power of 1/n^2 first
+_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2,
+          7.57575757575757575758E-3, -4.16666666666666666667E-3,
+          3.96825396825396825397E-3, -8.33333333333333333333E-3,
+          8.33333333333333333333E-2)
+
+
+def _psi(n):
+    """The digamma function at a positive integer n, in cephes' form and
+    so bit for bit scipy.special.digamma: the harmonic sum less Euler's
+    constant up to 10, the asymptotic series beyond."""
+    if n <= 10:
+        y = 0.0
+        for i in range(1, n):
+            y += 1.0 / i
+        return y - _EULER
+    z = 1.0 / (n * n)
+    poly = _PSI_A[0]
+    for a in _PSI_A[1:]:
+        poly = poly * z + a
+    return math.log(n) - 0.5 / n - z * poly
 
 
 def _workers():
@@ -63,32 +96,96 @@ def _workers():
     return os.cpu_count() or 1
 
 
-def _kth_distance(tree, queries, k, p=2.0):
-    """Distance in the Minkowski p-norm from each query point to its
-    k-th nearest tree point. The queries are split over every usable
-    core; each answer is independent of the split."""
+def _uses_tree(n_queries, n_points):
+    """Whether a search of n_queries points against n_points takes the
+    k-d tree: past DIRECT_PAIRS pairs, or when one query's row of
+    distances would not fit a CHUNK_PAIRS table."""
+    return n_queries * n_points > DIRECT_PAIRS or n_points > CHUNK_PAIRS
+
+
+def _ckdtree():
+    """scipy's k-d tree class, imported on first use."""
+    from scipy.spatial import cKDTree
+    return cKDTree
+
+
+def load_search(n_queries, n_points):
+    """Import the k-d tree now, on the calling thread, if a search of
+    n_queries points against n_points will take it; a later search on
+    another thread then imports nothing."""
+    if _uses_tree(n_queries, n_points):
+        _ckdtree()
+
+
+def _kth_distance(points, queries, k, p=2.0):
+    """Distance in the Minkowski p-norm (2 or inf) from each query point
+    to its k-th nearest point, inf where there are fewer than k points.
+    Small searches compare every pair; large ones take a k-d tree, its
+    queries split over every usable core. The route and the split give
+    the same bits."""
+    if not _uses_tree(len(queries), len(points)):
+        return _direct_kth(points, queries, k, p)
+    # faster to build and query than the default balanced, compact tree,
+    # and the k-th distances are exact whatever its shape
+    tree = _ckdtree()(points, balanced_tree=False, compact_nodes=False)
     return tree.query(queries, k=[k], p=p, workers=_workers())[0][:, 0]
+
+
+def _direct_kth(points, queries, k, p):
+    """_kth_distance by a table of every query-point distance, at most
+    CHUNK_PAIRS at a time. The squared differences are summed in
+    cKDTree's order, so the distances match its bit for bit."""
+    out = np.full(len(queries), np.inf)
+    if k > len(points):
+        return out
+    rows = CHUNK_PAIRS // len(points)
+    for lo in range(0, len(queries), rows):
+        table = _pair_table(points, queries[lo:lo + rows], p)
+        out[lo:lo + rows] = np.partition(table, k - 1, axis=1)[:, k - 1]
+    return np.sqrt(out) if p == 2 else out
+
+
+def _pair_table(points, queries, p):
+    """(queries, points) table of max-norm distances for p = inf, else of
+    squared Euclidean ones summed as cKDTree sums them: four running sums
+    over blocks of four dimensions, added, then each remaining one."""
+    diff = (np.subtract.outer(queries[:, j], points[:, j])
+            for j in range(points.shape[1]))
+    if p == np.inf:
+        table = np.abs(next(diff))
+        for d in diff:
+            np.maximum(table, np.abs(d), out=table)
+        return table
+    sq = [d * d for d in diff]
+    blocked = len(sq) - len(sq) % 4
+    if blocked:
+        for j in range(4, blocked):
+            sq[j % 4] += sq[j]
+        sq[:blocked] = [sq[0] + sq[1] + sq[2] + sq[3]]
+    table = sq[0]
+    for s in sq[1:]:
+        table += s
+    return table
 
 
 def cell_gaps(coords):
     """Each point's max-norm distance to its nearest other point in coords."""
-    return _kth_distance(cKDTree(coords), coords, 2, p=np.inf)
+    return _kth_distance(coords, coords, 2, p=np.inf)
 
 
 class CellCloud:
     """The jittered cloud of visits to mdp's unit cells, one per state
-    in states, built from one cKDTree. Keeps states, the cloud's k-NN
-    entropy and cell_log_density (S,), the mean psi-corrected k-NN
-    log-density of the cloud over the jittered probes of each cell:
-    two per visit to the cell, at least PROBES_MIN and at most PROBES,
-    so n + sum_s clip(2 v_s, 32, 400) <= 3n + 32 S tree queries in all.
+    in states. Keeps states, the cloud's k-NN entropy and
+    cell_log_density (S,), the mean psi-corrected k-NN log-density of
+    the cloud over the jittered probes of each cell: two per visit to
+    the cell, at least PROBES_MIN and at most PROBES, so
+    n + sum_s clip(2 v_s, 32, 400) <= 3n + 32 S queries in all.
 
     The constructor checks the probe table against mdp.TABLE_BYTES_CAP,
     draws the cloud's jitter, its tie-break and the probes, in that
-    order, then builds the tree and runs the self-query and the probe
-    query. It calls no public function of this package, so it may run
-    off the main thread under a tracer that keeps one call stack per
-    process.
+    order, then runs the self-query and the probe query. It calls no
+    public function of this package, so it may run off the main thread
+    under a tracer that keeps one call stack per process.
     """
 
     def __init__(self, mdp, states, seed=0):
@@ -104,15 +201,12 @@ class CellCloud:
         pts += rng.uniform(-1e-10, 1e-10, size=pts.shape)
         cells = np.repeat(np.arange(mdp.n_states), per_cell)
         probes = _states_to_points(mdp, cells, seed=rng)
-        # faster to build and query than the default balanced, compact
-        # tree, and the k-th distances are exact whatever its shape
-        tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-        rho = _kth_distance(tree, pts, k + 1)   # skip self-match
-        nu = _kth_distance(tree, probes, k)
-        self.entropy = float(digamma(n) - digamma(k) + _LOG_DISC
+        rho = _kth_distance(pts, pts, k + 1)   # skip self-match
+        nu = _kth_distance(pts, probes, k)
+        self.entropy = float(_psi(n) - _psi(k) + _LOG_DISC
                              + 2.0 * np.mean(np.log(rho)))
         # a probe is not a cloud point, so its mass fraction is Beta(k, n - k + 1)
-        log_density = digamma(k) - digamma(n + 1) - _LOG_DISC - 2.0 * np.log(nu)
+        log_density = _psi(k) - _psi(n + 1) - _LOG_DISC - 2.0 * np.log(nu)
         sums = np.bincount(cells, log_density, minlength=mdp.n_states)
         self.cell_log_density = sums / per_cell
 
@@ -156,8 +250,8 @@ def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
     rng = np.random.default_rng(seed)
     x = x + rng.uniform(-1e-10, 1e-10, size=x.shape)
     y = y + rng.uniform(-1e-10, 1e-10, size=y.shape)
-    rho = _kth_distance(cKDTree(x), x, k + 1)   # skip self-match
-    nu = _kth_distance(cKDTree(y), x, k)
+    rho = _kth_distance(x, x, k + 1)   # skip self-match
+    nu = _kth_distance(y, x, k)
     return float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1.0)))
 
 

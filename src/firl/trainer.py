@@ -17,7 +17,7 @@ from .divergence import KINDS, ExpertDensity, divergence_exact, h_f, h_table
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
                           analytic_grad_mixture)
 from .kl_eval import (KNN_K, PROBES, PROBES_MIN, CellCloud, cell_gaps, knn_kl,
-                      policy_return)
+                      load_search, policy_return)
 from .mdp import check_table_bytes, reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, forward_marginals, sample_trajectories,
@@ -152,9 +152,11 @@ def check_expert_fit(mdp, expert, cfg):
     state indices, more than KNN_K points in the kNN expert cloud, the
     bound on its probes against the byte cap, and disjoint unit cells
     around mdp.coords, on which the evaluation takes the agent's density
-    as exact. Returns (rho_e, expert_flat, expert_data): the
-    ExpertDensity or None, the visits after s_0 or None, the classified
-    input."""
+    as exact. When the cloud's queries at that bound will take the k-d
+    tree, it loads the tree here, on the calling thread, so the cloud's
+    worker imports nothing. Returns (rho_e, expert_flat, expert_data):
+    the ExpertDensity or None, the visits after s_0 or None, the
+    classified input."""
     cfg.validate()
     form, expert_data = expert_form(expert)
     if cfg.ratio_mode == "exact_table" and form != "density":
@@ -209,10 +211,10 @@ def check_expert_fit(mdp, expert, cfg):
     # CellCloud checks its exact probe count; this bound on it refuses the
     # table before a run directory exists
     n_cloud = EVAL_EXPERT_SAMPLES if rho_e is not None else expert_flat.size
-    check_table_bytes("kNN probe points (m, 2)",
-                      (min(PROBES * mdp.n_states,
-                           2 * n_cloud + PROBES_MIN * mdp.n_states), 2))
-    # O(S log S): each centre's nearest other centre in the max norm
+    n_probes = min(PROBES * mdp.n_states, 2 * n_cloud + PROBES_MIN * mdp.n_states)
+    check_table_bytes("kNN probe points (m, 2)", (n_probes, 2))
+    load_search(max(n_cloud, n_probes), n_cloud)
+    # each centre's nearest other centre in the max norm; inf on one cell
     gap = cell_gaps(mdp.coords)
     if gap.min() < 1.0:
         s = int(np.argmin(gap))

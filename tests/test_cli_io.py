@@ -346,14 +346,14 @@ def test_cli_a_failed_cloud_worker_leaves_a_failed_manifest(tmp_path, monkeypatc
     class TreeFailure(Exception):
         pass
 
-    original = firl.kl_eval.cKDTree
+    original = firl.kl_eval._ckdtree()
 
     def tree(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise TreeFailure("the cloud's tree failed")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(firl.kl_eval, "cKDTree", tree)
+    monkeypatch.setattr(firl.kl_eval, "_ckdtree", lambda: tree)
     cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
     out = tmp_path / "out"
     with pytest.raises(TreeFailure):
@@ -363,6 +363,13 @@ def test_cli_a_failed_cloud_worker_leaves_a_failed_manifest(tmp_path, monkeypatc
     assert manifest["status"] == "failed"
     assert manifest["error"] == "the cloud's tree failed"
     assert manifest["outputs"] == []
+
+
+def test_cli_trains_a_density_on_a_one_cell_grid(tmp_path):
+    # the one centre has no other centre, so its cell gap reads inf
+    payload = dict(_TINY_DENSITY, grid=[1, 1])
+    cfg = _write_cfg(tmp_path, "d.json", payload)
+    assert cli_main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("payload, it", [
@@ -426,16 +433,21 @@ def test_every_shipped_scenario_loads_and_builds(path):
         firl.cli._build_scenario(cfg)
 
 
+def _run_fresh(code, args=()):
+    """Run code in a fresh interpreter that imports firl from this tree:
+    a pytest plugin may have imported a module here already."""
+    src = os.path.dirname(os.path.dirname(firl.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", code] + list(args), env=env, check=True)
+
+
 def test_loading_every_shipped_scenario_imports_no_schema_validator():
-    # a fresh interpreter, since a pytest plugin may import one here
     code = ("import sys, firl.cli\n"
             "for path in sys.argv[1:]:\n"
             "    firl.cli.load_config(path)\n"
             "assert 'jsonschema' not in sys.modules\n")
-    src = os.path.dirname(os.path.dirname(firl.cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    subprocess.run([sys.executable, "-c", code] + _SHIPPED, env=env, check=True)
+    _run_fresh(code, _SHIPPED)
 
 
 def test_importing_the_cli_loads_every_firl_module():
@@ -450,9 +462,32 @@ def test_importing_the_cli_loads_every_firl_module():
     code = ("import sys, firl.cli\n"
             "missing = [m for m in sys.argv[1:] if m not in sys.modules]\n"
             "assert not missing, missing\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    subprocess.run([sys.executable, "-c", code] + modules, env=env, check=True)
+    _run_fresh(code, modules)
+
+
+def test_a_run_on_demonstrations_imports_no_scipy(tmp_path):
+    # the demos' cloud is small enough for the direct search
+    cfg = _write_cfg(tmp_path, "irl.json", _TINY_IRL)
+    code = ("import sys\n"
+            "from firl.cli import cli_main\n"
+            "assert cli_main(['train', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "loaded = [m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    _run_fresh(code, [cfg, str(tmp_path / "out")])
+
+
+def test_check_expert_fit_loads_the_tree_for_a_density_cloud():
+    # the 10,000 visits drawn from a density take the tree, which loads
+    # in the check, on the calling thread, before the cloud's worker starts
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from firl.mdp import build_gridworld\n"
+            "from firl.trainer import TrainConfig, check_expert_fit\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+            "check_expert_fit(build_gridworld(3, 3, horizon=4), np.full(9, 1 / 9),\n"
+            "                 TrainConfig(seed=0))\n"
+            "assert 'scipy.spatial' in sys.modules\n")
+    _run_fresh(code)
 
 
 def _benchmark_workloads():

@@ -12,7 +12,8 @@ import firl.kl_eval
 import firl.mdp
 from firl.density_ratio import sample_states
 from firl.divergence import divergence_exact
-from firl.kl_eval import CellCloud, _states_to_points, knn_kl, policy_return
+from firl.kl_eval import (CellCloud, _states_to_points, cell_gaps, knn_kl,
+                          policy_return)
 from firl.mdp import FiniteMdp, build_gridworld
 from firl.scenarios import gaussian_density
 from firl.soft_solver import forward_marginals, soft_backward
@@ -70,6 +71,63 @@ def test_two_array_knn_keeps_its_values_bit_for_bit():
     # exact repeats, separated only by the 1e-10 tie-break jitter
     stacked = np.repeat(np.arange(6.0), 20).reshape(-1, 2)
     assert knn_kl(stacked, x, seed=14) == 48.302304152497776
+
+
+# ------------------------------------------------- the k-th neighbour search
+
+def _repeated_cells(n, seed):
+    """n visits to the centres of a 6x6 grid's cells, many repeated,
+    separated only by the cloud's +-1e-10 tie-break jitter."""
+    rng = np.random.default_rng(seed)
+    mdp = build_gridworld(6, 6, horizon=2)
+    pts = mdp.coords[rng.integers(0, 36, size=n)].astype(float)
+    return pts + rng.uniform(-1e-10, 1e-10, size=pts.shape)
+
+
+@pytest.mark.parametrize("n", [700, 1100])   # 1100^2 pairs pass the bound
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_the_direct_search_equals_the_tree_bit_for_bit(n, p):
+    pts = _repeated_cells(n, 40)
+    probes = pts + np.random.default_rng(41).uniform(-0.5, 0.5, size=pts.shape)
+    tree = cKDTree(pts)
+    for k in range(1, 6):
+        for queries in (pts, probes):
+            want = tree.query(queries, k=[k], p=p)[0][:, 0]
+            assert np.array_equal(firl.kl_eval._direct_kth(pts, queries, k, p), want)
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 5, 8, 9])
+def test_the_direct_search_sums_the_dimensions_in_the_tree_order(d):
+    # cKDTree sums blocks of four dimensions in four running sums
+    rng = np.random.default_rng(42)
+    scale = rng.uniform(0.1, 100.0, size=d)
+    pts, queries = rng.normal(size=(300, d)) * scale, rng.normal(size=(200, d)) * scale
+    want = cKDTree(pts).query(queries, k=[3])[0][:, 0]
+    assert np.array_equal(firl.kl_eval._direct_kth(pts, queries, 3, 2.0), want)
+
+
+def test_the_search_takes_the_tree_only_past_the_bound():
+    uses_tree = firl.kl_eval._uses_tree
+    assert not uses_tree(2 ** 10, 2 ** 10)
+    assert uses_tree(2 ** 10 + 1, 2 ** 10)
+    # one query's row of distances must fit one table
+    assert not uses_tree(1, 2 ** 16)
+    assert uses_tree(1, 2 ** 16 + 1)
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_k_beyond_the_point_count_reads_inf_as_the_tree_does(p):
+    pts = _repeated_cells(2, 43)
+    want = cKDTree(pts).query(pts, k=[3], p=p)[0][:, 0]
+    assert np.array_equal(firl.kl_eval._direct_kth(pts, pts, 3, p), want)
+    assert np.all(np.isinf(want))
+    assert np.array_equal(cell_gaps(np.zeros((1, 2))), [np.inf])
+
+
+def test_integer_psi_is_scipy_digamma_bit_for_bit():
+    n = np.arange(1, 300001)
+    psi = np.array([firl.kl_eval._psi(int(i)) for i in n])
+    assert np.array_equal(psi, digamma(n))
 
 
 # --------------------------------------------------- expert cloud vs exact side
@@ -224,9 +282,9 @@ def test_the_cloud_queries_at_most_three_per_visit_and_the_floor_per_cell(
     sizes = []
     original = firl.kl_eval._kth_distance
 
-    def recorded(tree, queries, k, p=2.0):
+    def recorded(points, queries, k, p=2.0):
         sizes.append(len(queries))
-        return original(tree, queries, k, p=p)
+        return original(points, queries, k, p=p)
 
     monkeypatch.setattr(firl.kl_eval, "_kth_distance", recorded)
     CellCloud(mdp, states, seed=34)
@@ -251,8 +309,22 @@ def test_a_failed_tree_build_raises_at_construction(monkeypatch):
     def failing_tree(*args, **kwargs):
         raise TreeFailure("no tree")
 
-    monkeypatch.setattr(firl.kl_eval, "cKDTree", failing_tree)
+    # a 5-point cloud takes the direct search unless the bound is 0
+    monkeypatch.setattr(firl.kl_eval, "DIRECT_PAIRS", 0)
+    monkeypatch.setattr(firl.kl_eval, "_ckdtree", lambda: failing_tree)
     with pytest.raises(TreeFailure, match="no tree"):
+        CellCloud(build_gridworld(2, 2, horizon=2), [0, 1, 2, 3, 0])
+
+
+def test_a_failed_direct_search_raises_at_construction(monkeypatch):
+    class SearchFailure(Exception):
+        pass
+
+    def failing_search(*args, **kwargs):
+        raise SearchFailure("no search")
+
+    monkeypatch.setattr(firl.kl_eval, "_direct_kth", failing_search)
+    with pytest.raises(SearchFailure, match="no search"):
         CellCloud(build_gridworld(2, 2, horizon=2), [0, 1, 2, 3, 0])
 
 
