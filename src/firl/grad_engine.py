@@ -29,8 +29,8 @@ from .divergence import KINDS, divergence_exact, h_table
 from .mdp import FiniteMdp, check_table_bytes, reachable_states
 from .reward_model import (apply_update, default_features, mlp_reward,
                            reward_vector, reward_vjp, tabular_reward)
-from .soft_solver import (enumerate_trajectories, forward_marginals,
-                          pairwise_marginals, soft_backward)
+from .soft_solver import (check_rollouts, enumerate_trajectories,
+                          forward_marginals, pairwise_marginals, soft_backward)
 
 FD_PARAM_CAP = 256
 
@@ -76,6 +76,17 @@ def analytic_grad_exact(mdp, model, alpha, kind, rho_e, sol):
                             _agent_moments(mdp, sol, h), "exact")
 
 
+def _check_visit_counts(n, n_states):
+    check_table_bytes("visit counts (n, S)", (n, n_states))
+
+
+def check_mc_batch(mdp, n):
+    """ValueError if mc's n rollouts on mdp would pass mdp.TABLE_BYTES_CAP
+    in the sampler (check_rollouts) or in analytic_grad_mc's counts."""
+    check_rollouts(mdp, n)
+    _check_visit_counts(n, mdp.n_states)
+
+
 def analytic_grad_mc(batch, model, alpha, h):
     """Unbiased sample covariance over a batch of policy rollouts, (n, T+1)
     state rows whose s_0 is skipped, weighed per state by the (S,) h:
@@ -90,7 +101,7 @@ def analytic_grad_mc(batch, model, alpha, h):
     if n < 2:
         raise ValueError("covariance needs at least 2 trajectories, got %d" % n)
     n_states = len(h)
-    check_table_bytes("visit counts (n, S)", (n, n_states))
+    _check_visit_counts(n, n_states)
     a = h.take(body).sum(axis=1)
     offsets = np.arange(0, n * n_states, n_states)[:, None]
     b = np.bincount((body + offsets).ravel(),

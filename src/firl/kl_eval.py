@@ -27,11 +27,12 @@ estimators need nothing else of it. Up to DIRECT_PAIRS = 2^20
 query-point pairs it compares every pair, CHUNK_PAIRS = 2^16 at a time;
 past that it builds a scipy cKDTree, imported on first use, and splits
 the queries over every core the process may use. Both give the same
-bits, so no value depends on the route or the core count. A 320-visit
-demo cloud stays under the bound, so its run imports no scipy;
-trainer.check_expert_fit loads the tree on the calling thread when a
-cloud will pass it. The digamma terms are cephes' integer psi, bit for
-bit scipy.special.digamma.
+bits, so no value depends on the route or the core count. A search
+whose points are not 2-d always takes the tree. A 320-visit demo
+cloud stays under the bound, so its run imports no scipy; check_cloud,
+the cloud's pre-run check, loads the tree on the calling thread when
+a cloud will pass it. The digamma terms are cephes' integer psi, bit
+for bit scipy.special.digamma.
 
 The forward value is +inf when an expert visit sits on a state rho
 never reaches, as the exact divergence is. The reverse value inherits
@@ -109,21 +110,13 @@ def _ckdtree():
     return cKDTree
 
 
-def load_search(n_queries, n_points):
-    """Import the k-d tree now, on the calling thread, if a search of
-    n_queries points against n_points will take it; a later search on
-    another thread then imports nothing."""
-    if _uses_tree(n_queries, n_points):
-        _ckdtree()
-
-
 def _kth_distance(points, queries, k, p=2.0):
     """Distance in the Minkowski p-norm (2 or inf) from each query point
     to its k-th nearest point, inf where there are fewer than k points.
-    Small searches compare every pair; large ones take a k-d tree, its
-    queries split over every usable core. The route and the split give
-    the same bits."""
-    if not _uses_tree(len(queries), len(points)):
+    Small 2-d searches compare every pair; large ones, and any search off
+    the plane, take a k-d tree, its queries split over every usable core.
+    The route and the split give the same bits."""
+    if points.shape[1] == 2 and not _uses_tree(len(queries), len(points)):
         return _direct_kth(points, queries, k, p)
     # faster to build and query than the default balanced, compact tree,
     # and the k-th distances are exact whatever its shape
@@ -132,9 +125,9 @@ def _kth_distance(points, queries, k, p=2.0):
 
 
 def _direct_kth(points, queries, k, p):
-    """_kth_distance by a table of every query-point distance, at most
-    CHUNK_PAIRS at a time. The squared differences are summed in
-    cKDTree's order, so the distances match its bit for bit."""
+    """_kth_distance for 2-d points by a table of every query-point
+    distance, at most CHUNK_PAIRS at a time. The squared differences are
+    summed in cKDTree's order, so the distances match its bit for bit."""
     out = np.full(len(queries), np.inf)
     if k > len(points):
         return out
@@ -146,31 +139,45 @@ def _direct_kth(points, queries, k, p):
 
 
 def _pair_table(points, queries, p):
-    """(queries, points) table of max-norm distances for p = inf, else of
-    squared Euclidean ones summed as cKDTree sums them: four running sums
-    over blocks of four dimensions, added, then each remaining one."""
-    diff = (np.subtract.outer(queries[:, j], points[:, j])
-            for j in range(points.shape[1]))
+    """(queries, points) table of 2-d max-norm distances for p = inf, else
+    of squared Euclidean ones, x then y, as cKDTree sums them. Each axis's
+    differences die once mapped, so at most three tables are alive."""
+    def diff(j):
+        return np.subtract.outer(queries[:, j], points[:, j])
     if p == np.inf:
-        table = np.abs(next(diff))
-        for d in diff:
-            np.maximum(table, np.abs(d), out=table)
-        return table
-    sq = [d * d for d in diff]
-    blocked = len(sq) - len(sq) % 4
-    if blocked:
-        for j in range(4, blocked):
-            sq[j % 4] += sq[j]
-        sq[:blocked] = [sq[0] + sq[1] + sq[2] + sq[3]]
-    table = sq[0]
-    for s in sq[1:]:
-        table += s
+        table = np.abs(diff(0))
+        return np.maximum(table, np.abs(diff(1)), out=table)
+    table = np.square(diff(0))
+    table += np.square(diff(1))
     return table
 
 
 def cell_gaps(coords):
     """Each point's max-norm distance to its nearest other point in coords."""
     return _kth_distance(coords, coords, 2, p=np.inf)
+
+
+def check_cloud(mdp, n_visits):
+    """Refuse, before a run, a CellCloud of n_visits visits on mdp: at
+    most KNN_K visits, probes whose bound min(PROBES S, 2 n + PROBES_MIN
+    S) passes mdp.TABLE_BYTES_CAP, or overlapping unit cells around
+    mdp.coords, where the agent's density is not exact. Loads the k-d
+    tree on the calling thread when the cloud's queries will take it, so
+    a build on another thread imports nothing."""
+    if n_visits <= KNN_K:
+        raise ValueError("knn_kl needs more than %d points: the expert cloud "
+                         "holds %d" % (KNN_K, n_visits))
+    n_probes = min(PROBES * mdp.n_states, 2 * n_visits + PROBES_MIN * mdp.n_states)
+    _check_table_bytes("kNN probe points (m, 2)", (n_probes, 2))
+    if _uses_tree(max(n_visits, n_probes), n_visits):
+        _ckdtree()
+    # each centre's nearest other centre in the max norm; inf on one cell
+    gap = cell_gaps(mdp.coords)
+    if gap.min() < 1.0:
+        s = int(np.argmin(gap))
+        raise ValueError("cells overlap: state %d's centre lies %.3g from another "
+                         "in the max norm, and the kNN evaluation needs unit "
+                         "cells that are disjoint" % (s, gap[s]))
 
 
 class CellCloud:
@@ -226,8 +233,13 @@ def knn_kl(samples_p, samples_q, k=KNN_K, seed=0):
     + log(m / (n - 1)), Euclidean metric; a tiny seeded jitter breaks
     exact ties from repeated points. Between a CellCloud and an (S,)
     cell density, on either side: the expert-side estimates of the
-    module docstring, with KNN_K and the cloud's own jitter.
+    module docstring, with KNN_K and the jitter drawn at the cloud's
+    build, so any other k or seed is refused.
     """
+    if isinstance(samples_p, CellCloud) or isinstance(samples_q, CellCloud):
+        if k != KNN_K or seed != 0:
+            raise ValueError("a CellCloud fixes k = KNN_K = %d and its jitter: "
+                             "got k=%r, seed=%r" % (KNN_K, k, seed))
     if isinstance(samples_p, CellCloud):
         at = _cell_density(samples_p, samples_q)[samples_p.states]
         if np.any(at <= 0):

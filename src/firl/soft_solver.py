@@ -179,6 +179,15 @@ def pairwise_marginals(mdp, sol, h):
     return fwd, bwd
 
 
+def check_rollouts(mdp, n):
+    """ValueError if the uniforms or a per-step CDF gather of n rollouts,
+    as labelled below, would pass mdp.TABLE_BYTES_CAP."""
+    check_table_bytes("rollout uniforms (2T+1, n)", (2 * mdp.horizon + 1, n))
+    check_table_bytes("policy CDF gather (A, n)", (mdp.n_actions, n))
+    if mdp.succ.shape[2] > 1:
+        check_table_bytes("step CDF gather (K, n)", (mdp.succ.shape[2], n))
+
+
 def sample_trajectories(mdp, sol, n, seed):
     """n rollouts of the solved policy, deterministic in seed; the 2T+1
     uniform blocks come from one call in the same stream. The CDFs are
@@ -193,16 +202,11 @@ def sample_trajectories(mdp, sol, n, seed):
     successor per row (no slip) that draw always picks it and is skipped,
     its uniforms still generated. The walk fills time-major (T+1, n)
     rows, transposed once at the end into the returned (n, T+1) int64
-    C-contiguous rows s_0..s_T. n whose uniforms, per-step (A, n) policy
-    CDF gather or, with K > 1, (K, n) step CDF gather would pass
-    mdp.TABLE_BYTES_CAP is refused before any draw."""
+    C-contiguous rows s_0..s_T. check_rollouts refuses n before any draw."""
     if n < 1:
         raise ValueError("need at least one trajectory")
-    check_table_bytes("rollout uniforms (2T+1, n)", (2 * mdp.horizon + 1, n))
+    check_rollouts(mdp, n)
     n_a, n_k = mdp.n_actions, mdp.succ.shape[2]
-    check_table_bytes("policy CDF gather (A, n)", (n_a, n))
-    if n_k > 1:
-        check_table_bytes("step CDF gather (K, n)", (n_k, n))
     u = np.random.default_rng(seed).random((2 * mdp.horizon + 1, n))
     policy_cdf = np.ascontiguousarray(
         np.cumsum(sol.policy, axis=2).transpose(0, 2, 1))

@@ -15,10 +15,9 @@ import numpy as np
 from .density_ratio import discriminator_fit, sample_states, state_frequencies
 from .divergence import KINDS, ExpertDensity, divergence_exact, h_f, h_table
 from .grad_engine import (analytic_grad_exact, analytic_grad_mc,
-                          analytic_grad_mixture)
-from .kl_eval import (KNN_K, PROBES, PROBES_MIN, CellCloud, cell_gaps, knn_kl,
-                      load_search, policy_return)
-from .mdp import check_table_bytes, reachable_states
+                          analytic_grad_mixture, check_mc_batch)
+from .kl_eval import CellCloud, check_cloud, knn_kl, policy_return
+from .mdp import reachable_states
 from .reward_model import apply_update, reward_vector, tabular_reward
 from .soft_solver import (TimedReward, forward_marginals, sample_trajectories,
                           soft_backward)
@@ -145,18 +144,14 @@ def expert_form(expert):
 def check_expert_fit(mdp, expert, cfg):
     """Validate cfg and its fit to the expert input and the mdp: ratio
     mode and estimator against expert form (the exact estimator needs a
-    density), mc's batch against the byte cap on its rollout uniforms,
-    the sampler's per-step gathers and the visit counts, mixture against
-    (n, horizon + 1) trajectories, density length, normalization (only
-    rkl accepts an unnormalized energy), an rkl target's support, expert
-    state indices, more than KNN_K points in the kNN expert cloud, the
-    bound on its probes against the byte cap, and disjoint unit cells
-    around mdp.coords, on which the evaluation takes the agent's density
-    as exact. When the cloud's queries at that bound will take the k-d
-    tree, it loads the tree here, on the calling thread, so the cloud's
-    worker imports nothing. Returns (rho_e, expert_flat, expert_data):
-    the ExpertDensity or None, the visits after s_0 or None, the
-    classified input."""
+    density), mixture against (n, horizon + 1) trajectories, density
+    length, normalization (only rkl accepts an unnormalized energy), an
+    rkl target's support and expert state indices. The modules that own
+    the run's other limits check them here, before a run directory
+    exists: grad_engine.check_mc_batch mc's batch, and kl_eval.check_cloud
+    the kNN expert cloud, on the calling thread. Returns (rho_e,
+    expert_flat, expert_data): the ExpertDensity or None, the visits
+    after s_0 or None, the classified input."""
     cfg.validate()
     form, expert_data = expert_form(expert)
     if cfg.ratio_mode == "exact_table" and form != "density":
@@ -167,16 +162,7 @@ def check_expert_fit(mdp, expert, cfg):
         raise ValueError("exact estimator needs an expert density: expert "
                          "trajectories train mc or mixture")
     if cfg.estimator == "mc":
-        # sample_trajectories and the covariance make these checks per call;
-        # here they refuse the batch before a run directory exists
-        check_table_bytes("rollout uniforms (2T+1, n)",
-                          (2 * mdp.horizon + 1, cfg.batch_size))
-        check_table_bytes("policy CDF gather (A, n)",
-                          (mdp.n_actions, cfg.batch_size))
-        if mdp.succ.shape[2] > 1:
-            check_table_bytes("step CDF gather (K, n)",
-                              (mdp.succ.shape[2], cfg.batch_size))
-        check_table_bytes("visit counts (n, S)", (cfg.batch_size, mdp.n_states))
+        check_mc_batch(mdp, cfg.batch_size)
     if cfg.estimator == "mixture":
         if form != "trajectories":
             raise ValueError("mixture estimator needs expert trajectories "
@@ -205,22 +191,7 @@ def check_expert_fit(mdp, expert, cfg):
             raise ValueError("expert state index %d is outside 0..%d"
                              % (outside[0], mdp.n_states - 1))
         expert_flat = expert_data[:, 1:].ravel()
-        if expert_flat.size <= KNN_K:
-            raise ValueError("knn_kl needs more than %d points: the expert cloud "
-                             "holds %d" % (KNN_K, expert_flat.size))
-    # CellCloud checks its exact probe count; this bound on it refuses the
-    # table before a run directory exists
-    n_cloud = EVAL_EXPERT_SAMPLES if rho_e is not None else expert_flat.size
-    n_probes = min(PROBES * mdp.n_states, 2 * n_cloud + PROBES_MIN * mdp.n_states)
-    check_table_bytes("kNN probe points (m, 2)", (n_probes, 2))
-    load_search(max(n_cloud, n_probes), n_cloud)
-    # each centre's nearest other centre in the max norm; inf on one cell
-    gap = cell_gaps(mdp.coords)
-    if gap.min() < 1.0:
-        s = int(np.argmin(gap))
-        raise ValueError("cells overlap: state %d's centre lies %.3g from another "
-                         "in the max norm, and the kNN evaluation needs unit "
-                         "cells that are disjoint" % (s, gap[s]))
+    check_cloud(mdp, EVAL_EXPERT_SAMPLES if rho_e is not None else expert_flat.size)
     return rho_e, expert_flat, expert_data
 
 

@@ -96,14 +96,17 @@ def test_the_direct_search_equals_the_tree_bit_for_bit(n, p):
             assert np.array_equal(firl.kl_eval._direct_kth(pts, queries, k, p), want)
 
 
-@pytest.mark.parametrize("d", [1, 3, 4, 5, 8, 9])
-def test_the_direct_search_sums_the_dimensions_in_the_tree_order(d):
-    # cKDTree sums blocks of four dimensions in four running sums
+@pytest.mark.parametrize("d", [1, 3, 4, 9])
+def test_a_search_off_the_plane_takes_the_tree(monkeypatch, d):
+    # 200 x 300 pairs are under the bound, but only 2-d points go direct
     rng = np.random.default_rng(42)
     scale = rng.uniform(0.1, 100.0, size=d)
     pts, queries = rng.normal(size=(300, d)) * scale, rng.normal(size=(200, d)) * scale
+    assert not firl.kl_eval._uses_tree(len(queries), len(pts))
+    monkeypatch.setattr(firl.kl_eval, "_direct_kth",
+                        lambda *args: pytest.fail("the direct search ran"))
     want = cKDTree(pts).query(queries, k=[3])[0][:, 0]
-    assert np.array_equal(firl.kl_eval._direct_kth(pts, queries, 3, 2.0), want)
+    assert np.array_equal(firl.kl_eval._kth_distance(pts, queries, 3), want)
 
 
 def test_the_search_takes_the_tree_only_past_the_bound():
@@ -349,6 +352,19 @@ def test_knn_kl_returns_a_float_on_every_branch():
               knn_kl(rng.normal(size=(20, 2)), rng.normal(size=(20, 2))))
     assert values[0] == np.inf
     assert all(type(v) is float for v in values)
+
+
+def test_knn_kl_refuses_the_k_and_seed_a_cloud_would_ignore():
+    # the estimate on a cloud uses KNN_K and the jitter of the cloud's build
+    mdp = build_gridworld(3, 3, init_state=0, horizon=1)
+    q = forward_marginals(mdp, soft_backward(mdp, np.zeros(9), 1.0)).marginal_avg
+    cloud = CellCloud(mdp, [0, 1, 3, 0, 1, 3, 1], seed=18)
+    for ignored in ({"k": 5}, {"seed": 1}):
+        with pytest.raises(ValueError, match="KNN_K"):
+            knn_kl(cloud, q, **ignored)
+        with pytest.raises(ValueError, match="KNN_K"):
+            knn_kl(q, cloud, **ignored)
+    assert knn_kl(cloud, q, k=3, seed=0) == knn_kl(cloud, q)
 
 
 def test_cell_cloud_guards():
