@@ -19,8 +19,8 @@ noisy L_E whatever its probe count, so it gets few probes. The cloud's
 one-off cost is n + sum_s clip(2 v_s, 32, 400) <= 3n + 32 S k-th
 neighbour queries for n expert visits. A CellCloud is a plain value,
 built in full by its constructor (about 0.02 s for 10,000 visits on a
-15x15 grid, 2 cores); trainer.run_firl builds it on a worker thread
-while it trains.
+15x15 grid, 2 cores); trainer.run_firl builds it before its first
+iteration.
 
 Each k-th neighbour search takes the exact distances, and the
 estimators need nothing else of it. Up to DIRECT_PAIRS = 2^20
@@ -30,9 +30,9 @@ the queries over every core the process may use. Both give the same
 bits, so no value depends on the route or the core count. A search
 whose points are not 2-d always takes the tree. A 320-visit demo
 cloud stays under the bound, so its run imports no scipy; check_cloud,
-the cloud's pre-run check, loads the tree on the calling thread when
-a cloud will pass it. The digamma terms are cephes' integer psi, bit
-for bit scipy.special.digamma.
+the cloud's pre-run check, loads the tree during set-up when a cloud
+will pass it. The digamma terms are cephes' integer psi, bit for bit
+scipy.special.digamma.
 
 The forward value is +inf when an expert visit sits on a state rho
 never reaches, as the exact divergence is. The reverse value inherits
@@ -55,7 +55,7 @@ import os
 
 import numpy as np
 
-from .mdp import _check_table_bytes
+from .mdp import check_table_bytes
 
 KNN_K = 3
 PROBES = 400   # most jittered probe points per cell for the expert log-density
@@ -162,13 +162,13 @@ def check_cloud(mdp, n_visits):
     most KNN_K visits, probes whose bound min(PROBES S, 2 n + PROBES_MIN
     S) passes mdp.TABLE_BYTES_CAP, or overlapping unit cells around
     mdp.coords, where the agent's density is not exact. Loads the k-d
-    tree on the calling thread when the cloud's queries will take it, so
-    a build on another thread imports nothing."""
+    tree when the cloud's queries will take it, so the scipy import
+    (about 0.35 s) falls in set-up, not in the run's training time."""
     if n_visits <= KNN_K:
         raise ValueError("knn_kl needs more than %d points: the expert cloud "
                          "holds %d" % (KNN_K, n_visits))
     n_probes = min(PROBES * mdp.n_states, 2 * n_visits + PROBES_MIN * mdp.n_states)
-    _check_table_bytes("kNN probe points (m, 2)", (n_probes, 2))
+    check_table_bytes("kNN probe points (m, 2)", (n_probes, 2))
     if _uses_tree(max(n_visits, n_probes), n_visits):
         _ckdtree()
     # each centre's nearest other centre in the max norm; inf on one cell
@@ -190,9 +190,7 @@ class CellCloud:
 
     The constructor checks the probe table against mdp.TABLE_BYTES_CAP,
     draws the cloud's jitter, its tie-break and the probes, in that
-    order, then runs the self-query and the probe query. It calls no
-    public function of this package, so it may run off the main thread
-    under a tracer that keeps one call stack per process.
+    order, then runs the self-query and the probe query.
     """
 
     def __init__(self, mdp, states, seed=0):
@@ -203,7 +201,7 @@ class CellCloud:
             raise ValueError("need more than k cloud points, got %d" % n)
         per_cell = np.clip(2 * np.bincount(self.states, minlength=mdp.n_states),
                            PROBES_MIN, PROBES)
-        _check_table_bytes("kNN probe points (m, 2)", (int(per_cell.sum()), 2))
+        check_table_bytes("kNN probe points (m, 2)", (int(per_cell.sum()), 2))
         pts = _states_to_points(mdp, self.states, seed=rng)
         pts += rng.uniform(-1e-10, 1e-10, size=pts.shape)
         cells = np.repeat(np.arange(mdp.n_states), per_cell)

@@ -14,9 +14,8 @@ STOCHASTIC_TOL = 1e-12
 # each (T, S, A K) step table of a solve, the sampled path's rollout
 # uniforms (2T+1, n), its per-step policy and successor CDF gathers (A, n)
 # and (K, n), and visit counts (n, S), and the kNN cloud's probe points
-# (m, 2). At its worst, an mc sampling step with the kNN cloud building
-# on its worker, a run holds 11.8 tables' worth at once, so 2.9 GiB
-# (README).
+# (m, 2). At its worst, during an mc sampling step, a run holds 8.7
+# tables' worth at once, so 2.2 GiB (README).
 TABLE_BYTES_CAP = 2 ** 28
 
 
@@ -64,13 +63,6 @@ class FiniteMdp:
 def check_table_bytes(what, shape):
     """ValueError if a float table of this shape would pass TABLE_BYTES_CAP;
     called before anything of that size is allocated."""
-    _check_table_bytes(what, shape)
-
-
-def _check_table_bytes(what, shape):
-    # check_table_bytes under a private name, which tracers that wrap
-    # public functions leave alone: kl_eval.CellCloud calls it from a
-    # worker thread
     size = 8 * math.prod(shape)
     if size > TABLE_BYTES_CAP:
         raise ValueError("%s = %r would take %d bytes, past the cap of %d"

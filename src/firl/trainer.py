@@ -7,7 +7,6 @@ and a potential-shaped prior bonus) and the optimizer.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,9 +148,9 @@ def check_expert_fit(mdp, expert, cfg):
     rkl target's support and expert state indices. The modules that own
     the run's other limits check them here, before a run directory
     exists: grad_engine.check_mc_batch mc's batch, and kl_eval.check_cloud
-    the kNN expert cloud, on the calling thread. Returns (rho_e,
-    expert_flat, expert_data): the ExpertDensity or None, the visits
-    after s_0 or None, the classified input."""
+    the kNN expert cloud. Returns (rho_e, expert_flat, expert_data): the
+    ExpertDensity or None, the visits after s_0 or None, the classified
+    input."""
     cfg.validate()
     form, expert_data = expert_form(expert)
     if cfg.ratio_mode == "exact_table" and form != "density":
@@ -205,14 +204,11 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     rollouts) on h_f of the discriminator's ratio; the expert's form,
     not ratio_mode, picks the rule. Returns a TrainResult whose metrics
     rows follow METRIC_COLUMNS; the kNN KL columns are filled every eval_every
-    iterations and NaN between. Their expert cloud is built on one
-    worker thread while the loop trains, so the loop keeps each eval
-    iteration's marginal and the columns are filled after the last
-    iteration; a failed build raises there, and the worker has ended by
-    the time run_firl returns or raises. The run fails at the
-    first gradient entry that is not finite or whose square can
-    overflow, and at the first solve that leaves no mass on a state the
-    expert occupies and the walk can reach.
+    iterations and NaN between, from an expert cloud built before
+    iteration 0, so a failed build fails the run before any training.
+    The run fails at the first gradient entry that is not finite or
+    whose square can overflow, and at the first solve that leaves no
+    mass on a state the expert occupies and the walk can reach.
     """
     t0 = time.perf_counter()
     rho_e, expert_flat, expert_data = check_expert_fit(mdp, expert, cfg)
@@ -229,53 +225,45 @@ def run_firl(mdp, expert, cfg, gt_reward=None):
     ss = np.random.SeedSequence(cfg.seed)
     rng_batch, rng_expert = [np.random.default_rng(c) for c in ss.spawn(2)]
 
-    # fixed expert cloud for the sample-based KL columns: the states are
-    # drawn here, the cloud is built on a worker while the loop trains
+    # fixed expert cloud for the sample-based KL columns, built before
+    # the loop; the cloud's draws come from rng_expert alone
     if rho_e is not None:
         eval_expert_states = sample_states(rho_e.values, EVAL_EXPERT_SAMPLES,
                                            rng_expert)
     else:
         eval_expert_states = expert_flat
+    cloud = CellCloud(mdp, eval_expert_states, rng_expert)
 
     opt = OptimizerState()
     metrics = []
-    evaluated = []   # (row, marginal) of each eval iteration
     grad_cap = np.sqrt(np.finfo(float).max / model.n_params)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        cloud = pool.submit(CellCloud, mdp, eval_expert_states, rng_expert)
-        for it in range(cfg.iterations):
-            sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model),
-                                                       cfg.alpha))
-            _check_collapse(it, mdp, sol, occupied)
-            if cfg.estimator == "exact":
-                grad = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
-                                           sol)
-            elif cfg.estimator == "mixture":
-                h = h_f(cfg.kind, np.exp(discriminator_fit(expert_flat,
-                                                           sol.marginal_avg)))
-                grad = analytic_grad_mixture(mdp, model, cfg.alpha, h,
-                                             expert_data, sol)
+    for it in range(cfg.iterations):
+        sol = forward_marginals(mdp, soft_backward(mdp, reward_vector(model),
+                                                   cfg.alpha))
+        _check_collapse(it, mdp, sol, occupied)
+        if cfg.estimator == "exact":
+            grad = analytic_grad_exact(mdp, model, cfg.alpha, cfg.kind, rho_e,
+                                       sol)
+        elif cfg.estimator == "mixture":
+            h = h_f(cfg.kind, np.exp(discriminator_fit(expert_flat,
+                                                       sol.marginal_avg)))
+            grad = analytic_grad_mixture(mdp, model, cfg.alpha, h,
+                                         expert_data, sol)
+        else:
+            batch = sample_trajectories(mdp, sol, cfg.batch_size,
+                                        int(rng_batch.integers(2 ** 63 - 1)))
+            if rho_e is None:
+                h = h_f(cfg.kind, np.exp(discriminator_fit(
+                    expert_flat, state_frequencies(batch[:, 1:],
+                                                   mdp.n_states))))
             else:
-                batch = sample_trajectories(mdp, sol, cfg.batch_size,
-                                            int(rng_batch.integers(2 ** 63 - 1)))
-                if rho_e is None:
-                    h = h_f(cfg.kind, np.exp(discriminator_fit(
-                        expert_flat, state_frequencies(batch[:, 1:],
-                                                       mdp.n_states))))
-                else:
-                    h = h_table(cfg.kind, rho_e, sol.marginal_avg)
-                grad = analytic_grad_mc(batch, model, cfg.alpha, h)
-            _check_grad_scale(it, grad, grad_cap)
-            row = _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, grad)
-            metrics.append(row)
-            if it % cfg.eval_every == 0:
-                evaluated.append((row, sol.marginal_avg))
-            opt, delta = optimizer_step(opt, grad, cfg.reward_lr)
-            model = apply_update(model, delta)
-        expert_cloud = cloud.result()
-    for row, marginal in evaluated:
-        row["fkl_estimate"] = knn_kl(expert_cloud, marginal)
-        row["rkl_estimate"] = knn_kl(marginal, expert_cloud)
+                h = h_table(cfg.kind, rho_e, sol.marginal_avg)
+            grad = analytic_grad_mc(batch, model, cfg.alpha, h)
+        _check_grad_scale(it, grad, grad_cap)
+        metrics.append(_metric_row(it, mdp, sol, rho_e, cfg, gt_reward, grad,
+                                   cloud))
+        opt, delta = optimizer_step(opt, grad, cfg.reward_lr)
+        model = apply_update(model, delta)
 
     return TrainResult(model, metrics, time.perf_counter() - t0)
 
@@ -304,9 +292,12 @@ def _check_collapse(it, mdp, sol, occupied):
                          "the target" % (it, lost[0], mdp.horizon))
 
 
-def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, grad):
+def _metric_row(it, mdp, sol, rho_e, cfg, gt_reward, grad, cloud):
     row = {c: float("nan") for c in METRIC_COLUMNS}
     row["iteration"] = it
+    if it % cfg.eval_every == 0:
+        row["fkl_estimate"] = knn_kl(cloud, sol.marginal_avg)
+        row["rkl_estimate"] = knn_kl(sol.marginal_avg, cloud)
     # what np.linalg.norm computes for a 1-d float vector
     row["grad_norm"] = float(np.sqrt(grad @ grad))
     if rho_e is not None and rho_e.normalized:

@@ -322,8 +322,8 @@ def test_cli_fails_a_run_whose_objective_goes_infinite(tmp_path, capsys):
 
 def test_cli_a_run_that_fails_mid_loop_leaves_no_thread_behind(tmp_path, capsys,
                                                                monkeypatch):
-    # the collapse above fails iteration 1 while a slowed cloud worker is
-    # still querying; run_firl joins it before the error leaves
+    # the collapse above fails iteration 1 after a slowed cloud build;
+    # the failed run leaves no thread running
     original = firl.kl_eval._kth_distance
 
     def slow(*args, **kwargs):
@@ -340,20 +340,17 @@ def test_cli_a_run_that_fails_mid_loop_leaves_no_thread_behind(tmp_path, capsys,
     assert threading.active_count() == before
 
 
-def test_cli_a_failed_cloud_worker_leaves_a_failed_manifest(tmp_path, monkeypatch):
-    # the error raised on the worker thread surfaces at the first read of
-    # the cloud, after the loop: no hang, no NaN column
+def test_cli_a_failed_cloud_build_leaves_a_failed_manifest(tmp_path, monkeypatch):
+    # check_cloud's set-up import of the tree passes; building the tree
+    # fails inside run_firl, before iteration 0
     class TreeFailure(Exception):
         pass
 
-    original = firl.kl_eval._ckdtree()
-
-    def tree(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
+    class FailingTree:
+        def __init__(self, *args, **kwargs):
             raise TreeFailure("the cloud's tree failed")
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(firl.kl_eval, "_ckdtree", lambda: tree)
+    monkeypatch.setattr(firl.kl_eval, "_ckdtree", lambda: FailingTree)
     cfg = _write_cfg(tmp_path, "d.json", _TINY_DENSITY)
     out = tmp_path / "out"
     with pytest.raises(TreeFailure):
